@@ -1,25 +1,5 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-extensions = [
-    Extension("macfi._kernel", ["src/macfi/_kernel.pyx"]),
-]
-
-setup(
-    ext_modules=cythonize(
-        extensions,
-        compiler_directives={
-            "language_level": "3",
-            "boundscheck": False,
-            "wraparound": False,
-        },
-    )
-    if cythonize is not None
-    # Without Cython the package still installs; macfi.macarray falls back
-    # to the pure-Python kernel at import time.
-    else [],
-)
+# optional: without a C compiler the package still installs, and
+# macfi.macarray falls back to the pure-Python kernel at import time.
+setup(ext_modules=[Extension("macfi._kernel", ["src/macfi/_kernel.c"], optional=True)])

@@ -1,7 +1,8 @@
 """Pure-Python execution kernel for packed MAC programs.
 
-Fallback for the compiled extension in ``_kernel.pyx``; both implement the
-exact same semantics and the test suite asserts they agree bit for bit.
+Fallback for the C extension in ``_kernel.c``, used when that extension is
+not built; both implement the exact same semantics and the test suite asserts
+they agree bit for bit.
 Lane products are vectorized with numpy; the saturating accumulate runs as
 a plain loop only when an intermediate 32-bit overflow is actually possible.
 """

@@ -150,15 +150,20 @@ def _slice_indices(dataset: Dataset, offset: int, count: int | None) -> range:
 
 
 def evaluate_accuracy(plan: ExecutionPlan, dataset: Dataset, indices,
-                      faults: FaultMap | None = None, kernel: str | None = None) -> float:
+                      faults: FaultMap | None = None) -> float:
     """Fraction of slice samples whose argmax class matches the label."""
-    emu = Emulator(plan, faults, kernel=kernel)
+    emu = Emulator(plan, faults)
     correct = 0
     for i in indices:
         res = emu.run(dataset.sample(i))
         if classify_argmax(res.logits) == int(dataset.labels[i]):
             correct += 1
     return correct / len(indices)
+
+
+def _check_workers(workers: int | None) -> None:
+    if workers is not None and workers < 1:
+        raise OutOfRange(f"workers must be >= 1, got {workers}")
 
 
 def _run_jobs(jobs, workers: int | None):
@@ -168,21 +173,22 @@ def _run_jobs(jobs, workers: int | None):
 
 
 def run_fault_sweep(spec: SweepSpec, plan: ExecutionPlan, dataset: Dataset,
-                    workers: int | None = None, kernel: str | None = None) -> CampaignResult:
+                    workers: int | None = None) -> CampaignResult:
     """Experiment 1: k random lanes faulted with each error value, repeated.
 
     Value 0 is realized as StuckZero, any other value as Constant(value).
     """
+    _check_workers(workers)
     cfg = plan.cfg
     idx = _slice_indices(dataset, spec.slice_offset, spec.slice_count)
-    baseline = evaluate_accuracy(plan, dataset, idx, None, kernel)
+    baseline = evaluate_accuracy(plan, dataset, idx)
 
     def make_job(k: int, value: int, rep: int):
         def job() -> RunRecord:
             seed = derive_seed(spec.master_seed, k, value, rep)
             fmap = sample_random_fault_map(k, fault_for_error_value(value), seed,
                                            cfg.units, cfg.lanes)
-            acc = evaluate_accuracy(plan, dataset, idx, fmap, kernel)
+            acc = evaluate_accuracy(plan, dataset, idx, fmap)
             return RunRecord("sweep", k, value, -1, -1, rep, seed,
                              acc, baseline - acc, fmap.digest())
         return job
@@ -197,10 +203,11 @@ def run_fault_sweep(spec: SweepSpec, plan: ExecutionPlan, dataset: Dataset,
 
 
 def run_heatmap(values, plan: ExecutionPlan, dataset: Dataset,
-                workers: int | None = None, kernel: str | None = None,
+                workers: int | None = None,
                 slice_offset: int = 0, slice_count: int | None = None) -> CampaignResult:
     """Experiment 2: every (unit, lane) faulted in turn with each value;
     exhaustive and seedless. Value 0 is realized as StuckZero."""
+    _check_workers(workers)
     values = [int(v) for v in values]
     if not values:
         raise EmptyGroup("heatmap needs at least one error value")
@@ -209,13 +216,13 @@ def run_heatmap(values, plan: ExecutionPlan, dataset: Dataset,
             raise OutOfRange(f"error value {v} outside 18-bit signed range")
     cfg = plan.cfg
     idx = _slice_indices(dataset, slice_offset, slice_count)
-    baseline = evaluate_accuracy(plan, dataset, idx, None, kernel)
+    baseline = evaluate_accuracy(plan, dataset, idx)
 
     def make_job(value: int, unit: int, lane: int):
         def job() -> RunRecord:
             fmap = single_lane_map(unit, lane, fault_for_error_value(value),
                                    cfg.units, cfg.lanes)
-            acc = evaluate_accuracy(plan, dataset, idx, fmap, kernel)
+            acc = evaluate_accuracy(plan, dataset, idx, fmap)
             return RunRecord("heatmap", 1, value, unit, lane, 0, 0,
                              acc, baseline - acc, fmap.digest())
         return job

@@ -15,7 +15,7 @@ import numpy as np
 from . import campaign as camp
 from .errors import MacfiError, OutOfRange, SchemaError
 from .faultctl import parse_fault_spec
-from .macarray import Emulator, available_backends, classify_argmax
+from .macarray import Emulator, classify_argmax
 from .model import load_dataset, load_model
 from .planner import dump_plan, plan_model, plan_stats
 from .report import boxplot_svg, heatmap_svg
@@ -53,8 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--weights", required=True, help="weights blob (int8 + int32 bias)")
         if dataset:
             sp.add_argument("--dataset", required=True, help="QDS1 dataset file")
-        sp.add_argument("--kernel", choices=available_backends(), default=None,
-                        help="execution backend (default: compiled when built)")
 
     sp = sub.add_parser("infer", help="run inference, print per-sample predictions")
     add_model_flags(sp, dataset=True)
@@ -105,18 +103,21 @@ def cmd_infer(args) -> int:
     else:
         indices = list(range(len(ds)))
 
-    emu = Emulator(plan, faults, kernel=args.kernel)
+    emu = Emulator(plan, faults)
     if args.verbose:
         print(f"# backend={emu.backend} micro_ops_per_inference={plan.total_micro_ops}")
     correct = 0
-    t0 = time.perf_counter()
+    elapsed = 0.0  # emulator time only, so the footer does not measure stdout
     for i in indices:
-        res = emu.run(ds.sample(i))
+        x = ds.sample(i)
+        t0 = time.perf_counter()
+        res = emu.run(x)
+        elapsed += time.perf_counter() - t0
         pred = classify_argmax(res.logits)
         label = int(ds.labels[i])
         correct += pred == label
         print(f"sample={i} pred={pred} label={label}")
-    elapsed = max(time.perf_counter() - t0, 1e-9)
+    elapsed = max(elapsed, 1e-9)
     accuracy = correct / len(indices)
     print(f"accuracy={accuracy!r} throughput_ips={len(indices) / elapsed:.1f}")
     return 0
@@ -140,13 +141,12 @@ def cmd_campaign(args) -> int:
                 raise SchemaError("sweep mode requires --k")
             spec = camp.SweepSpec(tuple(_int_list(args.k)), tuple(values), args.reps,
                                   args.seed, off, count)
-            result = camp.run_fault_sweep(spec, plan, ds, workers=args.workers,
-                                          kernel=args.kernel)
+            result = camp.run_fault_sweep(spec, plan, ds, workers=args.workers)
             _write(os.path.join(args.out, "boxplot.svg"),
                    boxplot_svg(result.groups, "accuracy drop vs faulted lanes"), written)
         else:
             result = camp.run_heatmap(values, plan, ds, workers=args.workers,
-                                      kernel=args.kernel, slice_offset=off, slice_count=count)
+                                      slice_offset=off, slice_count=count)
             for value in values:
                 _write(os.path.join(args.out, f"heatmap_{value}.svg"),
                        heatmap_svg(result.heatmap[value],

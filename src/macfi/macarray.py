@@ -5,15 +5,14 @@ fault mux that can force the 18-bit lane value (see faultctl). Idle lanes are
 gated: a fault on a lane that carries no operands this cycle cannot fire.
 Padded-zero taps do carry operands, so their muxes are live.
 
-Two interchangeable kernels execute the packed layer programs: a compiled
-extension (macfi._kernel) and a pure-Python twin (macfi._kernel_py). The
-compiled one is preferred when built; set MACFI_KERNEL=python|compiled to
-force a choice.
+Two interchangeable kernels execute the packed layer programs: a
+hand-written C extension (macfi._kernel) and a pure-Python twin
+(macfi._kernel_py). The extension is used whenever it is built; an install
+without it falls back to the Python kernel, which gives bit-identical results.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +36,7 @@ def available_backends() -> list[str]:
 
 
 def get_kernel(name: str | None = None):
-    """Resolve a kernel module by name, MACFI_KERNEL, or availability."""
-    name = name or os.environ.get("MACFI_KERNEL")
+    """Resolve a kernel module by name; by default the extension when built."""
     if name is None:
         return _kernel if _kernel is not None else _kernel_py
     if name == "python":
@@ -122,7 +120,7 @@ class Emulator:
     """
 
     def __init__(self, plan: ExecutionPlan, faults: FaultMap | None = None,
-                 kernel: str | None = None, trace: bool = False):
+                 trace: bool = False):
         cfg = plan.cfg
         self.plan = plan
         self.faults = faults if faults is not None else FaultMap(cfg.units, cfg.lanes)
@@ -131,7 +129,7 @@ class Emulator:
                 f"fault map is {self.faults.units}x{self.faults.lanes}, "
                 f"array is {cfg.units}x{cfg.lanes}"
             )
-        self._kernel = get_kernel(kernel)
+        self._kernel = get_kernel()
         self.trace = trace
         self._farr = self.faults.to_arrays()
         self.cycle = 0
@@ -211,7 +209,7 @@ class Emulator:
 
 
 def execute_plan(plan: ExecutionPlan, input: QTensor, faults: FaultMap | None = None,
-                 kernel: str | None = None, trace: bool = False) -> ExecResult:
+                 trace: bool = False) -> ExecResult:
     """Run one inference; with an empty FaultMap the result is bit-identical
     to the reference pipeline."""
-    return Emulator(plan, faults, kernel=kernel, trace=trace).run(input)
+    return Emulator(plan, faults, trace=trace).run(input)

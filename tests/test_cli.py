@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import macfi.macarray
 from macfi.campaign import parse_results_csv, parse_summary_csv
 from macfi.cli import main
 from macfi.model import save_dataset, save_model
@@ -63,9 +64,9 @@ class TestInfer:
         assert rc == 2
         assert "nope.bin" in capsys.readouterr().err
 
-    def test_verbose_reports_backend(self, desk_bundle, capsys):
-        rc = main(infer_args(desk_bundle, "--verbose", "--kernel", "python",
-                             "--sample", "0"))
+    def test_verbose_reports_backend(self, desk_bundle, capsys, monkeypatch):
+        monkeypatch.setattr(macfi.macarray, "_kernel", None)  # as without the extension
+        rc = main(infer_args(desk_bundle, "--verbose", "--sample", "0"))
         assert rc == 0
         first = capsys.readouterr().out.splitlines()[0]
         assert first.startswith("# backend=python micro_ops_per_inference=")
@@ -86,11 +87,6 @@ class TestInfer:
         spec.write_text("0,0,zero\n1,1,const\n")  # const missing its value
         assert main(infer_args(desk_bundle, "--faults", str(spec))) == 2
         assert "line 2" in capsys.readouterr().err
-
-    def test_unknown_kernel_flag(self, desk_bundle):
-        with pytest.raises(SystemExit) as exc:
-            main(infer_args(desk_bundle, "--kernel", "bogus"))
-        assert exc.value.code == 2
 
 
 class TestCampaign:
@@ -141,6 +137,14 @@ class TestCampaign:
                                 "--k", "65", "--values", "0", "--reps", "1",
                                 "--slice", "0,1"))
         assert rc == 2
+
+    @pytest.mark.parametrize("mode", [("sweep", "--k", "1"), ("heatmap",)], ids=lambda m: m[0])
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_nonpositive_workers_is_bad_input(self, desk_bundle, tmp_path, capsys, mode, workers):
+        rc = main(campaign_args(desk_bundle, tmp_path / "x", "--mode", *mode,
+                                "--workers", workers, "--slice", "0,1"))
+        assert rc == 2
+        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
 
     def test_failed_campaign_leaves_no_partial_files(self, desk_bundle, tmp_path):
         out = tmp_path / "x"

@@ -1,4 +1,5 @@
-"""Bit-equality checks between the compiled kernel and its pure-Python twin.
+"""Bit-equality checks between the compiled kernel and its pure-Python twin,
+and the argument checks the compiled kernel makes before it runs.
 
 The python kernel has two internal routes (a vectorized bulk path when a
 conservative bound proves saturation cannot occur, and a sequential
@@ -11,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from macfi import macarray
 from macfi.faultctl import (
     FaultMap,
     LaneFault,
@@ -32,6 +34,15 @@ needs_both = pytest.mark.skipif(len(BACKENDS) < 2,
 
 def test_python_backend_always_available():
     assert "python" in BACKENDS
+
+
+def execute_on(backend: str, *args, **kwargs):
+    """execute_plan on one backend; "python" pins the state of an install
+    without the extension."""
+    with pytest.MonkeyPatch.context() as mp:
+        if backend == "python":
+            mp.setattr(macarray, "_kernel", None)
+        return execute_plan(*args, **kwargs)
 
 
 def run_prog(kernel_name: str, prog, x: QTensor, fmap: FaultMap, cycle0: int = 0):
@@ -75,7 +86,7 @@ def test_random_inference_agreement():
         plan = plan_model(g)
         x = random_input(rng, g)
         fmap = _random_fault_map(rng)
-        runs = [execute_plan(plan, x, fmap, kernel=b) for b in BACKENDS]
+        runs = [execute_on(b, plan, x, fmap) for b in BACKENDS]
         runs.append(execute_plan(plan, x, fmap, trace=True))
         first = runs[0]
         for other in runs[1:]:
@@ -148,8 +159,8 @@ def test_saturating_inference_agrees_end_to_end():
     x = QTensor(rng.integers(-128, 128, size=(8 * 2100, 1, 1)).astype(np.int8),
                 2.0 ** -6)
     fmap = _unit0_map(131071)
-    a = execute_plan(plan, x, fmap, kernel="python")
-    b = execute_plan(plan, x, fmap, kernel="compiled")
+    a = execute_on("python", plan, x, fmap)
+    b = execute_on("compiled", plan, x, fmap)
     assert np.array_equal(a.logits, b.logits)
     for lid in a.outputs:
         assert a.outputs[lid] == b.outputs[lid]
@@ -166,10 +177,57 @@ def test_pulse_windows_agree_across_layer_boundaries(desk_plan, desk_dataset):
     for start, length in windows:
         fmap = single_lane_map(int(rng.integers(0, 8)), int(rng.integers(0, 8)),
                                LaneFault.pulse(-131072, start, length))
-        a = execute_plan(desk_plan, x, fmap, kernel="python")
-        b = execute_plan(desk_plan, x, fmap, kernel="compiled")
+        a = execute_on("python", desk_plan, x, fmap)
+        b = execute_on("compiled", desk_plan, x, fmap)
         c = execute_plan(desk_plan, x, fmap, trace=True)
         assert np.array_equal(a.logits, b.logits)
         assert np.array_equal(a.logits, c.logits)
         for lid in a.outputs:
             assert a.outputs[lid] == b.outputs[lid] == c.outputs[lid]
+
+
+def _fc_args(desk_plan, desk_dataset) -> list:
+    """A valid run_program argument list for the desk model's fc layer."""
+    x = desk_dataset.sample(0)
+    res = execute_plan(desk_plan, x)
+    prog = desk_plan.by_id[desk_plan.output]
+    fc_in = res.outputs[prog.layer.inputs[0]]
+    p = prog.packed
+    acc = np.repeat(prog.bias, prog.out_shape[1] * prog.out_shape[2])
+    return [p.unit, p.dest, p.act_idx, p.w_idx,
+            np.ascontiguousarray(fc_in.data).reshape(-1), prog.weights_flat, acc,
+            *FaultMap().to_arrays(), desk_plan.cfg.lanes, 0]
+
+
+def _with(args: list, i: int, value) -> list:
+    return args[:i] + [value] + args[i + 1:]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+BAD_ARGS = {
+    "int64_act_idx": lambda a: _with(a, 2, a[2].astype(np.int64)),
+    "2d_dest": lambda a: _with(a, 1, a[1].reshape(-1, 1)),
+    "strided_act_flat": lambda a: _with(a, 4, np.repeat(a[4], 2)[::2]),
+    "read_only_acc": lambda a: _with(a, 6, _read_only(a[6])),
+    "act_idx_width_not_lanes": lambda a: _with(a, 2, np.ascontiguousarray(a[2][:, 1:])),
+    "missing_cycle0": lambda a: a[:-1],
+}
+
+
+@needs_both
+@pytest.mark.parametrize("breaker", BAD_ARGS.values(), ids=BAD_ARGS.keys())
+def test_compiled_rejects_bad_arguments(breaker, desk_plan, desk_dataset):
+    kern = get_kernel("compiled")
+    good = _fc_args(desk_plan, desk_dataset)
+    assert desk_plan.by_id[desk_plan.output].packed.n_ops == kern.run_program(*good)
+    args = _fc_args(desk_plan, desk_dataset)
+    acc = args[6]
+    before = acc.copy()
+    with pytest.raises((TypeError, ValueError)):
+        kern.run_program(*breaker(args))
+    assert np.array_equal(acc, before)
