@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -161,12 +162,18 @@ def evaluate_accuracy(plan: ExecutionPlan, dataset: Dataset, indices,
     return correct / len(indices)
 
 
-def _check_workers(workers: int | None) -> None:
-    if workers is not None and workers < 1:
+def _pool_size(workers: int | None) -> int:
+    """Thread count for a campaign; None means the CPUs this process may run on."""
+    if workers is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    if workers < 1:
         raise OutOfRange(f"workers must be >= 1, got {workers}")
+    return workers
 
 
-def _run_jobs(jobs, workers: int | None):
+def _run_jobs(jobs, workers: int):
     # Results come back in submission order regardless of completion order.
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda fn: fn(), jobs))
@@ -178,7 +185,7 @@ def run_fault_sweep(spec: SweepSpec, plan: ExecutionPlan, dataset: Dataset,
 
     Value 0 is realized as StuckZero, any other value as Constant(value).
     """
-    _check_workers(workers)
+    workers = _pool_size(workers)
     cfg = plan.cfg
     idx = _slice_indices(dataset, spec.slice_offset, spec.slice_count)
     baseline = evaluate_accuracy(plan, dataset, idx)
@@ -207,7 +214,7 @@ def run_heatmap(values, plan: ExecutionPlan, dataset: Dataset,
                 slice_offset: int = 0, slice_count: int | None = None) -> CampaignResult:
     """Experiment 2: every (unit, lane) faulted in turn with each value;
     exhaustive and seedless. Value 0 is realized as StuckZero."""
-    _check_workers(workers)
+    workers = _pool_size(workers)
     values = [int(v) for v in values]
     if not values:
         raise EmptyGroup("heatmap needs at least one error value")

@@ -133,20 +133,24 @@ def cmd_campaign(args) -> int:
     plan, ds = _load(args, with_dataset=True)
     values = _int_list(args.values)
     off, count = _slice_pair(args.slice) if args.slice else (0, None)
-    os.makedirs(args.out, exist_ok=True)
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise SchemaError(f"--out {args.out} exists and is not a directory")
+    if args.mode == "sweep":
+        if not args.k:
+            raise SchemaError("sweep mode requires --k")
+        spec = camp.SweepSpec(tuple(_int_list(args.k)), tuple(values), args.reps,
+                              args.seed, off, count)
+        result = camp.run_fault_sweep(spec, plan, ds, workers=args.workers)
+    else:
+        result = camp.run_heatmap(values, plan, ds, workers=args.workers,
+                                  slice_offset=off, slice_count=count)
+    os.makedirs(args.out, exist_ok=True)  # only once there is something to write
     written: list[str] = []
     try:
         if args.mode == "sweep":
-            if not args.k:
-                raise SchemaError("sweep mode requires --k")
-            spec = camp.SweepSpec(tuple(_int_list(args.k)), tuple(values), args.reps,
-                                  args.seed, off, count)
-            result = camp.run_fault_sweep(spec, plan, ds, workers=args.workers)
             _write(os.path.join(args.out, "boxplot.svg"),
                    boxplot_svg(result.groups, "accuracy drop vs faulted lanes"), written)
         else:
-            result = camp.run_heatmap(values, plan, ds, workers=args.workers,
-                                      slice_offset=off, slice_count=count)
             for value in values:
                 _write(os.path.join(args.out, f"heatmap_{value}.svg"),
                        heatmap_svg(result.heatmap[value],

@@ -10,49 +10,37 @@ from __future__ import annotations
 class MacfiError(Exception):
     """Base class for all domain errors raised by this package."""
 
+    def __init__(self, message: str, layer: str | None = None):
+        super().__init__(message)
+        self.layer = layer
+
 
 class InvalidScale(MacfiError):
     """Quantization or requantization scale is non-positive or non-finite."""
 
 
 class ShapeError(MacfiError):
-    def __init__(self, message: str, layer: str | None = None):
-        super().__init__(message)
-        self.layer = layer
+    """Tensor, weight or layer dimensions do not fit together."""
 
 
 class ScaleMismatch(MacfiError):
-    def __init__(self, message: str, layer: str | None = None):
-        super().__init__(message)
-        self.layer = layer
+    """The operands of an add layer carry different scales."""
 
 
 class UnsupportedLayer(MacfiError):
-    def __init__(self, message: str, layer: str | None = None):
-        super().__init__(message)
-        self.layer = layer
+    """Layer kind outside the supported set."""
 
 
 class SchemaError(MacfiError):
     """Manifest, dataset, fault-spec, or campaign-spec document violates its schema."""
 
-    def __init__(self, message: str, layer: str | None = None):
-        super().__init__(message)
-        self.layer = layer
-
 
 class MissingBlob(MacfiError):
     """A weights/bias blob reference points outside the blob (or the blob is absent)."""
 
-    def __init__(self, message: str, layer: str | None = None):
-        super().__init__(message)
-        self.layer = layer
-
 
 class CycleError(MacfiError):
-    def __init__(self, message: str, layer: str | None = None):
-        super().__init__(message)
-        self.layer = layer
+    """The layer graph is not acyclic."""
 
 
 class UnmappedAddress(MacfiError):

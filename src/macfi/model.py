@@ -45,12 +45,6 @@ _QDS_HEADER = struct.Struct("<4sIBHHd")
 
 
 @dataclass
-class BlobRef:
-    offset: int
-    len: int
-
-
-@dataclass
 class LayerSpec:
     id: str
     kind: str
@@ -61,20 +55,8 @@ class LayerSpec:
     cout: int | None = None
     m: float | None = None
     weight_scale: float | None = None
-    weights_ref: BlobRef | None = None
-    bias_ref: BlobRef | None = None
     weights: np.ndarray | None = None  # int8 (Cout, Cin, K, K)
     bias: np.ndarray | None = None  # int32 (Cout,)
-
-    def declared_cin(self) -> int | None:
-        """Input channel count implied by the weights array or blob length."""
-        if self.weights is not None:
-            return int(self.weights.shape[1])
-        if self.weights_ref is not None and self.cout and self.k:
-            per_out = self.cout * self.k * self.k
-            if per_out > 0 and self.weights_ref.len % (self.cout * self.k * self.k) == 0:
-                return self.weights_ref.len // (self.cout * self.k * self.k)
-        return None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LayerSpec):
@@ -89,8 +71,6 @@ class LayerSpec:
             and self.cout == other.cout
             and self.m == other.m
             and self.weight_scale == other.weight_scale
-            and self.weights_ref == other.weights_ref
-            and self.bias_ref == other.bias_ref
             and _arr_eq(self.weights, other.weights)
             and _arr_eq(self.bias, other.bias)
         )
@@ -109,21 +89,10 @@ class ModelGraph:
     input_scale: float
     output: str
     classes: int
-    by_id: dict[str, LayerSpec] = field(init=False, repr=False)
+    by_id: dict[str, LayerSpec] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.by_id = {layer.id: layer for layer in self.layers}
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModelGraph):
-            return NotImplemented
-        return (
-            self.layers == other.layers
-            and self.input_shape == other.input_shape
-            and self.input_scale == other.input_scale
-            and self.output == other.output
-            and self.classes == other.classes
-        )
 
 
 @dataclass
@@ -262,9 +231,9 @@ def _propagation_issues(g: ModelGraph) -> tuple[list[MacfiError], dict[str, tupl
                 pad = layer.pad if kind == "conv" else 0
                 if kind == "fc" and (h, w) != (1, 1):
                     raise ShapeError(f"layer {lid!r}: fc input must be (Cin, 1, 1), got {dims}", lid)
-                cin = layer.declared_cin()
-                if cin is None:
-                    raise MissingBlob(f"layer {lid!r}: weights missing or wrong length", lid)
+                if layer.weights is None or layer.weights.ndim != 4:
+                    continue  # reported by _weight_issues
+                cin = layer.weights.shape[1]
                 if cin != c:
                     raise ShapeError(f"layer {lid!r}: declared Cin={cin} but input C={c}", lid)
                 if k > h + 2 * pad or k > w + 2 * pad:
@@ -307,35 +276,38 @@ def _weight_issues(g: ModelGraph) -> list[MacfiError]:
         if layer.kind not in ("conv", "fc"):
             continue
         lid = layer.id
-        if layer.weights is None and layer.weights_ref is None:
-            issues.append(MissingBlob(f"layer {lid!r}: no weights", lid))
-            continue
         k = layer.k if layer.kind == "conv" else 1
-        if layer.weights is not None:
-            if layer.weights.ndim != 4 or layer.weights.shape[0] != layer.cout or (
-                layer.weights.shape[2] != k or layer.weights.shape[3] != k
-            ):
-                issues.append(ShapeError(f"layer {lid!r}: weights shape {layer.weights.shape}", lid))
-        if layer.bias is not None and layer.bias.shape != (layer.cout,):
-            issues.append(ShapeError(f"layer {lid!r}: bias shape {layer.bias.shape}", lid))
-        if layer.bias is None and layer.bias_ref is None:
+        if layer.weights is None:
+            issues.append(MissingBlob(f"layer {lid!r}: no weights", lid))
+        elif layer.weights.ndim != 4 or layer.weights.shape[0] != layer.cout or (
+            layer.weights.shape[2] != k or layer.weights.shape[3] != k
+        ):
+            issues.append(ShapeError(f"layer {lid!r}: weights shape {layer.weights.shape}", lid))
+        if layer.bias is None:
             issues.append(MissingBlob(f"layer {lid!r}: no bias", lid))
+        elif layer.bias.shape != (layer.cout,):
+            issues.append(ShapeError(f"layer {lid!r}: bias shape {layer.bias.shape}", lid))
     return issues
+
+
+def _check(g: ModelGraph) -> tuple[list[MacfiError], dict[str, tuple]]:
+    """Every check in one pass; returns (issues, id -> ((C, H, W), scale))."""
+    issues = _structural_issues(g)
+    if issues:
+        return issues, {}
+    prop_issues, env = _propagation_issues(g)
+    return _weight_issues(g) + prop_issues, env
 
 
 def validate_graph(g: ModelGraph) -> list[MacfiError]:
     """Collect every violated invariant; the graph is valid iff the list is empty."""
-    issues = _structural_issues(g)
-    if issues:
-        return issues
-    issues += _weight_issues(g)
-    prop_issues, _ = _propagation_issues(g)
-    return issues + prop_issues
+    return _check(g)[0]
 
 
 def propagate_shapes(g: ModelGraph) -> dict[str, tuple]:
-    """id -> ((C, H, W), scale) for every layer plus the graph input."""
-    issues, env = _propagation_issues(g)
+    """Validate the graph, then return id -> ((C, H, W), scale) for every
+    layer plus the graph input; raises the first violated invariant."""
+    issues, env = _check(g)
     if issues:
         raise issues[0]
     return env
@@ -350,7 +322,9 @@ def _require(cond: bool, message: str, layer: str | None = None):
         raise SchemaError(message, layer)
 
 
-def _parse_manifest(doc: dict) -> ModelGraph:
+def _parse_manifest(doc: dict) -> tuple[ModelGraph, dict[str, tuple[int, int, int, int]]]:
+    """The graph without weights, plus id -> (w_offset, w_len, b_offset, b_len)
+    for every conv/fc layer."""
     _require(isinstance(doc, dict), "manifest root must be an object")
     for key in ("input", "classes", "output", "layers"):
         _require(key in doc, f"manifest missing {key!r}")
@@ -359,6 +333,7 @@ def _parse_manifest(doc: dict) -> ModelGraph:
     for key in ("c", "h", "w", "scale"):
         _require(key in inp, f"manifest input missing {key!r}")
     layers = []
+    refs = {}
     _require(isinstance(doc["layers"], list), "manifest layers must be a list")
     for entry in doc["layers"]:
         _require(isinstance(entry, dict), "layer entry must be an object")
@@ -385,45 +360,48 @@ def _parse_manifest(doc: dict) -> ModelGraph:
                 _require(key in wref, f"layer {lid!r} weights missing {key!r}", lid)
             for key in ("offset", "len"):
                 _require(key in bref, f"layer {lid!r} bias missing {key!r}", lid)
-            spec.weights_ref = BlobRef(int(wref["offset"]), int(wref["len"]))
-            spec.bias_ref = BlobRef(int(bref["offset"]), int(bref["len"]))
+            refs[lid] = (int(wref["offset"]), int(wref["len"]),
+                         int(bref["offset"]), int(bref["len"]))
             spec.weight_scale = float(wref["scale"])
             if spec.kind == "fc":
                 spec.k, spec.stride, spec.pad = 1, 1, 0
         layers.append(spec)
-    return ModelGraph(
+    g = ModelGraph(
         layers=layers,
         input_shape=(int(inp["c"]), int(inp["h"]), int(inp["w"])),
         input_scale=float(inp["scale"]),
         output=doc["output"],
         classes=int(doc["classes"]),
     )
+    return g, refs
 
 
-def _resolve_weights(g: ModelGraph, blob: bytes, env: dict[str, tuple]):
+def _slice_weights(g: ModelGraph, refs: dict[str, tuple[int, int, int, int]], blob: bytes):
+    """Fill each conv/fc layer's weights and bias from the blob; Cin is
+    whatever the weights length implies, checked against the graph later."""
     for layer in g.layers:
         if layer.kind not in ("conv", "fc"):
             continue
         lid = layer.id
-        cin = env[layer.inputs[0]][0][0]
-        k = layer.k if layer.kind == "conv" else 1
-        nw = layer.cout * cin * k * k
-        wref, bref = layer.weights_ref, layer.bias_ref
-        if wref.offset < 0 or wref.offset + wref.len > len(blob):
-            raise MissingBlob(f"layer {lid!r}: weights [{wref.offset}:+{wref.len}] outside blob", lid)
-        if wref.len != nw:
-            raise ShapeError(f"layer {lid!r}: weights len {wref.len}, expected {nw}", lid)
-        if bref.offset < 0 or bref.offset + bref.len > len(blob):
-            raise MissingBlob(f"layer {lid!r}: bias [{bref.offset}:+{bref.len}] outside blob", lid)
-        if bref.len != 4 * layer.cout:
-            raise ShapeError(f"layer {lid!r}: bias len {bref.len}, expected {4 * layer.cout}", lid)
+        woff, wlen, boff, blen = refs[lid]
+        per_cin = layer.cout * layer.k * layer.k
+        if woff < 0 or wlen < 0 or woff + wlen > len(blob):
+            raise MissingBlob(f"layer {lid!r}: weights [{woff}:+{wlen}] outside blob", lid)
+        if wlen % per_cin:
+            raise MissingBlob(
+                f"layer {lid!r}: weights len {wlen} is not a multiple of {per_cin}", lid
+            )
+        if boff < 0 or boff + blen > len(blob):
+            raise MissingBlob(f"layer {lid!r}: bias [{boff}:+{blen}] outside blob", lid)
+        if blen != 4 * layer.cout:
+            raise ShapeError(f"layer {lid!r}: bias len {blen}, expected {4 * layer.cout}", lid)
         layer.weights = (
-            np.frombuffer(blob, dtype=np.int8, count=nw, offset=wref.offset)
-            .reshape(layer.cout, cin, k, k)
+            np.frombuffer(blob, dtype=np.int8, count=wlen, offset=woff)
+            .reshape(layer.cout, wlen // per_cin, layer.k, layer.k)
             .copy()
         )
         layer.bias = np.frombuffer(
-            blob, dtype="<i4", count=layer.cout, offset=bref.offset
+            blob, dtype="<i4", count=layer.cout, offset=boff
         ).astype(np.int32)
 
 
@@ -436,27 +414,28 @@ def load_model(manifest_path, weights_path) -> ModelGraph:
         raise MissingBlob(f"cannot read manifest {manifest_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
-    g = _parse_manifest(doc)
+    g, refs = _parse_manifest(doc)
 
     issues = _structural_issues(g)
     if issues:
         raise issues[0]
-    prop_issues, env = _propagation_issues(g)
-    if prop_issues:
-        raise prop_issues[0]
     try:
         with open(weights_path, "rb") as fh:
             blob = fh.read()
     except OSError as exc:
         raise MissingBlob(f"cannot read weights blob {weights_path}: {exc}") from exc
-    _resolve_weights(g, blob, env)
+    _slice_weights(g, refs, blob)
     issues = validate_graph(g)
     if issues:
         raise issues[0]
     return g
 
 
-def _manifest_dict(g: ModelGraph) -> dict:
+def save_model(g: ModelGraph, manifest_path, weights_path):
+    """Write the manifest + blob pair; inverse of load_model field-for-field.
+
+    The blob holds each conv/fc layer's weights and then its bias, in layer order.
+    """
     c, h, w = g.input_shape
     doc = {
         "input": {"c": c, "h": h, "w": w, "scale": g.input_scale},
@@ -464,6 +443,7 @@ def _manifest_dict(g: ModelGraph) -> dict:
         "output": g.output,
         "layers": [],
     }
+    blob = bytearray()
     for layer in g.layers:
         entry: dict = {"id": layer.id, "kind": layer.kind, "inputs": list(layer.inputs)}
         if layer.kind == "conv":
@@ -471,53 +451,19 @@ def _manifest_dict(g: ModelGraph) -> dict:
         if layer.kind == "maxpool":
             entry.update(k=layer.k, stride=layer.stride)
         if layer.kind in ("conv", "fc"):
+            weights = np.ascontiguousarray(layer.weights, dtype=np.int8).tobytes()
+            bias = np.ascontiguousarray(layer.bias, dtype="<i4").tobytes()
             entry.update(cout=layer.cout, m=layer.m)
             entry["weights"] = {
-                "offset": layer.weights_ref.offset,
-                "len": layer.weights_ref.len,
+                "offset": len(blob),
+                "len": len(weights),
                 "scale": layer.weight_scale,
             }
-            entry["bias"] = {"offset": layer.bias_ref.offset, "len": layer.bias_ref.len}
+            entry["bias"] = {"offset": len(blob) + len(weights), "len": len(bias)}
+            blob += weights + bias
         doc["layers"].append(entry)
-    return doc
-
-
-def assign_blob_refs(g: ModelGraph):
-    """Assign sequential blob offsets to conv/fc layers lacking them."""
-    cursor = 0
-    for layer in g.layers:
-        if layer.kind not in ("conv", "fc"):
-            continue
-        if layer.weights_ref is None:
-            layer.weights_ref = BlobRef(cursor, int(layer.weights.size))
-            cursor += layer.weights_ref.len
-        if layer.bias_ref is None:
-            layer.bias_ref = BlobRef(cursor, 4 * layer.cout)
-            cursor += layer.bias_ref.len
-
-
-def save_model(g: ModelGraph, manifest_path, weights_path):
-    """Write the manifest + blob pair; inverse of load_model field-for-field."""
-    assign_blob_refs(g)
-    size = 0
-    for layer in g.layers:
-        if layer.kind in ("conv", "fc"):
-            size = max(size, layer.weights_ref.offset + layer.weights_ref.len)
-            size = max(size, layer.bias_ref.offset + layer.bias_ref.len)
-    blob = bytearray(size)
-    for layer in g.layers:
-        if layer.kind not in ("conv", "fc"):
-            continue
-        woff = layer.weights_ref.offset
-        blob[woff : woff + layer.weights_ref.len] = (
-            np.ascontiguousarray(layer.weights, dtype=np.int8).tobytes()
-        )
-        boff = layer.bias_ref.offset
-        blob[boff : boff + layer.bias_ref.len] = (
-            np.ascontiguousarray(layer.bias, dtype="<i4").tobytes()
-        )
     with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(_manifest_dict(g), fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
     with open(weights_path, "wb") as fh:
         fh.write(bytes(blob))

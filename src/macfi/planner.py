@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError, UnsupportedLayer
-from .model import INPUT_ID, LayerSpec, ModelGraph, propagate_shapes, topo_order, validate_graph
+from .model import INPUT_ID, LayerSpec, ModelGraph, propagate_shapes, topo_order
 
 MAC_KINDS = ("conv", "fc")
 
@@ -30,13 +30,10 @@ class ArrayConfig:
 
     units: int = 8
     lanes: int = 8
-    lane_bits: int = 18  # output width of one multiplier
 
     def __post_init__(self):
         if self.units < 1 or self.lanes < 1:
             raise ShapeError(f"units and lanes must be >= 1, got {self.units}, {self.lanes}")
-        if self.lane_bits < 17:
-            raise ShapeError(f"lane output width must hold any int8 product, got {self.lane_bits}")
 
     @property
     def total_lanes(self) -> int:
@@ -201,9 +198,6 @@ class ExecutionPlan:
 def plan_model(g: ModelGraph, cfg: ArrayConfig | None = None) -> ExecutionPlan:
     """Compile the whole graph; programs appear in deterministic topo order."""
     cfg = cfg or ArrayConfig()
-    issues = validate_graph(g)
-    if issues:
-        raise issues[0]
     env = propagate_shapes(g)
     programs = []
     for layer in topo_order(g):

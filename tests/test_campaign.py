@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import macfi.campaign
 from macfi.campaign import (
     CampaignResult,
     RunRecord,
@@ -169,6 +172,39 @@ class TestSweep:
                          master_seed=0, slice_offset=10_000)
         with pytest.raises(EmptyDataset):
             run_fault_sweep(spec, cin4_plan, cin4_dataset)
+
+
+class TestPoolSize:
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """max_workers of every thread pool a campaign starts."""
+        sizes = []
+        real = macfi.campaign.ThreadPoolExecutor
+
+        def spy(max_workers=None):
+            sizes.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(macfi.campaign, "ThreadPoolExecutor", spy)
+        return sizes
+
+    def test_default_is_affinity_cpu_count(self, cin4_plan, cin4_dataset, pool_sizes,
+                                           monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3, 4}, raising=False)
+        run_heatmap([0], cin4_plan, cin4_dataset, slice_count=1)
+        assert pool_sizes == [5]
+
+    def test_default_falls_back_to_cpu_count(self, cin4_plan, cin4_dataset, pool_sizes,
+                                             monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        spec = SweepSpec(k_values=(1,), error_values=(0,), reps=1, master_seed=0, slice_count=1)
+        run_fault_sweep(spec, cin4_plan, cin4_dataset)
+        assert pool_sizes == [3]
+
+    def test_explicit_count(self, cin4_plan, cin4_dataset, pool_sizes):
+        run_heatmap([0], cin4_plan, cin4_dataset, workers=2, slice_count=1)
+        assert pool_sizes == [2]
 
 
 class TestHeatmap:

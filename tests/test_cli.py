@@ -151,7 +151,33 @@ class TestCampaign:
         rc = main(campaign_args(desk_bundle, out, "--mode", "sweep",
                                 "--k", "65", "--values", "0", "--slice", "0,1"))
         assert rc == 2
-        assert not list(out.iterdir())
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ("--mode", "heatmap", "--workers", "0"),
+        ("--mode", "sweep"),
+        ("--mode", "heatmap", "--values", "999999"),
+    ], ids=["workers_0", "sweep_without_k", "value_out_of_range"])
+    def test_bad_input_creates_no_out_dir(self, desk_bundle, tmp_path, capsys, flags):
+        out = tmp_path / "new" / "out"
+        rc = main(campaign_args(desk_bundle, out, *flags, "--slice", "0,1"))
+        assert rc == 2
+        assert not (tmp_path / "new").exists()
+        existing = tmp_path / "existing"
+        existing.mkdir()
+        (existing / "keep.txt").write_text("keep")
+        rc = main(campaign_args(desk_bundle, existing, *flags, "--slice", "0,1"))
+        assert rc == 2
+        assert [p.name for p in existing.iterdir()] == ["keep.txt"]
+        assert (existing / "keep.txt").read_text() == "keep"
+
+    def test_out_is_a_file_is_bad_input(self, desk_bundle, tmp_path, capsys):
+        out = tmp_path / "file"
+        out.write_text("keep")
+        rc = main(campaign_args(desk_bundle, out, "--mode", "heatmap", "--slice", "0,1"))
+        assert rc == 2
+        assert "not a directory" in capsys.readouterr().err
+        assert out.read_text() == "keep"
 
 
 class TestPlan:

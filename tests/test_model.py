@@ -7,10 +7,13 @@ import pytest
 
 from macfi.errors import (
     CycleError,
+    InvalidScale,
+    MacfiError,
     MissingBlob,
     ScaleMismatch,
     SchemaError,
     ShapeError,
+    UnsupportedLayer,
 )
 from macfi.model import (
     Dataset,
@@ -175,6 +178,102 @@ class TestModelIO:
         (tmp_path / "w.bin").write_bytes(b"")
         with pytest.raises(SchemaError):
             load_model(tmp_path / "m.json", tmp_path / "w.bin")
+
+
+def _set(path, value):
+    """Manifest edit that sets doc[path[0]][path[1]]... to value."""
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+def _drop_conv1_weights(doc):
+    del doc["layers"][0]["weights"]
+
+
+def _conv1_k5(doc):
+    # 5x5 kernel on the 4x4 input with pad 0; the length fits Cin=2 so only
+    # the kernel size is wrong (the blob is padded to hold it).
+    doc["layers"][0].update(k=5, pad=0)
+    doc["layers"][0]["weights"]["len"] = 4 * 2 * 5 * 5
+
+
+# tri_layer_graph's blob: conv1 weights 72 B @0, bias 16 B @72; fc1 weights
+# 12 B @88, bias 12 B @100. Every case breaks exactly one thing.
+LOADER_ERRORS = {
+    "weights_offset_past_end":
+        (_set(["layers", 0, "weights", "offset"], 10**6), MissingBlob, "conv1"),
+    "weights_offset_negative":
+        (_set(["layers", 0, "weights", "offset"], -1), MissingBlob, "conv1"),
+    "conv_weights_len_not_multiple":
+        (_set(["layers", 0, "weights", "len"], 71), MissingBlob, "conv1"),
+    "fc_weights_len_not_multiple":
+        (_set(["layers", 3, "weights", "len"], 13), MissingBlob, "fc1"),
+    "weights_len_fits_other_cin":
+        (_set(["layers", 0, "weights", "len"], 36), ShapeError, "conv1"),
+    "weights_len_zero":
+        (_set(["layers", 0, "weights", "len"], 0), ShapeError, "conv1"),
+    "bias_offset_past_end":
+        (_set(["layers", 0, "bias", "offset"], 10**6), MissingBlob, "conv1"),
+    "bias_len_not_4_cout":
+        (_set(["layers", 0, "bias", "len"], 12), ShapeError, "conv1"),
+    "cycle":
+        (_set(["layers", 1, "inputs"], ["gap"]), CycleError, "fc1"),
+    "unknown_kind":
+        (_set(["layers", 1, "kind"], "gelu"), UnsupportedLayer, "relu1"),
+    "classes_mismatch":
+        (_set(["classes"], 5), ShapeError, None),
+    "cout_zero":
+        (_set(["layers", 0, "cout"], 0), SchemaError, "conv1"),
+    "cout_string":
+        (_set(["layers", 0, "cout"], "4"), SchemaError, "conv1"),
+    "m_negative":
+        (_set(["layers", 0, "m"], -0.5), InvalidScale, None),
+    "k_exceeds_input":
+        (_conv1_k5, ShapeError, "conv1"),
+    "weights_key_missing":
+        (_drop_conv1_weights, SchemaError, "conv1"),
+}
+
+
+@pytest.mark.parametrize("edit,error,layer", LOADER_ERRORS.values(), ids=LOADER_ERRORS.keys())
+def test_loader_error_type_and_layer(tmp_path, edit, error, layer):
+    man, blob = tmp_path / "m.json", tmp_path / "w.bin"
+    save_model(tri_layer_graph(), man, blob)
+    doc = json.loads(man.read_text())
+    edit(doc)
+    man.write_text(json.dumps(doc))
+    blob.write_bytes(blob.read_bytes() + bytes(400))
+    with pytest.raises(MacfiError) as exc:
+        load_model(man, blob)
+    assert type(exc.value) is error
+    assert getattr(exc.value, "layer", None) == layer
+
+
+def test_bias_before_weights_with_gaps_loads_same_graph(tmp_path):
+    g = tri_layer_graph()
+    save_model(g, tmp_path / "m.json", tmp_path / "w.bin")
+    doc = json.loads((tmp_path / "m.json").read_text())
+    old = (tmp_path / "w.bin").read_bytes()
+    new = bytearray(b"\xa5" * 3)
+    for entry in doc["layers"]:
+        if "weights" not in entry:
+            continue
+        for key in ("bias", "weights"):
+            ref = entry[key]
+            chunk = old[ref["offset"]:ref["offset"] + ref["len"]]
+            ref["offset"] = len(new)
+            new += chunk + b"\x5a" * 5
+    (tmp_path / "custom.json").write_text(json.dumps(doc))
+    (tmp_path / "custom.bin").write_bytes(bytes(new))
+    g2 = load_model(tmp_path / "custom.json", tmp_path / "custom.bin")
+    assert g2 == g
+    save_model(g2, tmp_path / "m2.json", tmp_path / "w2.bin")  # back to the sequential layout
+    assert (tmp_path / "m2.json").read_bytes() == (tmp_path / "m.json").read_bytes()
+    assert (tmp_path / "w2.bin").read_bytes() == old
 
 
 class TestDatasetIO:

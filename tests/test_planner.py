@@ -23,7 +23,7 @@ def conv_spec(rng, cin, cout, k, stride=1, pad=0):
 class TestArrayConfig:
     def test_defaults(self):
         cfg = ArrayConfig()
-        assert (cfg.units, cfg.lanes, cfg.lane_bits) == (8, 8, 18)
+        assert (cfg.units, cfg.lanes) == (8, 8)
         assert cfg.total_lanes == 64
 
     def test_rejects_bad_dims(self):
@@ -31,8 +31,6 @@ class TestArrayConfig:
             ArrayConfig(units=0)
         with pytest.raises(ShapeError):
             ArrayConfig(lanes=0)
-        with pytest.raises(ShapeError):
-            ArrayConfig(lane_bits=16)  # cannot hold (-128)^2
 
 
 class TestPlanLayer:
