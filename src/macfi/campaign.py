@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyDataset, EmptyGroup, OutOfRange, SchemaError
+from .errors import EmptyDataset, EmptyGroup, OutOfRange, SchemaError, ShapeError
 from .faultctl import (
     LANE_VALUE_MAX,
     LANE_VALUE_MIN,
@@ -28,7 +28,7 @@ from .faultctl import (
     sample_random_fault_map,
     single_lane_map,
 )
-from .macarray import Emulator, classify_argmax
+from .macarray import Emulator
 from .model import Dataset
 from .planner import ExecutionPlan
 
@@ -153,13 +153,12 @@ def _slice_indices(dataset: Dataset, offset: int, count: int | None) -> range:
 def evaluate_accuracy(plan: ExecutionPlan, dataset: Dataset, indices,
                       faults: FaultMap | None = None) -> float:
     """Fraction of slice samples whose argmax class matches the label."""
-    emu = Emulator(plan, faults)
-    correct = 0
-    for i in indices:
-        res = emu.run(dataset.sample(i))
-        if classify_argmax(res.logits) == int(dataset.labels[i]):
-            correct += 1
-    return correct / len(indices)
+    if dataset.scale != plan.input_scale:
+        raise ShapeError(f"input scale {dataset.scale!r} does not match plan {plan.input_scale!r}")
+    idx = np.asarray(indices, dtype=np.intp)
+    logits = Emulator(plan, faults).run_batch(dataset.samples[idx])
+    # argmax picks the smallest index attaining the maximum, as classify_argmax does.
+    return int(np.count_nonzero(logits.argmax(axis=1) == dataset.labels[idx])) / len(idx)
 
 
 def _pool_size(workers: int | None) -> int:

@@ -119,6 +119,8 @@ class FaultMap:
         start = np.zeros(n, dtype=np.int64)
         length = np.zeros(n, dtype=np.int64)
         for idx, f in enumerate(self._grid):
+            if f.mode is FaultMode.NONE:
+                continue
             mode[idx] = MODE_CODE[f.mode]
             value[idx] = f.value
             start[idx] = f.start

@@ -9,6 +9,14 @@ Two interchangeable kernels execute the packed layer programs: a
 hand-written C extension (macfi._kernel) and a pure-Python twin
 (macfi._kernel_py). The extension is used whenever it is built; an install
 without it falls back to the Python kernel, which gives bit-identical results.
+
+Emulator.run_batch evaluates a stack of samples at once. Under the planner's
+mapping (output channel o on unit o mod units, input channel c on lane
+c mod lanes) a permanent fault has a closed form: a faulted lane drops the
+products of its (o, c) weights and adds its forced value once per carried
+slot. Each MAC layer is then one float64 matmul over the sample block,
+exact whenever no partial sum can saturate; otherwise, and for pulses or
+traces, run_batch runs the per-step kernel sample by sample.
 """
 
 from __future__ import annotations
@@ -22,12 +30,17 @@ from .errors import EmptyLogits, SchemaError, ShapeError
 from .faultctl import NO_FAULT, FaultMap, FaultMode, LaneFault
 from .model import INPUT_ID
 from .planner import ExecutionPlan, LayerProgram
-from .qtensor import QTensor, ref_execute_layer, requantize_array, sat32
+from .qtensor import (ACC_MAX, PRODUCT_MAX, QTensor, array_layer, ref_execute_layer,
+                      requantize_array, sat32)
 
 try:
     from . import _kernel
 except ImportError:  # extension not built; pure-Python fallback only
     _kernel = None
+
+# Byte budget for the largest float64 temporary of one MAC layer over one
+# sample block in run_batch (im2col columns plus accumulators).
+BATCH_BYTES = 1 << 20
 
 
 def available_backends() -> list[str]:
@@ -113,7 +126,8 @@ class ExecResult:
 
 
 class Emulator:
-    """Executes one inference at a time; owns the cycle counter and accumulators.
+    """Executes one inference at a time (run) or a stack of samples at once
+    (run_batch); owns the cycle counter and accumulators.
 
     Instances are cheap. plan/faults are treated as immutable and may be
     shared across instances on different threads.
@@ -133,6 +147,7 @@ class Emulator:
         self.trace = trace
         self._farr = self.faults.to_arrays()
         self.cycle = 0
+        self._batch = None  # (per-layer matmul operands or None, block size)
 
     @property
     def backend(self) -> str:
@@ -157,6 +172,64 @@ class Emulator:
             outputs[prog.layer.id] = out
         logits = outputs[plan.output].data.reshape(-1)
         return ExecResult(outputs, logits, self.cycle, events)
+
+    def run_batch(self, samples) -> np.ndarray:
+        """int8 logits (S, classes) for int8 samples (S, C, H, W) in the
+        plan's input scale; row s equals ``run`` on sample s bit for bit."""
+        plan = self.plan
+        samples = np.asarray(samples, dtype=np.int8)
+        if samples.shape[1:] != plan.input_shape:
+            raise ShapeError(f"sample dims {samples.shape[1:]} do not match plan {plan.input_shape}")
+        if self._batch is None:
+            self._batch = self._prepare_batch()
+        layers, block = self._batch
+        out = np.empty((len(samples), plan.classes), dtype=np.int8)
+        if layers is None:
+            for s, x in enumerate(samples):
+                out[s] = self.run(QTensor(x, plan.input_scale)).logits
+            return out
+        for s in range(0, len(samples), block):
+            env = {INPUT_ID: samples[s : s + block]}
+            for prog in plan.programs:
+                layer = prog.layer
+                if prog.is_mac:
+                    env[layer.id] = _mac_batch(prog, *layers[layer.id], env[layer.inputs[0]])
+                else:
+                    env[layer.id] = array_layer(layer, [env[i] for i in layer.inputs])
+            out[s : s + block] = env[plan.output].reshape(-1, plan.classes)
+        return out
+
+    def _prepare_batch(self):
+        """Masked weights and constant offsets per MAC layer, and the sample
+        block size; (None, 0) when run_batch must run sample by sample."""
+        cfg = self.plan.cfg
+        mode, value, _, _ = (a.reshape(cfg.units, cfg.lanes) for a in self._farr)
+        if self.trace or (mode == 3).any():
+            return None, 0
+        faulted = mode != 0
+        forced = np.where(mode == 2, value, 0).astype(np.int64)  # stuck-at-0 forces 0
+        # Largest |lane sum| of one micro-op on any unit.
+        row_bound = int(np.where(faulted, np.abs(forced), PRODUCT_MAX).sum(axis=1).max())
+        layers, per_sample = {}, 1
+        for prog in self.plan.programs:
+            if not prog.is_mac:
+                continue
+            cin = prog.in_shape[0]
+            cout, hout, wout = prog.out_shape
+            kk = prog.packed.k ** 2
+            bias_bound = max(-int(prog.bias.min()), int(prog.bias.max()))
+            if bias_bound + -(-cin // cfg.lanes) * kk * row_bound > ACC_MAX:
+                return None, 0
+            unit_of = np.arange(cout) % cfg.units
+            lane_of = np.arange(cin) % cfg.lanes
+            keep = ~faulted[np.ix_(unit_of, lane_of)]
+            w = np.multiply(prog.weights_flat.reshape(cout, cin, kk), keep[:, :, None],
+                            dtype=np.float64)
+            slots = kk * np.bincount(lane_of, minlength=cfg.lanes)  # carried slots per lane
+            const = prog.bias + forced[unit_of] @ slots
+            layers[prog.layer.id] = (w.reshape(cout, -1), const.astype(np.float64)[:, None])
+            per_sample = max(per_sample, 8 * hout * wout * (cin * kk + cout))
+        return layers, max(1, BATCH_BYTES // per_sample)
 
     def run_layer_program(self, prog: LayerProgram, x: QTensor,
                           events: list[TraceEvent] | None = None) -> QTensor:
@@ -206,6 +279,32 @@ class Emulator:
             acc[d] = sat32(int(acc[d]) + sat32(total))
             cyc += 1
         return cyc
+
+
+def _mac_batch(prog: LayerProgram, w: np.ndarray, const: np.ndarray,
+               x: np.ndarray) -> np.ndarray:
+    """One conv/fc layer over an int8 (B, Cin, H, W) block: the masked
+    weights ``w`` (Cout, Cin*K*K) times the im2col columns, plus ``const``
+    (Cout, 1), requantized."""
+    layer = prog.layer
+    k = prog.packed.k
+    stride = layer.stride if layer.kind == "conv" else 1
+    pad = layer.pad if layer.kind == "conv" else 0
+    cout, hout, wout = prog.out_shape
+    b, cin, h, wd = x.shape
+    if pad:
+        xp = np.zeros((b, cin, h + 2 * pad, wd + 2 * pad), dtype=np.int8)
+        xp[:, :, pad : pad + h, pad : pad + wd] = x
+        x = xp
+    sb, sc, sh, sw = x.strides
+    taps = np.lib.stride_tricks.as_strided(
+        x, (b, cin, k, k, hout, wout), (sb, sc, sh, sw, sh * stride, sw * stride),
+        writeable=False)
+    cols = np.empty(taps.shape)
+    cols[...] = taps
+    acc = np.matmul(w, cols.reshape(b, cin * k * k, hout * wout))
+    acc += const
+    return requantize_array(acc, layer.m).reshape(b, cout, hout, wout)
 
 
 def execute_plan(plan: ExecutionPlan, input: QTensor, faults: FaultMap | None = None,

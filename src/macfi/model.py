@@ -183,11 +183,13 @@ def _structural_issues(g: ModelGraph) -> list[MacfiError]:
             if layer.m is None or not (
                 isinstance(layer.m, (int, float)) and layer.m > 0 and math.isfinite(layer.m)
             ):
-                issues.append(InvalidScale(f"layer {lid!r}: m must be positive, got {layer.m!r}"))
+                issues.append(
+                    InvalidScale(f"layer {lid!r}: m must be positive, got {layer.m!r}", lid)
+                )
             ws = layer.weight_scale
             if ws is None or not (ws > 0 and math.isfinite(ws)):
                 issues.append(
-                    InvalidScale(f"layer {lid!r}: weight scale must be positive, got {ws!r}")
+                    InvalidScale(f"layer {lid!r}: weight scale must be positive, got {ws!r}", lid)
                 )
         if layer.kind == "conv":
             issues += _positive_int(layer.k, "k", lid)
@@ -322,6 +324,15 @@ def _require(cond: bool, message: str, layer: str | None = None):
         raise SchemaError(message, layer)
 
 
+def _number(kind, value, what: str, layer: str | None = None):
+    """``kind(value)`` for kind int or float; anything that is not a number
+    is a SchemaError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{what} must be a number, got {value!r}", layer) from exc
+
+
 def _parse_manifest(doc: dict) -> tuple[ModelGraph, dict[str, tuple[int, int, int, int]]]:
     """The graph without weights, plus id -> (w_offset, w_len, b_offset, b_len)
     for every conv/fc layer."""
@@ -360,18 +371,21 @@ def _parse_manifest(doc: dict) -> tuple[ModelGraph, dict[str, tuple[int, int, in
                 _require(key in wref, f"layer {lid!r} weights missing {key!r}", lid)
             for key in ("offset", "len"):
                 _require(key in bref, f"layer {lid!r} bias missing {key!r}", lid)
-            refs[lid] = (int(wref["offset"]), int(wref["len"]),
-                         int(bref["offset"]), int(bref["len"]))
-            spec.weight_scale = float(wref["scale"])
+            refs[lid] = tuple(
+                _number(int, ref[key], f"layer {lid!r} {name} {key}", lid)
+                for name, ref in (("weights", wref), ("bias", bref))
+                for key in ("offset", "len")
+            )
+            spec.weight_scale = _number(float, wref["scale"], f"layer {lid!r} weights scale", lid)
             if spec.kind == "fc":
                 spec.k, spec.stride, spec.pad = 1, 1, 0
         layers.append(spec)
     g = ModelGraph(
         layers=layers,
-        input_shape=(int(inp["c"]), int(inp["h"]), int(inp["w"])),
-        input_scale=float(inp["scale"]),
+        input_shape=tuple(_number(int, inp[key], f"input {key}") for key in ("c", "h", "w")),
+        input_scale=_number(float, inp["scale"], "input scale"),
         output=doc["output"],
-        classes=int(doc["classes"]),
+        classes=_number(int, doc["classes"], "classes"),
     )
     return g, refs
 

@@ -114,10 +114,12 @@ def requantize(acc: int, m: float) -> int:
 
 
 def requantize_array(acc: np.ndarray, m: float) -> np.ndarray:
-    """Vectorized requantize; bit-identical to the scalar form per element."""
+    """Vectorized requantize of an integer-valued array of any shape;
+    bit-identical to the scalar form per element."""
     m = _check_scale(m)
-    out = np.rint(acc.astype(np.float64) * m)
-    return np.clip(out, INT8_MIN, INT8_MAX).astype(np.int8)
+    out = np.multiply(acc, m, dtype=np.float64)
+    np.rint(out, out=out)
+    return np.clip(out, INT8_MIN, INT8_MAX, out=out).astype(np.int8)
 
 
 def round_half_even_div(numer: np.ndarray, denom: int) -> np.ndarray:
@@ -180,48 +182,85 @@ def ref_conv2d(
     return AccTensor(np.clip(acc, ACC_MIN, ACC_MAX).astype(np.int32))
 
 
-def ref_relu(input: QTensor) -> QTensor:
+# Non-MAC layers on int8 arrays whose trailing axes are (C, H, W); any
+# leading axes are batch dimensions. The QTensor wrappers below and the
+# emulator's batched path both go through these.
+
+def relu_array(data: np.ndarray) -> np.ndarray:
     # Symmetric quantization: the zero level is q == 0.
-    return QTensor(np.maximum(input.data, 0), input.scale)
+    return np.maximum(data, 0)
 
 
-def ref_maxpool(input: QTensor, k: int, stride: int) -> QTensor:
-    c, h, w = input.dims
+def maxpool_array(data: np.ndarray, k: int, stride: int) -> np.ndarray:
+    h, w = data.shape[-2:]
     if k < 1 or stride < 1:
         raise ShapeError(f"pool k and stride must be >= 1, got {k}, {stride}")
     if k > h or k > w:
         raise ShapeError(f"pool window {k} exceeds input {h}x{w}")
     hout, wout = conv_out_hw(h, w, k, stride, 0)
-    out = np.full((c, hout, wout), INT8_MIN, dtype=np.int8)
+    out = np.full(data.shape[:-2] + (hout, wout), INT8_MIN, dtype=np.int8)
     for i in range(k):
         for j in range(k):
-            window = input.data[:, i : i + hout * stride : stride, j : j + wout * stride : stride]
-            out = np.maximum(out, window)
-    return QTensor(out, input.scale)
+            window = data[..., i : i + hout * stride : stride, j : j + wout * stride : stride]
+            np.maximum(out, window, out=out)
+    return out
+
+
+def gavgpool_array(data: np.ndarray) -> np.ndarray:
+    h, w = data.shape[-2:]
+    sums = data.astype(np.int64).sum(axis=(-2, -1))
+    return round_half_even_div(sums, h * w).astype(np.int8)[..., None, None]
+
+
+def add_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if a.shape != b.shape:
+        raise ShapeError(f"add operand dims differ: {a.shape} vs {b.shape}")
+    s = a.astype(np.int16) + b
+    return np.clip(s, INT8_MIN, INT8_MAX).astype(np.int8)
+
+
+def array_layer(layer, arrays: list[np.ndarray]) -> np.ndarray:
+    """One relu/maxpool/gavgpool/add layer on int8 (..., C, H, W) arrays."""
+    kind = layer.kind
+    if kind == "relu":
+        (x,) = arrays
+        return relu_array(x)
+    if kind == "maxpool":
+        (x,) = arrays
+        return maxpool_array(x, layer.k, layer.stride)
+    if kind == "gavgpool":
+        (x,) = arrays
+        return gavgpool_array(x)
+    if kind == "add":
+        a, b = arrays
+        return add_array(a, b)
+    raise UnsupportedLayer(f"unsupported layer kind {kind!r}", getattr(layer, "id", None))
+
+
+def ref_relu(input: QTensor) -> QTensor:
+    return QTensor(relu_array(input.data), input.scale)
+
+
+def ref_maxpool(input: QTensor, k: int, stride: int) -> QTensor:
+    return QTensor(maxpool_array(input.data, k, stride), input.scale)
 
 
 def ref_gavgpool(input: QTensor) -> QTensor:
-    c, h, w = input.dims
-    sums = input.data.astype(np.int64).sum(axis=(1, 2))
-    mean = round_half_even_div(sums, h * w)
-    return QTensor(mean.reshape(c, 1, 1).astype(np.int8), input.scale)
+    return QTensor(gavgpool_array(input.data), input.scale)
 
 
 def ref_add(a: QTensor, b: QTensor) -> QTensor:
-    if a.dims != b.dims:
-        raise ShapeError(f"add operand dims differ: {a.dims} vs {b.dims}")
     if a.scale != b.scale:
         raise ScaleMismatch(f"add operand scales differ: {a.scale!r} vs {b.scale!r}")
-    s = a.data.astype(np.int16) + b.data.astype(np.int16)
-    return QTensor(np.clip(s, INT8_MIN, INT8_MAX).astype(np.int8), a.scale)
+    return QTensor(add_array(a.data, b.data), a.scale)
 
 
 def ref_execute_layer(layer, inputs: list[QTensor]) -> QTensor:
     """Golden execution of one layer; ``layer`` is a model.LayerSpec.
 
     conv/fc go through ref_conv2d + requantize; the remaining kinds operate
-    directly on int8. fc is a 1x1 convolution and requires a (Cin, 1, 1)
-    input.
+    directly on int8 (array_layer). fc is a 1x1 convolution and requires a
+    (Cin, 1, 1) input.
     """
     kind = layer.kind
     if kind in ("conv", "fc"):
@@ -233,16 +272,6 @@ def ref_execute_layer(layer, inputs: list[QTensor]) -> QTensor:
         acc = ref_conv2d(x, layer.weights, layer.bias, stride, pad)
         out_scale = x.scale * layer.weight_scale / layer.m
         return QTensor(requantize_array(acc.data, layer.m), out_scale)
-    if kind == "relu":
-        (x,) = inputs
-        return ref_relu(x)
-    if kind == "maxpool":
-        (x,) = inputs
-        return ref_maxpool(x, layer.k, layer.stride)
-    if kind == "gavgpool":
-        (x,) = inputs
-        return ref_gavgpool(x)
     if kind == "add":
-        a, b = inputs
-        return ref_add(a, b)
-    raise UnsupportedLayer(f"unsupported layer kind {kind!r}", getattr(layer, "id", None))
+        return ref_add(*inputs)
+    return QTensor(array_layer(layer, [t.data for t in inputs]), inputs[0].scale)

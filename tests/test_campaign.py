@@ -320,3 +320,41 @@ class TestEvaluateAccuracy:
             for i in idx
         )
         assert acc == correct / 5
+
+
+class TestEvaluateAccuracySeam:
+    """Campaigns call evaluate_accuracy through the module: once with three
+    positional arguments for the baseline, then once per run with four
+    (plan, dataset, indices, faults). Instrumentation that wraps
+    macfi.campaign.evaluate_accuracy, such as perfbench's traced run, relies
+    on that."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        real = macfi.campaign.evaluate_accuracy
+
+        def spy(*args, **kwargs):
+            seen.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(macfi.campaign, "evaluate_accuracy", spy)
+        return seen
+
+    def check(self, calls, plan, dataset, runs):
+        assert len(calls) == 1 + runs
+        (args, kwargs), rest = calls[0], calls[1:]
+        assert len(args) == 3 and kwargs == {}
+        assert args[0] is plan and args[1] is dataset
+        for args, kwargs in rest:
+            assert len(args) == 4 and kwargs == {}
+            assert args[0] is plan and args[1] is dataset and args[3] is not None
+
+    def test_heatmap(self, cin4_plan, cin4_dataset, calls):
+        run_heatmap([0, 7], cin4_plan, cin4_dataset, workers=2, slice_count=4)
+        self.check(calls, cin4_plan, cin4_dataset, 2 * 64)
+
+    def test_sweep(self, cin4_plan, cin4_dataset, calls):
+        spec = SweepSpec((1, 8), (0, -1), 3, master_seed=9, slice_count=4)
+        run_fault_sweep(spec, cin4_plan, cin4_dataset, workers=2)
+        self.check(calls, cin4_plan, cin4_dataset, 2 * 2 * 3)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import re
 import subprocess
 import sys
@@ -11,7 +12,8 @@ import pytest
 import macfi.macarray
 from macfi.campaign import parse_results_csv, parse_summary_csv
 from macfi.cli import main
-from macfi.model import save_dataset, save_model
+from macfi.errors import SchemaError
+from macfi.model import load_model, save_dataset, save_model
 
 from helpers import bias_only_accuracy
 
@@ -227,6 +229,37 @@ class TestPlan:
         rc = main(["plan", "--model", str(bad), "--weights", desk_bundle["weights"]])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+# Manifest fields that must be numbers, set to something that is not one:
+# (path into the manifest, value, layer id the error must carry).
+NON_NUMERIC_FIELDS = {
+    "weights_offset_x": (["layers", 0, "weights", "offset"], "x", "conv1"),
+    "classes_eight": (["classes"], "eight", None),
+    "bias_len_null": (["layers", 0, "bias", "len"], None, "conv1"),
+    "weights_scale_abc": (["layers", 0, "weights", "scale"], "abc", "conv1"),
+    "input_c_8x": (["input", "c"], "8x", None),
+}
+
+
+@pytest.mark.parametrize("path,value,layer", NON_NUMERIC_FIELDS.values(),
+                         ids=NON_NUMERIC_FIELDS.keys())
+def test_non_numeric_manifest_field_is_bad_input(desk_bundle, tmp_path, capsys,
+                                                 path, value, layer):
+    doc = json.loads(Path(desk_bundle["manifest"]).read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    man = tmp_path / "model.json"
+    man.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as exc:
+        load_model(man, desk_bundle["weights"])
+    assert exc.value.layer == layer
+    rc = main(["infer", "--model", str(man), "--weights", desk_bundle["weights"],
+               "--dataset", desk_bundle["dataset"]])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_module_entrypoint(desk_bundle, cin4_graph, cin4_dataset, tmp_path):

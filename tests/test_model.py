@@ -231,7 +231,7 @@ LOADER_ERRORS = {
     "cout_string":
         (_set(["layers", 0, "cout"], "4"), SchemaError, "conv1"),
     "m_negative":
-        (_set(["layers", 0, "m"], -0.5), InvalidScale, None),
+        (_set(["layers", 0, "m"], -0.5), InvalidScale, "conv1"),
     "k_exceeds_input":
         (_conv1_k5, ShapeError, "conv1"),
     "weights_key_missing":

@@ -11,6 +11,7 @@ from macfi.qtensor import (
     ACC_MIN,
     AccTensor,
     QTensor,
+    array_layer,
     dequantize,
     quantize,
     ref_add,
@@ -206,6 +207,29 @@ class TestLayerOps:
             outs.append(ref_maxpool(x, 2, 2))
         for t in outs:
             assert t.data.dtype == np.int8
+
+
+@pytest.mark.parametrize("kind", ["relu", "maxpool", "gavgpool", "add"])
+def test_array_layer_batch_matches_per_sample(kind):
+    # Leading axes are batch axes: a (2, 3, C, H, W) stack gives each
+    # (C, H, W) slice's ref_execute_layer result.
+    rng = np.random.default_rng(3)
+    data = rng.integers(-128, 128, (2, 3, 4, 5, 7)).astype(np.int8)
+    other = rng.integers(-128, 128, data.shape).astype(np.int8)
+    layer = LayerSpec(id="x", kind=kind, inputs=["input"] * (2 if kind == "add" else 1),
+                      k=2, stride=2)
+    arrays = [data, other] if kind == "add" else [data]
+    got = array_layer(layer, arrays)
+    for s in np.ndindex(2, 3):
+        want = ref_execute_layer(layer, [QTensor(a[s], 0.5) for a in arrays])
+        assert got[s].dtype == np.int8 and np.array_equal(got[s], want.data)
+
+
+def test_requantize_array_any_leading_dims():
+    acc = np.arange(-300, 300, 7, dtype=np.int32).reshape(2, 1, 43, 1)
+    got = requantize_array(acc, 2.0 ** -3)
+    want = [requantize(int(v), 2.0 ** -3) for v in acc.reshape(-1)]
+    assert got.shape == acc.shape and got.reshape(-1).tolist() == want
 
 
 def test_acctensor_rejects_wrong_dtype_range():
