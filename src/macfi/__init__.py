@@ -46,7 +46,7 @@ from .model import (
     save_dataset,
     save_model,
 )
-from .planner import ArrayConfig, ExecutionPlan, MacMicroOp, plan_layer, plan_model, plan_stats
+from .planner import ArrayConfig, ExecutionPlan, plan_model, plan_stats
 from .qtensor import AccTensor, QTensor, dequantize, quantize, requantize
 
 __version__ = "0.1.0"
@@ -64,7 +64,6 @@ __all__ = [
     "FiRegisterFile",
     "LaneFault",
     "LayerSpec",
-    "MacMicroOp",
     "MacfiError",
     "ModelGraph",
     "QTensor",
@@ -82,7 +81,6 @@ __all__ = [
     "materialize",
     "mult_lane",
     "parse_fault_spec",
-    "plan_layer",
     "plan_model",
     "plan_stats",
     "quantize",

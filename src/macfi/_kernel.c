@@ -1,11 +1,14 @@
 /* Compiled execution kernel for packed MAC programs.
  *
  * Semantics are defined by the pure-Python twin in _kernel_py.py; the two
- * must stay bit-identical. Arguments arrive through the buffer protocol and
- * are checked for C contiguity, dimensionality, integer kind and item size
- * before the loop runs; act_idx/w_idx must be (n, lanes) because rows are
- * indexed flat. Index values are trusted (the planner produces them). The
- * hot loop releases the GIL so campaign workers can overlap.
+ * must stay bit-identical. The fault-mux branch in the loop below is the
+ * twin of _kernel_py.engaged, the Python definition of the mux, from which
+ * the emulator also takes its trace events. Arguments arrive through the
+ * buffer protocol and are checked for C contiguity, dimensionality, integer
+ * kind and item size before the loop runs; act_idx/w_idx must be
+ * (n, lanes) because rows are indexed flat. Index values are trusted (the
+ * planner produces them). The hot loop releases the GIL so campaign workers
+ * can overlap.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>

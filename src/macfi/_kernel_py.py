@@ -2,7 +2,8 @@
 
 Fallback for the C extension in ``_kernel.c``, used when that extension is
 not built; both implement the exact same semantics and the test suite asserts
-they agree bit for bit.
+they agree bit for bit. ``engaged`` is the one Python definition of the fault
+mux; the emulator's trace events are read from it as well.
 Lane products are vectorized with numpy; the saturating accumulate runs as
 a plain loop only when an intermediate 32-bit overflow is actually possible.
 """
@@ -14,6 +15,23 @@ import numpy as np
 from .qtensor import ACC_MAX, ACC_MIN
 
 BACKEND = "python"
+
+
+def engaged(unit, act_idx, fmode, fvalue, fstart, flen, lanes: int, cycle0: int):
+    """Where the fault muxes override the product, for rows at cycles
+    ``cycle0``, ``cycle0 + 1``, ...
+
+    Returns the (n, lanes) bool mask of slots whose mux fires and the int64
+    (n, lanes) value it forces there (0 under stuck-at-0). Idle slots
+    (act_idx -2) are gated and never fire; padded taps do.
+    """
+    fidx = unit[:, None].astype(np.int64) * lanes + np.arange(lanes)
+    mode = fmode[fidx]
+    cyc = cycle0 + np.arange(unit.shape[0], dtype=np.int64)[:, None]
+    start = fstart[fidx]
+    on = (mode == 1) | (mode == 2) | ((mode == 3) & (start <= cyc) & (cyc < start + flen[fidx]))
+    on &= act_idx != -2
+    return on, np.where(mode == 1, 0, fvalue[fidx]).astype(np.int64)
 
 
 def run_program(unit, dest, act_idx, w_idx, act_flat, w_flat, acc,
@@ -29,18 +47,13 @@ def run_program(unit, dest, act_idx, w_idx, act_flat, w_flat, acc,
     if n == 0:
         return cycle0
 
-    carried = act_idx != -2
+    # Padded and idle slots read activation 0, so their product is 0.
     a = np.where(act_idx >= 0, act_flat[np.maximum(act_idx, 0)], 0).astype(np.int64)
-    b = np.where(carried, w_flat[np.maximum(w_idx, 0)], 0).astype(np.int64)
-    prod = a * b
+    prod = a * w_flat[np.maximum(w_idx, 0)]
 
     if fmode.any():
-        fidx = unit[:, None].astype(np.int64) * lanes + np.arange(lanes)[None, :]
-        mode = fmode[fidx]
-        cyc = cycle0 + np.arange(n, dtype=np.int64)[:, None]
-        pulse_on = (mode == 3) & (fstart[fidx] <= cyc) & (cyc < fstart[fidx] + flen[fidx])
-        prod = np.where(carried & (mode == 1), 0, prod)
-        prod = np.where(carried & ((mode == 2) | pulse_on), fvalue[fidx].astype(np.int64), prod)
+        on, forced = engaged(unit, act_idx, fmode, fvalue, fstart, flen, lanes, cycle0)
+        prod = np.where(on, forced, prod)
 
     mac = np.clip(prod.sum(axis=1, dtype=np.int64), ACC_MIN, ACC_MAX)
 

@@ -9,6 +9,9 @@ Two interchangeable kernels execute the packed layer programs: a
 hand-written C extension (macfi._kernel) and a pure-Python twin
 (macfi._kernel_py). The extension is used whenever it is built; an install
 without it falls back to the Python kernel, which gives bit-identical results.
+``_kernel_py.engaged`` defines the mux over a whole program at once (the C
+kernel is its twin); traced runs take their events from that mask after the
+kernel has run, so tracing adds no execution path.
 
 Emulator.run_batch evaluates a stack of samples at once. Under the planner's
 mapping (output channel o on unit o mod units, input channel c on lane
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import _kernel_py
 from .errors import EmptyLogits, SchemaError, ShapeError
-from .faultctl import NO_FAULT, FaultMap, FaultMode, LaneFault
+from .faultctl import MODE_CODE, NO_FAULT, FaultMap, FaultMode, LaneFault
 from .model import INPUT_ID
 from .planner import ExecutionPlan, LayerProgram
 from .qtensor import (ACC_MAX, PRODUCT_MAX, QTensor, array_layer, ref_execute_layer,
@@ -37,6 +40,9 @@ try:
     from . import _kernel
 except ImportError:  # extension not built; pure-Python fallback only
     _kernel = None
+
+# Trace event mode name for each kernel fault code.
+_MODE_NAME = {code: mode.value for mode, code in MODE_CODE.items()}
 
 # Byte budget for the largest float64 temporary of one MAC layer over one
 # sample block in run_batch (im2col columns plus accumulators).
@@ -65,17 +71,14 @@ def default_backend() -> str:
     return get_kernel().BACKEND
 
 
-def fault_engaged(fault: LaneFault, cycle: int) -> bool:
-    """True when the lane's fault mux overrides the product at this cycle."""
-    if fault.mode is FaultMode.PULSE:
-        return fault.start <= cycle < fault.start + fault.length
-    return fault.mode is not FaultMode.NONE
-
-
 def mult_lane(a: int, b: int, fault: LaneFault = NO_FAULT, cycle: int = 0) -> int:
     """18-bit lane output for one int8 x int8 product under a fault descriptor."""
-    if fault_engaged(fault, cycle):
-        return 0 if fault.mode is FaultMode.STUCK_ZERO else fault.value
+    mode = fault.mode
+    if mode is FaultMode.STUCK_ZERO:
+        return 0
+    if mode is FaultMode.CONSTANT or (
+            mode is FaultMode.PULSE and fault.start <= cycle < fault.start + fault.length):
+        return fault.value
     return int(a) * int(b)
 
 
@@ -233,52 +236,41 @@ class Emulator:
 
     def run_layer_program(self, prog: LayerProgram, x: QTensor,
                           events: list[TraceEvent] | None = None) -> QTensor:
-        """One conv/fc program: bias-preloaded accumulate, then requantize."""
+        """One conv/fc program: bias-preloaded accumulate, then requantize.
+
+        With ``events`` given, appends one TraceEvent per slot whose fault
+        mux fired, in (cycle, lane) order.
+        """
+        if x.dims != prog.in_shape:
+            raise ShapeError(f"input dims {x.dims} do not match {prog.in_shape}", prog.layer.id)
         p = prog.packed
         cout, hout, wout = prog.out_shape
         acc3 = np.empty((cout, hout, wout), dtype=np.int32)
         acc3[:] = prog.bias[:, None, None]
         acc = acc3.reshape(-1)
         x_flat = np.ascontiguousarray(x.data).reshape(-1)
-        if events is None:
-            mode, value, start, length = self._farr
-            self.cycle = self._kernel.run_program(
-                p.unit, p.dest, p.act_idx, p.w_idx, x_flat, prog.weights_flat,
-                acc, mode, value, start, length, self.plan.cfg.lanes, self.cycle,
+        mode, value, start, length = self._farr
+        lanes, cycle0 = self.plan.cfg.lanes, self.cycle
+        self.cycle = self._kernel.run_program(
+            p.unit, p.dest, p.act_idx, p.w_idx, x_flat, prog.weights_flat,
+            acc, mode, value, start, length, lanes, cycle0,
+        )
+        if events is not None and mode.any():
+            on, forced = _kernel_py.engaged(p.unit, p.act_idx, mode, value, start, length,
+                                            lanes, cycle0)
+            rows, slots = np.nonzero(on)  # row-major: cycle, then lane
+            units = p.unit[rows]
+            o, rem = np.divmod(p.dest[rows], hout * wout)
+            y, xo = np.divmod(rem, wout)
+            lid = prog.layer.id
+            events.extend(
+                TraceEvent(cycle0 + r, lid, u, lane, dest, _MODE_NAME[m], v)
+                for r, u, lane, dest, m, v in zip(
+                    rows.tolist(), units.tolist(), slots.tolist(),
+                    zip(o.tolist(), y.tolist(), xo.tolist()),
+                    mode[units * lanes + slots].tolist(), forced[rows, slots].tolist())
             )
-        else:
-            self.cycle = self._run_traced(prog, x_flat, acc, events)
         return QTensor(requantize_array(acc3, prog.layer.m), prog.out_scale)
-
-    def _run_traced(self, prog: LayerProgram, x_flat: np.ndarray,
-                    acc: np.ndarray, events: list[TraceEvent]) -> int:
-        """Object-level execution with trace capture; bit-identical to kernels."""
-        p = prog.packed
-        cout, hout, wout = prog.out_shape
-        cyc = self.cycle
-        for r in range(p.n_ops):
-            u = int(p.unit[r])
-            total = 0
-            for lane in range(self.plan.cfg.lanes):
-                ai = int(p.act_idx[r, lane])
-                if ai == -2:
-                    continue
-                a = 0 if ai == -1 else int(x_flat[ai])
-                b = int(prog.weights_flat[p.w_idx[r, lane]])
-                fault = self.faults.get(u, lane)
-                out = mult_lane(a, b, fault, cyc)
-                if fault_engaged(fault, cyc):
-                    d = int(p.dest[r])
-                    o, rem = divmod(d, hout * wout)
-                    events.append(TraceEvent(
-                        cyc, prog.layer.id, u, lane,
-                        (o, *divmod(rem, wout)), fault.mode.value, out,
-                    ))
-                total += out
-            d = int(p.dest[r])
-            acc[d] = sat32(int(acc[d]) + sat32(total))
-            cyc += 1
-        return cyc
 
 
 def _mac_batch(prog: LayerProgram, w: np.ndarray, const: np.ndarray,

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, UnsupportedLayer
-from .model import INPUT_ID, LayerSpec, ModelGraph, propagate_shapes, topo_order
+from .errors import ShapeError
+from .model import LayerSpec, ModelGraph, propagate_shapes, topo_order
 
 MAC_KINDS = ("conv", "fc")
 
@@ -40,29 +40,11 @@ class ArrayConfig:
         return self.units * self.lanes
 
 
-@dataclass(frozen=True)
-class LaneOp:
-    """One operand pair: activation coordinate (None when a padded zero) and weight coordinate."""
-
-    act: tuple[int, int, int] | None  # (c, iy, ix)
-    weight: tuple[int, int, int, int]  # (o, c, i, j)
-
-
-@dataclass(frozen=True)
-class MacMicroOp:
-    """One cycle of one MAC unit; lanes[l] is None for an idle slot."""
-
-    unit: int
-    layer_id: str
-    dest: tuple[int, int, int]  # (o, y, x)
-    group: int  # accumulate-group id == flat destination index
-    lanes: tuple[LaneOp | None, ...]
-
-
 @dataclass
 class PackedOps:
-    """Flat array form of a layer's micro-ops (same order as MacMicroOp lists).
+    """A layer's MAC program: one row per micro-op, in cycle order.
 
+    unit: the MAC unit of the row; dest: flat (o*Hout+y)*Wout+x output index.
     act_idx: -2 = idle lane, -1 = padded zero tap, else flat (c*H+iy)*W+ix.
     w_idx: -1 = idle lane, else flat ((o*Cin+c)*K+i)*K+j.
     """
@@ -115,42 +97,6 @@ def _pack_mac_layer(
     return PackedOps(unit, dest, act_idx, w_idx, in_shape, (cout, hout, wout), k)
 
 
-def _decode_micro_op(packed: PackedOps, row: int, layer_id: str) -> MacMicroOp:
-    c_in, h, w = packed.in_shape
-    cout, hout, wout = packed.out_shape
-    k = packed.k
-    d = int(packed.dest[row])
-    o, rem = divmod(d, hout * wout)
-    y, x = divmod(rem, wout)
-    lanes = []
-    for lane in range(packed.act_idx.shape[1]):
-        ai = int(packed.act_idx[row, lane])
-        wi = int(packed.w_idx[row, lane])
-        if ai == -2:
-            lanes.append(None)
-            continue
-        wo, wrem = divmod(wi, c_in * k * k)
-        c, wrem = divmod(wrem, k * k)
-        i, j = divmod(wrem, k)
-        act = None
-        if ai >= 0:
-            ac, arem = divmod(ai, h * w)
-            iy, ix = divmod(arem, w)
-            act = (ac, iy, ix)
-        lanes.append(LaneOp(act, (wo, c, i, j)))
-    return MacMicroOp(int(packed.unit[row]), layer_id, (o, y, x), d, tuple(lanes))
-
-
-def plan_layer(
-    layer: LayerSpec, in_shape: tuple[int, int, int], cfg: ArrayConfig
-) -> list[MacMicroOp]:
-    """Micro-op list for one conv/fc layer (object view of the packed form)."""
-    if layer.kind not in MAC_KINDS:
-        raise UnsupportedLayer(f"plan_layer only handles conv/fc, got {layer.kind!r}", layer.id)
-    packed = _pack_mac_layer(layer, in_shape, cfg)
-    return [_decode_micro_op(packed, r, layer.id) for r in range(packed.n_ops)]
-
-
 @dataclass
 class LayerProgram:
     """One entry of an ExecutionPlan: a MAC program or a reference-delegated op."""
@@ -170,11 +116,6 @@ class LayerProgram:
     @property
     def n_ops(self) -> int:
         return self.packed.n_ops if self.packed is not None else 0
-
-    def micro_ops(self) -> list[MacMicroOp]:
-        if self.packed is None:
-            return []
-        return [_decode_micro_op(self.packed, r, self.layer.id) for r in range(self.packed.n_ops)]
 
 
 @dataclass
@@ -245,23 +186,35 @@ def plan_stats(plan: ExecutionPlan) -> PlanStats:
     return PlanStats(per_unit, activity, idle)
 
 
-def _format_lane(op: LaneOp | None) -> str:
-    if op is None:
+def _format_slot(ai, ac, iy, ix, o, c, i, j) -> str:
+    if ai == -2:
         return "idle"
-    o, c, i, j = op.weight
-    if op.act is None:
-        return f"pad*w[{o},{c},{i},{j}]"
-    ac, iy, ix = op.act
-    return f"a[{ac},{iy},{ix}]*w[{o},{c},{i},{j}]"
+    act = "pad" if ai == -1 else f"a[{ac},{iy},{ix}]"
+    return f"{act}*w[{o},{c},{i},{j}]"
+
+
+def _format_rows(prog: LayerProgram):
+    """dump_plan lines of one MAC program, decoded from its packed rows."""
+    p = prog.packed
+    c_in, h, w = p.in_shape
+    _, hout, wout = p.out_shape
+    kk = p.k * p.k
+    o, rem = np.divmod(p.dest, hout * wout)
+    y, x = np.divmod(rem, wout)
+    wo, rem = np.divmod(p.w_idx, c_in * kk)
+    c, rem = np.divmod(rem, kk)
+    i, j = np.divmod(rem, p.k)
+    ac, rem = np.divmod(p.act_idx, h * w)
+    iy, ix = np.divmod(rem, w)
+    slots = zip(*(a.tolist() for a in (p.act_idx, ac, iy, ix, wo, c, i, j)))
+    lid = prog.layer.id
+    for u, d, oo, yy, xx, row in zip(p.unit.tolist(), p.dest.tolist(), o.tolist(),
+                                     y.tolist(), x.tolist(), slots):
+        lanes = ",".join(_format_slot(*slot) for slot in zip(*row))
+        yield f"unit={u} dest={lid}:{oo},{yy},{xx} group={d} lanes=[{lanes}]"
 
 
 def dump_plan(plan: ExecutionPlan) -> str:
     """One micro-op per line; byte-stable for golden-file comparisons."""
-    lines = []
-    for prog in plan.programs:
-        lid = prog.layer.id
-        for op in prog.micro_ops():
-            o, y, x = op.dest
-            lanes = ",".join(_format_lane(l) for l in op.lanes)
-            lines.append(f"unit={op.unit} dest={lid}:{o},{y},{x} group={op.group} lanes=[{lanes}]")
+    lines = [line for prog in plan.programs if prog.is_mac for line in _format_rows(prog)]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -16,6 +16,7 @@ _provision = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(_provision)
 _provision.load_compiled_kernel(ROOT, ROOT / ".bench_build")
 
+import macfi.macarray as macarray
 from macfi.deskmodel import build_desk_dataset, build_desk_model, write_desk_bundle
 from macfi.planner import plan_model
 
@@ -59,6 +60,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("-", "acceptance criteria")
         for (n, name), verdict in sorted(verdicts.items()):
             terminalreporter.write_line(f"ACCEPTANCE {n} {name}: {verdict}")
+
+
+@pytest.fixture(params=["compiled", "python"])
+def backend(request, monkeypatch):
+    """Runs the test once per kernel; "python" pins an install without the
+    extension."""
+    if request.param == "python":
+        monkeypatch.setattr(macarray, "_kernel", None)
+    elif macarray._kernel is None:
+        pytest.skip("compiled kernel not built")
+    return request.param
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from macfi.model import Dataset, LayerSpec, ModelGraph, reference_forward
-from macfi.qtensor import QTensor
+from macfi.faultctl import FaultMap, FaultMode, LaneFault
+from macfi.macarray import ExecResult, TraceEvent, mac_dot, mult_lane
+from macfi.model import INPUT_ID, Dataset, LayerSpec, ModelGraph, reference_forward
+from macfi.planner import ExecutionPlan
+from macfi.qtensor import QTensor, ref_execute_layer, requantize, sat32
 
 
 def mac_layer(rng, lid, kind, src, cin, cout, k, stride=1, pad=0, m=None):
@@ -126,3 +129,58 @@ def bias_only_accuracy(g: ModelGraph, ds: Dataset, indices=None) -> float:
         _, logits = reference_forward(zg, ds.sample(i))
         correct += int(np.argmax(logits)) == int(ds.labels[i])
     return correct / len(idx)
+
+
+def _mux_fires(fault: LaneFault, cycle: int) -> bool:
+    if fault.mode is FaultMode.PULSE:
+        return fault.start <= cycle < fault.start + fault.length
+    return fault.mode is not FaultMode.NONE
+
+
+def oracle_run(plan: ExecutionPlan, x: QTensor, faults: FaultMap) -> ExecResult:
+    """Independent scalar oracle for a traced Emulator.run.
+
+    Walks every packed row, one cycle per row, through mac_dot/mult_lane with
+    the FaultMap's own LaneFaults; it shares no code with the kernels,
+    ``_kernel_py.engaged`` or ``FaultMap.to_arrays``. Non-MAC layers run on
+    the reference pipeline. Returns logits, per-layer outputs, cycles and one
+    TraceEvent per carried slot whose fault mux fired.
+    """
+    env = {INPUT_ID: x}
+    cycle, events = 0, []
+    for prog in plan.programs:
+        layer = prog.layer
+        if not prog.is_mac:
+            env[layer.id] = ref_execute_layer(layer, [env[i] for i in layer.inputs])
+            continue
+        p = prog.packed
+        _, hout, wout = prog.out_shape
+        acts = env[layer.inputs[0]].data.reshape(-1).tolist()
+        weights = prog.weights_flat.tolist()
+        acc = [int(b) for b in prog.bias for _ in range(hout * wout)]
+        for u, d, act_row, w_row in zip(p.unit.tolist(), p.dest.tolist(),
+                                        p.act_idx.tolist(), p.w_idx.tolist()):
+            pairs = [None if ai == -2 else (0 if ai == -1 else acts[ai], weights[wi])
+                     for ai, wi in zip(act_row, w_row)]
+            o, rem = divmod(d, hout * wout)
+            for lane, pair in enumerate(pairs):
+                fault = faults.get(u, lane)
+                if pair is not None and _mux_fires(fault, cycle):
+                    events.append(TraceEvent(cycle, layer.id, u, lane, (o, *divmod(rem, wout)),
+                                             fault.mode.value, mult_lane(*pair, fault, cycle)))
+            acc[d] = sat32(acc[d] + mac_dot(pairs, u, faults, cycle))
+            cycle += 1
+        out = np.array([requantize(a, layer.m) for a in acc], dtype=np.int8)
+        env[layer.id] = QTensor(out.reshape(prog.out_shape), prog.out_scale)
+    del env[INPUT_ID]
+    return ExecResult(env, env[plan.output].data.reshape(-1), cycle, events)
+
+
+def assert_same_run(got: ExecResult, want: ExecResult):
+    """Equal logits, cycles, per-layer outputs and trace events."""
+    assert np.array_equal(got.logits, want.logits)
+    assert got.cycles == want.cycles
+    assert list(got.outputs) == list(want.outputs)
+    for lid in want.outputs:
+        assert got.outputs[lid] == want.outputs[lid]
+    assert got.trace == want.trace

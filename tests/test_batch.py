@@ -56,15 +56,6 @@ def _per_sample(plan, faults, samples) -> np.ndarray:
     return np.stack([emu.run(QTensor(x, plan.input_scale)).logits for x in samples])
 
 
-@pytest.fixture(params=["compiled", "python"])
-def backend(request, monkeypatch):
-    if request.param == "python":
-        monkeypatch.setattr(macarray, "_kernel", None)
-    elif macarray._kernel is None:
-        pytest.skip("compiled kernel not built")
-    return request.param
-
-
 @pytest.fixture
 def run_calls(monkeypatch):
     """Counts Emulator.run calls; run_batch's fallback goes through it."""

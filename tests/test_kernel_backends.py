@@ -1,5 +1,6 @@
-"""Bit-equality checks between the compiled kernel and its pure-Python twin,
-and the argument checks the compiled kernel makes before it runs.
+"""Bit-equality checks between the compiled kernel, its pure-Python twin and
+the scalar oracle in helpers.py, and the argument checks the compiled kernel
+makes before it runs.
 
 The python kernel has two internal routes (a vectorized bulk path when a
 conservative bound proves saturation cannot occur, and a sequential
@@ -25,7 +26,7 @@ from macfi.model import LayerSpec, ModelGraph
 from macfi.planner import plan_model
 from macfi.qtensor import ACC_MAX, ACC_MIN, QTensor
 
-from helpers import mac_layer, make_random_model, random_input
+from helpers import assert_same_run, mac_layer, make_random_model, oracle_run, random_input
 
 BACKENDS = available_backends()
 needs_both = pytest.mark.skipif(len(BACKENDS) < 2,
@@ -78,7 +79,6 @@ def _random_fault_map(rng) -> FaultMap:
     return single_lane_map(int(rng.integers(0, 8)), int(rng.integers(0, 8)), f)
 
 
-@needs_both
 def test_random_inference_agreement():
     rng = np.random.default_rng(20260815)
     for _ in range(12):
@@ -86,14 +86,9 @@ def test_random_inference_agreement():
         plan = plan_model(g)
         x = random_input(rng, g)
         fmap = _random_fault_map(rng)
-        runs = [execute_on(b, plan, x, fmap) for b in BACKENDS]
-        runs.append(execute_plan(plan, x, fmap, trace=True))
-        first = runs[0]
-        for other in runs[1:]:
-            assert np.array_equal(first.logits, other.logits)
-            assert first.cycles == other.cycles
-            for lid in first.outputs:
-                assert first.outputs[lid] == other.outputs[lid]
+        want = oracle_run(plan, x, fmap)
+        for b in BACKENDS:
+            assert_same_run(execute_on(b, plan, x, fmap, trace=True), want)
 
 
 def _wide_graph(groups: int, bias0: int = 0) -> ModelGraph:
@@ -166,7 +161,6 @@ def test_saturating_inference_agrees_end_to_end():
         assert a.outputs[lid] == b.outputs[lid]
 
 
-@needs_both
 def test_pulse_windows_agree_across_layer_boundaries(desk_plan, desk_dataset):
     x = desk_dataset.sample(0)
     total = desk_plan.total_micro_ops
@@ -177,13 +171,9 @@ def test_pulse_windows_agree_across_layer_boundaries(desk_plan, desk_dataset):
     for start, length in windows:
         fmap = single_lane_map(int(rng.integers(0, 8)), int(rng.integers(0, 8)),
                                LaneFault.pulse(-131072, start, length))
-        a = execute_on("python", desk_plan, x, fmap)
-        b = execute_on("compiled", desk_plan, x, fmap)
-        c = execute_plan(desk_plan, x, fmap, trace=True)
-        assert np.array_equal(a.logits, b.logits)
-        assert np.array_equal(a.logits, c.logits)
-        for lid in a.outputs:
-            assert a.outputs[lid] == b.outputs[lid] == c.outputs[lid]
+        want = oracle_run(desk_plan, x, fmap)
+        for b in BACKENDS:
+            assert_same_run(execute_on(b, desk_plan, x, fmap, trace=True), want)
 
 
 def _fc_args(desk_plan, desk_dataset) -> list:

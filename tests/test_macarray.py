@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import macfi.macarray as macarray
 from macfi.errors import EmptyLogits, ShapeError
 from macfi.faultctl import FaultMap, LaneFault, single_lane_map
 from macfi.macarray import (
@@ -18,7 +19,8 @@ from macfi.model import reference_forward
 from macfi.planner import plan_model, plan_stats
 from macfi.qtensor import PRODUCT_MAX, PRODUCT_MIN, QTensor
 
-from helpers import make_random_model, random_input, zero_weight_copy
+from helpers import (assert_same_run, make_random_model, oracle_run, random_input,
+                     zero_weight_copy)
 
 int8s = st.integers(-128, 127)
 
@@ -133,6 +135,18 @@ class TestOracleEquivalence:
             Emulator(desk_plan, FaultMap(4, 4))
 
 
+def test_layer_program_rejects_wrong_input_dims(backend, desk_plan):
+    emu = Emulator(desk_plan, single_lane_map(0, 0, LaneFault.constant(5)))
+    emu.cycle = 17
+    events = []
+    x = QTensor(np.ones((1, 1, 1), dtype=np.int8), desk_plan.input_scale)
+    with pytest.raises(ShapeError) as err:
+        emu.run_layer_program(desk_plan.by_id["conv2"], x, events)
+    assert err.value.layer == "conv2"
+    assert emu.cycle == 17  # the kernel never ran
+    assert events == []
+
+
 class TestFaultSemantics:
     def test_all_lanes_stuck_zero_equals_bias_only_model(self, desk_graph, desk_plan,
                                                          desk_dataset):
@@ -234,3 +248,81 @@ class TestTrace:
     def test_no_trace_by_default(self, desk_plan, desk_dataset):
         res = execute_plan(desk_plan, desk_dataset.sample(0))
         assert res.trace is None
+
+    @staticmethod
+    def assert_matches_oracle(plan, x, fmap):
+        res = execute_plan(plan, x, fmap, trace=True)
+        assert_same_run(res, oracle_run(plan, x, fmap))
+        return res.trace
+
+    def test_pulse_straddling_layer_boundary(self):
+        # lane 0 carries channel 0 on every row, so a pulse on lane 0 of
+        # every unit fires on each row of its window
+        rng = np.random.default_rng(71)
+        checked = 0
+        while checked < 6:
+            g = make_random_model(rng)
+            plan = plan_model(g)
+            macs = [p for p in plan.programs if p.is_mac]
+            if len(macs) < 2:
+                continue
+            boundary = macs[0].n_ops
+            width = int(rng.integers(1, min(3, boundary, macs[1].n_ops) + 1))
+            fmap = FaultMap()
+            for u in range(8):
+                fmap.set(u, 0, LaneFault.pulse(int(rng.integers(-131072, 131072)),
+                                               boundary - width, 2 * width))
+            trace = self.assert_matches_oracle(plan, random_input(rng, g), fmap)
+            assert [ev.cycle for ev in trace] == list(range(boundary - width, boundary + width))
+            assert {ev.layer_id for ev in trace} == {macs[0].layer.id, macs[1].layer.id}
+            checked += 1
+
+    def test_stuck_zero_mixed_with_constant(self):
+        rng = np.random.default_rng(72)
+        modes = set()
+        for _ in range(8):
+            g = make_random_model(rng)
+            plan = plan_model(g)
+            fmap = FaultMap()
+            for u in range(8):
+                fmap.set(u, 0, LaneFault.stuck_zero())
+                fmap.set(u, int(rng.integers(1, 8)),
+                         LaneFault.constant(int(rng.integers(-131072, 131072))))
+            trace = self.assert_matches_oracle(plan, random_input(rng, g), fmap)
+            assert {ev.mode for ev in trace if ev.lane == 0} == {"stuck_zero"}
+            assert all(ev.value == 0 for ev in trace if ev.lane == 0)
+            modes.update(ev.mode for ev in trace)
+        assert modes == {"stuck_zero", "constant"}
+
+    def test_idle_lanes_produce_no_events(self):
+        # every lane faulted: one event per carried slot and none on idle ones
+        rng = np.random.default_rng(73)
+        fmap = FaultMap()
+        for u in range(8):
+            for lane in range(8):
+                fmap.set(u, lane, LaneFault.constant(u * 8 + lane + 1))
+        checked = 0
+        while checked < 6:
+            g = make_random_model(rng)
+            plan = plan_model(g)
+            macs = [p for p in plan.programs if p.is_mac]
+            if all(p.in_shape[0] % 8 == 0 for p in macs):
+                continue
+            trace = self.assert_matches_oracle(plan, random_input(rng, g), fmap)
+            cycle0 = 0
+            for prog in macs:
+                events = [ev for ev in trace if ev.layer_id == prog.layer.id]
+                cout, hout, wout = prog.out_shape
+                assert len(events) == cout * hout * wout * prog.packed.k ** 2 * prog.in_shape[0]
+                assert all(prog.packed.act_idx[ev.cycle - cycle0, ev.lane] != -2
+                           for ev in events)
+                cycle0 += prog.n_ops
+            checked += 1
+
+
+class TestTracePythonKernel(TestTrace):
+    """TestTrace on the pure-Python kernel: tracing runs through either kernel."""
+
+    @pytest.fixture(autouse=True)
+    def python_kernel(self, monkeypatch):
+        monkeypatch.setattr(macarray, "_kernel", None)

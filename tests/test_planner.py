@@ -1,17 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from macfi.errors import ShapeError, UnsupportedLayer
+from macfi.errors import ShapeError
 from macfi.model import LayerSpec, ModelGraph
-from macfi.planner import (
-    ArrayConfig,
-    dump_plan,
-    plan_layer,
-    plan_model,
-    plan_stats,
-)
+from macfi.planner import ArrayConfig, dump_plan, plan_model, plan_stats
 
 from helpers import mac_layer, make_random_model
 
@@ -33,60 +29,76 @@ class TestArrayConfig:
             ArrayConfig(lanes=0)
 
 
+def packed_of(layer: LayerSpec, in_shape):
+    """The packed program plan_model builds for a one-layer model."""
+    c, h, w = in_shape
+    hout = (h + 2 * layer.pad - layer.k) // layer.stride + 1
+    wout = (w + 2 * layer.pad - layer.k) // layer.stride + 1
+    g = ModelGraph([layer], in_shape, 2.0 ** -6, layer.id, layer.cout * hout * wout)
+    return plan_model(g).programs[0].packed
+
+
+def dest_coords(p):
+    """(o, y, x) of each row's destination."""
+    _, hout, wout = p.out_shape
+    o, rem = np.divmod(p.dest, hout * wout)
+    return o, *np.divmod(rem, wout)
+
+
+def weight_channel(p):
+    """Input channel c of each slot's weight ((o*Cin+c)*K+i)*K+j; -1 when idle."""
+    c = (p.w_idx // (p.k * p.k)) % p.in_shape[0]
+    return np.where(p.act_idx == -2, -1, c)
+
+
 class TestPlanLayer:
     def test_counts_cin8(self):
         # Cin=8, Cout=8, K=3, 4x4 input with pad 1 -> Hout=Wout=4
         rng = np.random.default_rng(0)
-        ops = plan_layer(conv_spec(rng, 8, 8, 3, 1, 1), (8, 4, 4), ArrayConfig())
-        assert len(ops) == 1152  # Cout*Hout*Wout*K^2*ceil(Cin/8) = 8*4*4*9*1
-        per_channel = sum(1 for op in ops if op.dest[0] == 0)
-        assert per_channel == 144  # 4*4*9
-        active = sum(1 for op in ops for l in op.lanes if l is not None)
-        assert active == 9216  # Cout*Hout*Wout*K^2*Cin
+        p = packed_of(conv_spec(rng, 8, 8, 3, 1, 1), (8, 4, 4))
+        assert p.n_ops == 1152  # Cout*Hout*Wout*K^2*ceil(Cin/8) = 8*4*4*9*1
+        o, _, _ = dest_coords(p)
+        assert int((o == 0).sum()) == 144  # 4*4*9
+        assert int((p.act_idx != -2).sum()) == 9216  # Cout*Hout*Wout*K^2*Cin
 
     def test_counts_cin4_idle_lanes(self):
         rng = np.random.default_rng(0)
-        ops = plan_layer(conv_spec(rng, 4, 8, 3, 1, 1), (4, 4, 4), ArrayConfig())
-        assert len(ops) == 1152
-        for op in ops:
-            assert all(op.lanes[l] is None for l in range(4, 8))
-        active = sum(1 for op in ops for l in op.lanes if l is not None)
-        assert active == 4608
+        p = packed_of(conv_spec(rng, 4, 8, 3, 1, 1), (4, 4, 4))
+        assert p.n_ops == 1152
+        assert np.all(p.act_idx[:, 4:] == -2)
+        assert np.all(p.w_idx[:, 4:] == -1)
+        assert int((p.act_idx != -2).sum()) == 4608
 
     def test_fc_single_micro_op(self):
         rng = np.random.default_rng(0)
         layer = mac_layer(rng, "f", "fc", "input", 8, 1, 1, m=2.0 ** -7)
-        ops = plan_layer(layer, (8, 1, 1), ArrayConfig())
-        assert len(ops) == 1
-        assert ops[0].unit == 0
-        assert ops[0].dest == (0, 0, 0)
+        p = packed_of(layer, (8, 1, 1))
+        assert p.n_ops == 1
+        assert int(p.unit[0]) == 0
+        assert [int(a[0]) for a in dest_coords(p)] == [0, 0, 0]
 
     def test_unit_assignment_is_output_channel_mod_units(self):
         rng = np.random.default_rng(1)
-        ops = plan_layer(conv_spec(rng, 3, 11, 2), (3, 5, 5), ArrayConfig())
-        for op in ops:
-            assert op.unit == op.dest[0] % 8
+        p = packed_of(conv_spec(rng, 3, 11, 2), (3, 5, 5))
+        o, _, _ = dest_coords(p)
+        assert np.array_equal(p.unit, o % 8)
 
     def test_lanes_carry_consecutive_input_channels(self):
         rng = np.random.default_rng(2)
-        ops = plan_layer(conv_spec(rng, 11, 2, 1), (11, 2, 2), ArrayConfig())
+        p = packed_of(conv_spec(rng, 11, 2, 1), (11, 2, 2))
         # groups of ceil(11/8)=2: first group channels 0..7, second 8..10 + idle
-        for op in ops:
-            carried = [l.weight[1] for l in op.lanes if l is not None]
+        for row in weight_channel(p).tolist():
+            carried = [c for c in row if c >= 0]
             base = carried[0]
             assert carried == list(range(base, base + len(carried)))
+            assert row == carried + [-1] * (8 - len(carried))
 
     def test_padding_taps_are_marked_not_idle(self):
         rng = np.random.default_rng(3)
-        ops = plan_layer(conv_spec(rng, 1, 1, 3, 1, 1), (1, 3, 3), ArrayConfig())
-        corner = [op for op in ops if op.dest == (0, 0, 0)]
-        pad_taps = [l for op in corner for l in op.lanes if l is not None and l.act is None]
-        assert len(pad_taps) == 5  # 3x3 window at the corner has 5 out-of-bounds taps
-
-    def test_rejects_non_mac_layer(self):
-        layer = LayerSpec(id="r", kind="relu", inputs=["input"])
-        with pytest.raises(UnsupportedLayer):
-            plan_layer(layer, (1, 2, 2), ArrayConfig())
+        p = packed_of(conv_spec(rng, 1, 1, 3, 1, 1), (1, 3, 3))
+        corner = p.dest == 0  # output (0, 0, 0)
+        assert int((p.act_idx[corner] == -1).sum()) == 5  # 5 of the 3x3 corner taps are out of bounds
+        assert np.all(p.w_idx[corner][:, 0] >= 0)
 
     def test_coverage_and_conservation_random_shapes(self):
         rng = np.random.default_rng(9)
@@ -100,20 +112,21 @@ class TestPlanLayer:
             stride = int(rng.integers(1, 3))
             layer = conv_spec(rng, cin, cout, k, stride, pad)
             layer.weights = rng.integers(-8, 9, (cout, cin, k, k)).astype(np.int8)
-            cfg = ArrayConfig()
-            ops = plan_layer(layer, (cin, h, w), cfg)
+            p = packed_of(layer, (cin, h, w))
             hout = (h + 2 * pad - k) // stride + 1
             wout = (w + 2 * pad - k) // stride + 1
-            groups_per_dest = {}
-            active = 0
-            for op in ops:
-                groups_per_dest.setdefault(op.dest, set()).add(op.group)
-                active += sum(1 for l in op.lanes if l is not None)
-            # every output element is exactly one accumulate-group
-            assert set(groups_per_dest) == {(o, y, x) for o in range(cout)
-                                            for y in range(hout) for x in range(wout)}
-            assert all(len(s) == 1 for s in groups_per_dest.values())
-            assert active == cout * hout * wout * k * k * cin
+            # every output element is exactly one accumulate-group of
+            # ceil(Cin/8)*K*K rows
+            o, y, x = dest_coords(p)
+            assert set(zip(o.tolist(), y.tolist(), x.tolist())) == {
+                (oo, yy, xx) for oo in range(cout) for yy in range(hout) for xx in range(wout)}
+            assert np.array_equal(np.bincount(p.dest, minlength=cout * hout * wout),
+                                  np.full(cout * hout * wout, -(-cin // 8) * k * k))
+            assert int((p.act_idx != -2).sum()) == cout * hout * wout * k * k * cin
+            # each carried (o, c, i, j) weight tap appears once per output position
+            carried = p.act_idx != -2
+            assert np.array_equal(np.bincount(p.w_idx[carried], minlength=cout * cin * k * k),
+                                  np.full(cout * cin * k * k, hout * wout))
 
 
 class TestPlanModel:
@@ -148,6 +161,21 @@ class TestPlanModel:
         text = dump_plan(plan_model(g))
         assert text == ("unit=0 dest=c:0,0,0 group=0 lanes=[a[0,0,0]*w[0,0,0,0],"
                         "idle,idle,idle,idle,idle,idle,idle]\n")
+        # 3x3 conv, pad 1, Cin=2, Cout=2 over 2x2: output (1, 1, 0) is group 6
+        # on unit 1; its tap (0, 0) sits in the padding, its tap (1, 1) does not
+        layers = [mac_layer(rng, "k", "conv", "input", 2, 2, 3, 1, 1, m=0.5)]
+        g = ModelGraph(layers, (2, 2, 2), 1.0, "k", 8)
+        lines = dump_plan(plan_model(g)).splitlines()
+        assert len(lines) == 2 * 2 * 2 * 9
+        assert lines[6 * 9] == ("unit=1 dest=k:1,1,0 group=6 lanes=[pad*w[1,0,0,0],"
+                                "pad*w[1,1,0,0],idle,idle,idle,idle,idle,idle]")
+        assert lines[6 * 9 + 4] == ("unit=1 dest=k:1,1,0 group=6 lanes=[a[0,1,0]*w[1,0,1,1],"
+                                    "a[1,1,0]*w[1,1,1,1],idle,idle,idle,idle,idle,idle]")
+
+    def test_desk_dump_is_pinned(self, desk_plan):
+        # `macfi plan` output on the bundled model, byte for byte
+        digest = hashlib.sha256(dump_plan(desk_plan).encode()).hexdigest()
+        assert digest == "8bc7396f1224c5e11cd51b56054b688a34d90cefb519178d52f6af2c56902576"
 
 
 class TestPlanStats:
