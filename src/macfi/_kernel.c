@@ -6,9 +6,10 @@
  * the emulator also takes its trace events. Arguments arrive through the
  * buffer protocol and are checked for C contiguity, dimensionality, integer
  * kind and item size before the loop runs; act_idx/w_idx must be
- * (n, lanes) because rows are indexed flat. Index values are trusted (the
- * planner produces them). The hot loop releases the GIL so campaign workers
- * can overlap.
+ * (n, lanes) because rows are indexed flat. Index values are not checked
+ * here: plan_model range-checks every program's unit, dest, act_idx and
+ * w_idx once when it builds it. The hot loop releases the GIL so campaign
+ * workers can overlap.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>

@@ -1,10 +1,14 @@
 """Seeded, parallel fault-injection campaigns and their aggregate statistics.
 
 Reproducibility contract: every run's fault map comes from a seed derived as
-derive_seed(master, k, value, rep), jobs are independent, and records are
+derive_seed(master, k, value, rep). A campaign builds all of its maps in job
+order, splits them into min(workers, runs) contiguous chunks and evaluates
+each chunk as one thread-pool job (one evaluate_accuracy call, batched in
+macarray.batch_logits); accuracies come back in job order and records are
 sorted deterministically before serialization, so results never depend on
-worker count or scheduling order. Quantiles are linear interpolation between
-order statistics (position (n-1)*q), matching numpy's default method.
+worker count, chunking, block size or scheduling order. Quantiles are
+linear interpolation between order statistics (position (n-1)*q), matching
+numpy's default method.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import csv
 import io
 import math
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -28,7 +33,7 @@ from .faultctl import (
     sample_random_fault_map,
     single_lane_map,
 )
-from .macarray import Emulator
+from .macarray import batch_logits
 from .model import Dataset
 from .planner import ExecutionPlan
 
@@ -151,14 +156,26 @@ def _slice_indices(dataset: Dataset, offset: int, count: int | None) -> range:
 
 
 def evaluate_accuracy(plan: ExecutionPlan, dataset: Dataset, indices,
-                      faults: FaultMap | None = None) -> float:
-    """Fraction of slice samples whose argmax class matches the label."""
+                      faults: FaultMap | Sequence[FaultMap] | None = None
+                      ) -> float | list[float]:
+    """Fraction of slice samples whose argmax class matches the label.
+
+    ``faults`` is None (fault-free) or one FaultMap, giving one float, or a
+    sequence of FaultMaps, giving one float per map in order; a sequence is
+    evaluated together by macarray.batch_logits.
+    """
     if dataset.scale != plan.input_scale:
         raise ShapeError(f"input scale {dataset.scale!r} does not match plan {plan.input_scale!r}")
+    single = faults is None or isinstance(faults, FaultMap)
+    if faults is None:
+        faults = FaultMap(plan.cfg.units, plan.cfg.lanes)
+    maps = [faults] if single else list(faults)
     idx = np.asarray(indices, dtype=np.intp)
-    logits = Emulator(plan, faults).run_batch(dataset.samples[idx])
+    logits = batch_logits(plan, dataset.samples[idx], maps)
     # argmax picks the smallest index attaining the maximum, as classify_argmax does.
-    return int(np.count_nonzero(logits.argmax(axis=1) == dataset.labels[idx])) / len(idx)
+    correct = np.count_nonzero(logits.argmax(axis=2) == dataset.labels[idx], axis=1)
+    accs = [int(c) / len(idx) for c in correct]
+    return accs[0] if single else accs
 
 
 def _pool_size(workers: int | None) -> int:
@@ -172,10 +189,18 @@ def _pool_size(workers: int | None) -> int:
     return workers
 
 
-def _run_jobs(jobs, workers: int):
-    # Results come back in submission order regardless of completion order.
+def _evaluate_runs(plan: ExecutionPlan, dataset: Dataset, idx, maps: list[FaultMap],
+                   workers: int) -> list[float]:
+    """Accuracy per map, in order: the maps are split into min(workers, runs)
+    contiguous chunks, each one pool job and one evaluate_accuracy call."""
+    n = min(workers, len(maps))
+    chunks = [maps[len(maps) * i // n : len(maps) * (i + 1) // n] for i in range(n)]
+    # Looked up through the module at call time, so wrappers installed on
+    # macfi.campaign.evaluate_accuracy see every chunk.
+    jobs = [lambda chunk=chunk: evaluate_accuracy(plan, dataset, idx, chunk) for chunk in chunks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda fn: fn(), jobs))
+        # pool.map returns results in submission order, i.e. job order.
+        return [acc for accs in pool.map(lambda fn: fn(), jobs) for acc in accs]
 
 
 def run_fault_sweep(spec: SweepSpec, plan: ExecutionPlan, dataset: Dataset,
@@ -188,20 +213,13 @@ def run_fault_sweep(spec: SweepSpec, plan: ExecutionPlan, dataset: Dataset,
     cfg = plan.cfg
     idx = _slice_indices(dataset, spec.slice_offset, spec.slice_count)
     baseline = evaluate_accuracy(plan, dataset, idx)
-
-    def make_job(k: int, value: int, rep: int):
-        def job() -> RunRecord:
-            seed = derive_seed(spec.master_seed, k, value, rep)
-            fmap = sample_random_fault_map(k, fault_for_error_value(value), seed,
-                                           cfg.units, cfg.lanes)
-            acc = evaluate_accuracy(plan, dataset, idx, fmap)
-            return RunRecord("sweep", k, value, -1, -1, rep, seed,
-                             acc, baseline - acc, fmap.digest())
-        return job
-
-    jobs = [make_job(k, v, r)
+    keys = [(k, v, r, derive_seed(spec.master_seed, k, v, r))
             for k in spec.k_values for v in spec.error_values for r in range(spec.reps)]
-    records = _run_jobs(jobs, workers)
+    maps = [sample_random_fault_map(k, fault_for_error_value(v), seed, cfg.units, cfg.lanes)
+            for k, v, _, seed in keys]
+    accs = _evaluate_runs(plan, dataset, idx, maps, workers)
+    records = [RunRecord("sweep", k, v, -1, -1, r, seed, acc, baseline - acc, fmap.digest())
+               for (k, v, r, seed), fmap, acc in zip(keys, maps, accs)]
     records.append(RunRecord("baseline", 0, 0, -1, -1, 0, 0, baseline, 0.0,
                              FaultMap(cfg.units, cfg.lanes).digest()))
     records.sort(key=RunRecord.sort_key)
@@ -223,19 +241,12 @@ def run_heatmap(values, plan: ExecutionPlan, dataset: Dataset,
     cfg = plan.cfg
     idx = _slice_indices(dataset, slice_offset, slice_count)
     baseline = evaluate_accuracy(plan, dataset, idx)
-
-    def make_job(value: int, unit: int, lane: int):
-        def job() -> RunRecord:
-            fmap = single_lane_map(unit, lane, fault_for_error_value(value),
-                                   cfg.units, cfg.lanes)
-            acc = evaluate_accuracy(plan, dataset, idx, fmap)
-            return RunRecord("heatmap", 1, value, unit, lane, 0, 0,
-                             acc, baseline - acc, fmap.digest())
-        return job
-
-    jobs = [make_job(v, u, l)
-            for v in values for u in range(cfg.units) for l in range(cfg.lanes)]
-    records = _run_jobs(jobs, workers)
+    keys = [(v, u, l) for v in values for u in range(cfg.units) for l in range(cfg.lanes)]
+    maps = [single_lane_map(u, l, fault_for_error_value(v), cfg.units, cfg.lanes)
+            for v, u, l in keys]
+    accs = _evaluate_runs(plan, dataset, idx, maps, workers)
+    records = [RunRecord("heatmap", 1, v, u, l, 0, 0, acc, baseline - acc, fmap.digest())
+               for (v, u, l), fmap, acc in zip(keys, maps, accs)]
     heatmap = {v: np.zeros((cfg.units, cfg.lanes), dtype=np.float64) for v in values}
     for rec in records:
         heatmap[rec.value][rec.unit, rec.lane] = rec.drop

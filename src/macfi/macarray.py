@@ -13,13 +13,17 @@ without it falls back to the Python kernel, which gives bit-identical results.
 kernel is its twin); traced runs take their events from that mask after the
 kernel has run, so tracing adds no execution path.
 
-Emulator.run_batch evaluates a stack of samples at once. Under the planner's
-mapping (output channel o on unit o mod units, input channel c on lane
-c mod lanes) a permanent fault has a closed form: a faulted lane drops the
-products of its (o, c) weights and adds its forced value once per carried
-slot. Each MAC layer is then one float64 matmul over the sample block,
-exact whenever no partial sum can saturate; otherwise, and for pulses or
-traces, run_batch runs the per-step kernel sample by sample.
+batch_logits evaluates R fault maps over S samples at once (Emulator.run_batch
+is its one-map case). Under the planner's mapping (output channel o on unit
+o mod units, input channel c on lane c mod lanes) a permanent fault has a
+closed form: a faulted lane drops the products of its (o, c) weights and
+adds its forced value once per carried slot. Each MAC layer is then a
+float64 matmul, exact whenever no partial sum can saturate; a run that
+could saturate, or that has a pulse, takes the per-step kernel sample by
+sample. Values no fault can reach (the input and the layers fed only by it)
+carry no run axis and are computed once per sample block, and a MAC layer
+reading them shares per-lane partials between all runs. Samples and runs
+are tiled so that one tile's float64 temporaries stay within BATCH_BYTES.
 """
 
 from __future__ import annotations
@@ -44,8 +48,9 @@ except ImportError:  # extension not built; pure-Python fallback only
 # Trace event mode name for each kernel fault code.
 _MODE_NAME = {code: mode.value for mode, code in MODE_CODE.items()}
 
-# Byte budget for the largest float64 temporary of one MAC layer over one
-# sample block in run_batch (im2col columns plus accumulators).
+# Byte budget for the float64 temporaries of one (sample block, run block)
+# in batch_logits: lane partials, masked weights, im2col columns and
+# accumulators, which are requantized in place.
 BATCH_BYTES = 1 << 20
 
 
@@ -150,7 +155,6 @@ class Emulator:
         self.trace = trace
         self._farr = self.faults.to_arrays()
         self.cycle = 0
-        self._batch = None  # (per-layer matmul operands or None, block size)
 
     @property
     def backend(self) -> str:
@@ -178,61 +182,14 @@ class Emulator:
 
     def run_batch(self, samples) -> np.ndarray:
         """int8 logits (S, classes) for int8 samples (S, C, H, W) in the
-        plan's input scale; row s equals ``run`` on sample s bit for bit."""
-        plan = self.plan
-        samples = np.asarray(samples, dtype=np.int8)
-        if samples.shape[1:] != plan.input_shape:
-            raise ShapeError(f"sample dims {samples.shape[1:]} do not match plan {plan.input_shape}")
-        if self._batch is None:
-            self._batch = self._prepare_batch()
-        layers, block = self._batch
-        out = np.empty((len(samples), plan.classes), dtype=np.int8)
-        if layers is None:
-            for s, x in enumerate(samples):
-                out[s] = self.run(QTensor(x, plan.input_scale)).logits
-            return out
-        for s in range(0, len(samples), block):
-            env = {INPUT_ID: samples[s : s + block]}
-            for prog in plan.programs:
-                layer = prog.layer
-                if prog.is_mac:
-                    env[layer.id] = _mac_batch(prog, *layers[layer.id], env[layer.inputs[0]])
-                else:
-                    env[layer.id] = array_layer(layer, [env[i] for i in layer.inputs])
-            out[s : s + block] = env[plan.output].reshape(-1, plan.classes)
+        plan's input scale; row s equals ``run`` on sample s bit for bit.
+        A traced emulator runs sample by sample."""
+        if not self.trace:
+            return batch_logits(self.plan, samples, [self.faults])[0]
+        samples = _check_samples(self.plan, samples)
+        out = np.empty((len(samples), self.plan.classes), dtype=np.int8)
+        _run_each(self, samples, out)
         return out
-
-    def _prepare_batch(self):
-        """Masked weights and constant offsets per MAC layer, and the sample
-        block size; (None, 0) when run_batch must run sample by sample."""
-        cfg = self.plan.cfg
-        mode, value, _, _ = (a.reshape(cfg.units, cfg.lanes) for a in self._farr)
-        if self.trace or (mode == 3).any():
-            return None, 0
-        faulted = mode != 0
-        forced = np.where(mode == 2, value, 0).astype(np.int64)  # stuck-at-0 forces 0
-        # Largest |lane sum| of one micro-op on any unit.
-        row_bound = int(np.where(faulted, np.abs(forced), PRODUCT_MAX).sum(axis=1).max())
-        layers, per_sample = {}, 1
-        for prog in self.plan.programs:
-            if not prog.is_mac:
-                continue
-            cin = prog.in_shape[0]
-            cout, hout, wout = prog.out_shape
-            kk = prog.packed.k ** 2
-            bias_bound = max(-int(prog.bias.min()), int(prog.bias.max()))
-            if bias_bound + -(-cin // cfg.lanes) * kk * row_bound > ACC_MAX:
-                return None, 0
-            unit_of = np.arange(cout) % cfg.units
-            lane_of = np.arange(cin) % cfg.lanes
-            keep = ~faulted[np.ix_(unit_of, lane_of)]
-            w = np.multiply(prog.weights_flat.reshape(cout, cin, kk), keep[:, :, None],
-                            dtype=np.float64)
-            slots = kk * np.bincount(lane_of, minlength=cfg.lanes)  # carried slots per lane
-            const = prog.bias + forced[unit_of] @ slots
-            layers[prog.layer.id] = (w.reshape(cout, -1), const.astype(np.float64)[:, None])
-            per_sample = max(per_sample, 8 * hout * wout * (cin * kk + cout))
-        return layers, max(1, BATCH_BYTES // per_sample)
 
     def run_layer_program(self, prog: LayerProgram, x: QTensor,
                           events: list[TraceEvent] | None = None) -> QTensor:
@@ -273,30 +230,223 @@ class Emulator:
         return QTensor(requantize_array(acc3, prog.layer.m), prog.out_scale)
 
 
-def _mac_batch(prog: LayerProgram, w: np.ndarray, const: np.ndarray,
-               x: np.ndarray) -> np.ndarray:
-    """One conv/fc layer over an int8 (B, Cin, H, W) block: the masked
-    weights ``w`` (Cout, Cin*K*K) times the im2col columns, plus ``const``
-    (Cout, 1), requantized."""
+def _check_samples(plan: ExecutionPlan, samples) -> np.ndarray:
+    samples = np.asarray(samples, dtype=np.int8)
+    if samples.shape[1:] != plan.input_shape:
+        raise ShapeError(f"sample dims {samples.shape[1:]} do not match plan {plan.input_shape}")
+    return samples
+
+
+def _run_each(emu: Emulator, samples: np.ndarray, out: np.ndarray):
+    """The per-step fallback: out[s] = emu.run(sample s).logits."""
+    for s, x in enumerate(samples):
+        out[s] = emu.run(QTensor(x, emu.plan.input_scale)).logits
+
+
+def batch_logits(plan: ExecutionPlan, samples, fault_maps) -> np.ndarray:
+    """int8 logits (R, S, classes) of R fault maps over int8 samples
+    (S, C, H, W) in the plan's input scale; [r, s] equals
+    ``Emulator(plan, fault_maps[r]).run`` on sample s bit for bit.
+
+    Runs with a pulse, or whose closed form could saturate a partial sum,
+    take the per-step kernel sample by sample; the others are evaluated
+    together in (sample block, run block) tiles under BATCH_BYTES.
+    """
+    samples = _check_samples(plan, samples)
+    cfg = plan.cfg
+    out = np.empty((len(fault_maps), len(samples), plan.classes), dtype=np.int8)
+    if not len(fault_maps):
+        return out
+    for fmap in fault_maps:
+        if (fmap.units, fmap.lanes) != (cfg.units, cfg.lanes):
+            raise ShapeError(f"fault map is {fmap.units}x{fmap.lanes}, "
+                             f"array is {cfg.units}x{cfg.lanes}")
+    arrays = [fmap.to_arrays() for fmap in fault_maps]
+    mode = np.stack([a[0] for a in arrays]).reshape(-1, cfg.units, cfg.lanes)
+    value = np.stack([a[1] for a in arrays]).reshape(mode.shape)
+    keep = mode == 0
+    forced = np.where(mode == 2, value, 0).astype(np.int64)  # stuck-at-0 forces 0
+    # Largest |lane sum| of one micro-op on any unit, per run.
+    row_bound = np.where(keep, PRODUCT_MAX, np.abs(forced)).sum(axis=2).max(axis=1)
+    fast = ~(mode == 3).any(axis=(1, 2))
+    for prog in plan.programs:
+        if prog.is_mac:
+            bias_bound = max(-int(prog.bias.min()), int(prog.bias.max()))
+            groups = -(-prog.in_shape[0] // cfg.lanes)
+            fast &= bias_bound + groups * prog.packed.k ** 2 * row_bound <= ACC_MAX
+    for r in np.flatnonzero(~fast):
+        _run_each(Emulator(plan, fault_maps[r]), samples, out[r])
+    if fast.any() and len(samples):
+        out[fast] = _closed_form(plan, samples, keep[fast], forced[fast])
+    return out
+
+
+@dataclass
+class _MacOperands:
+    """One conv/fc layer's closed form over a set of runs."""
+
+    prog: LayerProgram
+    shared_input: bool  # input carries no run axis: use lane partials
+    w: np.ndarray  # float64 weights; (Cout, Cin*K*K), lane-major channels when shared_input
+    keep: np.ndarray  # bool; shared_input: (Cout, R, L) over the L used lanes, else (R, Cout, Cin, 1)
+    const: np.ndarray  # int64 bias plus forced values: (Cout, R) when shared_input, else (R, Cout)
+
+
+def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
+                 forced: np.ndarray) -> np.ndarray:
+    """Logits (R, S, classes) of R permanent-fault runs, given each run's
+    (units, lanes) lane-keep mask and forced values.
+
+    Layers that no MAC layer feeds carry no run axis and run once per sample
+    block. A MAC layer reading such a value is evaluated through per-lane
+    partials P[o, l] = W[o, c = l mod lanes] @ im2col(x)[c = l mod lanes],
+    computed once per sample block; a run then costs keep_r @ P + const_r.
+    Every later MAC layer is (W * keep_r) @ im2col(x_r) + const_r over a
+    (run block, sample block) stack.
+    """
+    cfg = plan.cfg
+    runs, n = len(keep), len(samples)
+    has_runs = {INPUT_ID: False}
+    ops: dict[str, _MacOperands] = {}
+    shared_bytes, cols_bytes, pair_bytes, run_bytes = 0, 0, 0, 0
+    for prog in plan.programs:
+        layer = prog.layer
+        has_runs[layer.id] = prog.is_mac or any(has_runs[i] for i in layer.inputs)
+        if not prog.is_mac:
+            continue
+        cin = prog.in_shape[0]
+        cout, hout, wout = prog.out_shape
+        hw, kk = hout * wout, prog.packed.k ** 2
+        unit_of = np.arange(cout) % cfg.units
+        lane_of = np.arange(cin) % cfg.lanes
+        slots = kk * np.bincount(lane_of, minlength=cfg.lanes)  # carried slots per lane
+        const = prog.bias + forced[:, unit_of] @ slots  # (R, Cout)
+        w = prog.weights_flat.reshape(cout, cin, kk).astype(np.float64)
+        if not has_runs[layer.inputs[0]]:
+            used = min(cin, cfg.lanes)
+            w = w[:, _lane_major(cin, cfg.lanes)].reshape(cout, -1)
+            op_keep = keep[:, unit_of, :used].transpose(1, 0, 2)
+            ops[layer.id] = _MacOperands(prog, True, w, op_keep, const.T)
+            shared_bytes += 8 * cout * used * hw
+            cols_bytes = max(cols_bytes, 8 * cin * kk * hw)
+            pair_bytes = max(pair_bytes, 8 * cout * hw)
+            run_bytes = max(run_bytes, 8 * cout * used)
+        else:
+            op_keep = keep[:, unit_of][:, :, lane_of, None]
+            ops[layer.id] = _MacOperands(prog, False, w, op_keep, const)
+            pair_bytes = max(pair_bytes, 8 * (cin * kk + cout) * hw)
+            run_bytes = max(run_bytes, 8 * cout * cin * kk)
+    # Per sample, the partials stay alive through the block's runs; the
+    # im2col columns they are built from do not.
+    sb = min(n, max(1, min(BATCH_BYTES // max(1, shared_bytes + cols_bytes),
+                           (BATCH_BYTES - run_bytes) // max(1, shared_bytes + pair_bytes))))
+    rb = min(runs, max(1, (BATCH_BYTES - sb * shared_bytes) // max(1, sb * pair_bytes + run_bytes)))
+
+    out = np.empty((runs, n, plan.classes), dtype=np.int8)
+    for s0 in range(0, n, sb):
+        env = {INPUT_ID: samples[s0 : s0 + sb]}
+        partials = {}
+        for prog in plan.programs:
+            layer = prog.layer
+            if not has_runs[layer.id]:
+                env[layer.id] = array_layer(layer, [env[i] for i in layer.inputs])
+            elif layer.id in ops and ops[layer.id].shared_input:
+                partials[layer.id] = _lane_partials(ops[layer.id], env[layer.inputs[0]],
+                                                    cfg.lanes)
+        for r0 in range(0, runs, rb):
+            run_env = dict(env)
+            for prog in plan.programs:
+                layer = prog.layer
+                if not has_runs[layer.id]:
+                    continue
+                if not prog.is_mac:
+                    y = array_layer(layer, _broadcast_runs([run_env[i] for i in layer.inputs]))
+                elif ops[layer.id].shared_input:
+                    y = _mac_from_partials(ops[layer.id], partials[layer.id], r0, rb)
+                else:
+                    y = _mac_masked(ops[layer.id], run_env[layer.inputs[0]], r0, rb)
+                run_env[layer.id] = y
+            logits = run_env[plan.output]
+            out[r0 : r0 + rb, s0 : s0 + sb] = logits.reshape(*logits.shape[:-3], plan.classes)
+    return out
+
+
+def _lane_major(cin: int, lanes: int) -> np.ndarray:
+    """Input channels reordered lane by lane: c = 0, lanes, 2*lanes, ..., 1, ..."""
+    return np.concatenate([np.arange(lane, cin, lanes) for lane in range(min(cin, lanes))])
+
+
+def _broadcast_runs(arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """Operands of a non-MAC layer; one without a run axis is broadcast."""
+    if len(arrays) == 1:
+        return arrays
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    return [np.broadcast_to(a, shape) for a in arrays]
+
+
+def _taps(prog: LayerProgram, x: np.ndarray) -> np.ndarray:
+    """int8 im2col view (..., Cin, K, K, Hout, Wout) of x (..., Cin, H, W)."""
     layer = prog.layer
     k = prog.packed.k
     stride = layer.stride if layer.kind == "conv" else 1
     pad = layer.pad if layer.kind == "conv" else 0
-    cout, hout, wout = prog.out_shape
-    b, cin, h, wd = x.shape
+    _, hout, wout = prog.out_shape
     if pad:
-        xp = np.zeros((b, cin, h + 2 * pad, wd + 2 * pad), dtype=np.int8)
-        xp[:, :, pad : pad + h, pad : pad + wd] = x
+        h, w = x.shape[-2:]
+        xp = np.zeros(x.shape[:-2] + (h + 2 * pad, w + 2 * pad), dtype=np.int8)
+        xp[..., pad : pad + h, pad : pad + w] = x
         x = xp
-    sb, sc, sh, sw = x.strides
-    taps = np.lib.stride_tricks.as_strided(
-        x, (b, cin, k, k, hout, wout), (sb, sc, sh, sw, sh * stride, sw * stride),
+    *lead, sh, sw = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x, x.shape[:-2] + (k, k, hout, wout), (*lead, sh, sw, sh * stride, sw * stride),
         writeable=False)
+
+
+def _lane_partials(op: _MacOperands, x: np.ndarray, lanes: int) -> np.ndarray:
+    """float64 (Cout, L, S*Hout*Wout): each lane's share of the accumulators
+    of samples x (S, Cin, H, W), before bias and faults."""
+    cin = x.shape[1]
+    taps = _taps(op.prog, x)
+    kk = taps.shape[2] * taps.shape[3]
+    cols = np.empty((cin,) + taps.shape[2:4] + (len(x),) + taps.shape[4:])
+    row = 0
+    for lane in range(min(cin, lanes)):  # lane-major channels, as in op.w
+        c = taps[:, lane::lanes]
+        cols[row : row + c.shape[1]] = c.transpose(1, 2, 3, 0, 4, 5)
+        row += c.shape[1]
+    cols = cols.reshape(cin * kk, -1)
+    cout = op.w.shape[0]
+    p = np.empty((cout, op.keep.shape[2], cols.shape[1]))
+    row = 0
+    for lane in range(p.shape[1]):
+        rows = kk * len(range(lane, cin, lanes))
+        np.matmul(op.w[:, row : row + rows], cols[row : row + rows], out=p[:, lane])
+        row += rows
+    return p
+
+
+def _mac_from_partials(op: _MacOperands, p: np.ndarray, r0: int, rb: int) -> np.ndarray:
+    """int8 (runs, S, Cout, Hout, Wout) from shared lane partials."""
+    keep = op.keep[:, r0 : r0 + rb].astype(np.float64)
+    acc = np.matmul(keep, p)  # (Cout, runs, S*Hout*Wout)
+    acc += op.const[:, r0 : r0 + rb, None]
+    q = requantize_array(acc, op.prog.layer.m, out=acc)
+    cout, hout, wout = op.prog.out_shape
+    q = q.reshape(cout, q.shape[1], -1, hout * wout).transpose(1, 2, 0, 3)
+    return np.ascontiguousarray(q).reshape(q.shape[:3] + (hout, wout))
+
+
+def _mac_masked(op: _MacOperands, x: np.ndarray, r0: int, rb: int) -> np.ndarray:
+    """int8 (runs, S, Cout, Hout, Wout) from per-run inputs x (runs, S, Cin, H, W)."""
+    taps = _taps(op.prog, x)
     cols = np.empty(taps.shape)
     cols[...] = taps
-    acc = np.matmul(w, cols.reshape(b, cin * k * k, hout * wout))
-    acc += const
-    return requantize_array(acc, layer.m).reshape(b, cout, hout, wout)
+    runs, n = x.shape[:2]
+    cout, hout, wout = op.prog.out_shape
+    w = np.multiply(op.w, op.keep[r0 : r0 + rb])  # (runs, Cout, Cin, K*K)
+    acc = np.matmul(w.reshape(runs, 1, cout, -1), cols.reshape(runs, n, -1, hout * wout))
+    acc += op.const[r0 : r0 + rb, None, :, None]
+    return requantize_array(acc, op.prog.layer.m, out=acc).reshape(runs, n, cout, hout, wout)
 
 
 def execute_plan(plan: ExecutionPlan, input: QTensor, faults: FaultMap | None = None,

@@ -97,6 +97,20 @@ def _pack_mac_layer(
     return PackedOps(unit, dest, act_idx, w_idx, in_shape, (cout, hout, wout), k)
 
 
+def _check_indices(p: PackedOps, units: int, n_weights: int, layer_id: str):
+    """One pass over a program's index values, which the compiled kernel
+    dereferences unchecked: unit < units, dest < Cout*Hout*Wout,
+    act_idx in [-2, Cin*H*W), w_idx in [-1, n_weights)."""
+    c_in, h, w = p.in_shape
+    cout, hout, wout = p.out_shape
+    for name, arr, lo, hi in (("unit", p.unit, 0, units),
+                              ("dest", p.dest, 0, cout * hout * wout),
+                              ("act_idx", p.act_idx, -2, c_in * h * w),
+                              ("w_idx", p.w_idx, -1, n_weights)):
+        if arr.size and (int(arr.min()) < lo or int(arr.max()) >= hi):
+            raise ShapeError(f"packed {name} values outside [{lo}, {hi})", layer_id)
+
+
 @dataclass
 class LayerProgram:
     """One entry of an ExecutionPlan: a MAC program or a reference-delegated op."""
@@ -146,6 +160,8 @@ def plan_model(g: ModelGraph, cfg: ArrayConfig | None = None) -> ExecutionPlan:
         out_shape, out_scale = env[layer.id]
         if layer.kind in MAC_KINDS:
             packed = _pack_mac_layer(layer, in_shape, cfg)
+            weights_flat = np.ascontiguousarray(layer.weights, dtype=np.int8).reshape(-1)
+            _check_indices(packed, cfg.units, weights_flat.size, layer.id)
             programs.append(
                 LayerProgram(
                     layer,
@@ -153,7 +169,7 @@ def plan_model(g: ModelGraph, cfg: ArrayConfig | None = None) -> ExecutionPlan:
                     out_shape,
                     out_scale,
                     packed=packed,
-                    weights_flat=np.ascontiguousarray(layer.weights, dtype=np.int8).reshape(-1),
+                    weights_flat=weights_flat,
                     bias=np.ascontiguousarray(layer.bias, dtype=np.int32),
                 )
             )

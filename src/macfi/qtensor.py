@@ -113,11 +113,12 @@ def requantize(acc: int, m: float) -> int:
     return min(INT8_MAX, max(INT8_MIN, round(float(acc) * m)))
 
 
-def requantize_array(acc: np.ndarray, m: float) -> np.ndarray:
+def requantize_array(acc: np.ndarray, m: float, out: np.ndarray | None = None) -> np.ndarray:
     """Vectorized requantize of an integer-valued array of any shape;
-    bit-identical to the scalar form per element."""
+    bit-identical to the scalar form per element. A float64 ``out`` (which
+    may be ``acc`` itself) holds the scaled values, so no temporary is made."""
     m = _check_scale(m)
-    out = np.multiply(acc, m, dtype=np.float64)
+    out = np.multiply(acc, m, dtype=np.float64, out=out)
     np.rint(out, out=out)
     return np.clip(out, INT8_MIN, INT8_MAX, out=out).astype(np.int8)
 

@@ -24,7 +24,8 @@ from macfi.campaign import (
     summary_to_csv,
 )
 from macfi.errors import EmptyDataset, EmptyGroup, OutOfRange, SchemaError
-from macfi.faultctl import derive_seed, fault_for_error_value, sample_random_fault_map
+from macfi.faultctl import (FaultMap, derive_seed, fault_for_error_value,
+                            sample_random_fault_map, single_lane_map)
 from macfi.macarray import classify_argmax, execute_plan
 
 from helpers import bias_only_accuracy
@@ -324,10 +325,11 @@ class TestEvaluateAccuracy:
 
 class TestEvaluateAccuracySeam:
     """Campaigns call evaluate_accuracy through the module: once with three
-    positional arguments for the baseline, then once per run with four
-    (plan, dataset, indices, faults). Instrumentation that wraps
-    macfi.campaign.evaluate_accuracy, such as perfbench's traced run, relies
-    on that."""
+    positional arguments for the baseline, then once per chunk of runs with
+    four (plan, dataset, indices, maps), where the chunks are min(workers,
+    runs) contiguous slices of every run's fault map in job order.
+    Instrumentation that wraps macfi.campaign.evaluate_accuracy, such as
+    perfbench's traced run, relies on that."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -341,20 +343,43 @@ class TestEvaluateAccuracySeam:
         monkeypatch.setattr(macfi.campaign, "evaluate_accuracy", spy)
         return seen
 
-    def check(self, calls, plan, dataset, runs):
-        assert len(calls) == 1 + runs
+    def check(self, calls, plan, dataset, maps, workers):
+        assert len(calls) == 1 + min(workers, len(maps))
         (args, kwargs), rest = calls[0], calls[1:]
         assert len(args) == 3 and kwargs == {}
         assert args[0] is plan and args[1] is dataset
+        chunks = []
         for args, kwargs in rest:
             assert len(args) == 4 and kwargs == {}
-            assert args[0] is plan and args[1] is dataset and args[3] is not None
+            assert args[0] is plan and args[1] is dataset
+            assert len(args[3]) > 0 and all(isinstance(m, FaultMap) for m in args[3])
+            chunks.extend(args[3])
+        assert chunks == maps
+        calls.clear()
 
     def test_heatmap(self, cin4_plan, cin4_dataset, calls):
-        run_heatmap([0, 7], cin4_plan, cin4_dataset, workers=2, slice_count=4)
-        self.check(calls, cin4_plan, cin4_dataset, 2 * 64)
+        values = [0, 7]
+        maps = [single_lane_map(u, l, fault_for_error_value(v))
+                for v in values for u in range(8) for l in range(8)]
+        for workers in (1, 3):
+            run_heatmap(values, cin4_plan, cin4_dataset, workers=workers, slice_count=4)
+            self.check(calls, cin4_plan, cin4_dataset, maps, workers)
 
     def test_sweep(self, cin4_plan, cin4_dataset, calls):
         spec = SweepSpec((1, 8), (0, -1), 3, master_seed=9, slice_count=4)
-        run_fault_sweep(spec, cin4_plan, cin4_dataset, workers=2)
-        self.check(calls, cin4_plan, cin4_dataset, 2 * 2 * 3)
+        maps = [sample_random_fault_map(k, fault_for_error_value(v), derive_seed(9, k, v, r), 8, 8)
+                for k in spec.k_values for v in spec.error_values for r in range(spec.reps)]
+        for workers in (2, 20):
+            run_fault_sweep(spec, cin4_plan, cin4_dataset, workers=workers)
+            self.check(calls, cin4_plan, cin4_dataset, maps, workers)
+
+
+def test_map_sequence_gives_one_accuracy_per_map(cin4_plan, cin4_dataset):
+    idx = range(2, 14)
+    maps = [FaultMap()] + [sample_random_fault_map(k, fault_for_error_value(v), 40 + k, 8, 8)
+                           for k in (1, 8, 64) for v in (0, 3, -131072)]
+    expected = [evaluate_accuracy(cin4_plan, cin4_dataset, idx, m) for m in maps]
+    assert evaluate_accuracy(cin4_plan, cin4_dataset, idx, maps) == expected
+    assert evaluate_accuracy(cin4_plan, cin4_dataset, idx, tuple(maps[1:3])) == expected[1:3]
+    assert evaluate_accuracy(cin4_plan, cin4_dataset, idx, []) == []
+    assert len(set(expected)) > 1  # the maps are told apart

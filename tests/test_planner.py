@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from macfi.errors import ShapeError
 from macfi.model import LayerSpec, ModelGraph
+import macfi.planner as planner
 from macfi.planner import ArrayConfig, dump_plan, plan_model, plan_stats
 
 from helpers import mac_layer, make_random_model
@@ -171,6 +173,30 @@ class TestPlanModel:
                                 "pad*w[1,1,0,0],idle,idle,idle,idle,idle,idle]")
         assert lines[6 * 9 + 4] == ("unit=1 dest=k:1,1,0 group=6 lanes=[a[0,1,0]*w[1,0,1,1],"
                                     "a[1,1,0]*w[1,1,1,1],idle,idle,idle,idle,idle,idle]")
+
+    @pytest.mark.parametrize("field, row, value", [
+        ("unit", 5, 8), ("unit", 0, -1),
+        ("dest", 3, 8 * 4 * 4), ("dest", -1, -1),
+        ("act_idx", 7, 8 * 4 * 4), ("act_idx", 2, -3),
+        ("w_idx", 1, 8 * 8 * 9), ("w_idx", 4, -2),
+    ])
+    def test_corrupted_program_indices_rejected(self, desk_graph, monkeypatch, field, row,
+                                                value):
+        # conv2 of the desk model: (8, 4, 4) in, (8, 4, 4) out, 3x3 weights
+        real = planner._pack_mac_layer
+
+        def corrupted(layer, in_shape, cfg):
+            p = real(layer, in_shape, cfg)
+            if layer.id == "conv2":
+                p = dataclasses.replace(p, **{field: getattr(p, field).copy()})
+                getattr(p, field)[row] = value
+            return p
+
+        plan_model(desk_graph)
+        monkeypatch.setattr(planner, "_pack_mac_layer", corrupted)
+        with pytest.raises(ShapeError) as err:
+            plan_model(desk_graph)
+        assert err.value.layer == "conv2" and field in str(err.value)
 
     def test_desk_dump_is_pinned(self, desk_plan):
         # `macfi plan` output on the bundled model, byte for byte
