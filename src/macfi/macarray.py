@@ -18,12 +18,16 @@ is its one-map case). Under the planner's mapping (output channel o on unit
 o mod units, input channel c on lane c mod lanes) a permanent fault has a
 closed form: a faulted lane drops the products of its (o, c) weights and
 adds its forced value once per carried slot. Each MAC layer is then a
-float64 matmul, exact whenever no partial sum can saturate; a run that
-could saturate, or that has a pulse, takes the per-step kernel sample by
-sample. Values no fault can reach (the input and the layers fed only by it)
-carry no run axis and are computed once per sample block, and a MAC layer
-reading them shares per-lane partials between all runs. Samples and runs
-are tiled so that one tile's float64 temporaries stay within BATCH_BYTES.
+matmul, exact whenever no partial sum can saturate; a run that could
+saturate, or that has a pulse, takes the per-step kernel sample by sample.
+The matmul runs in float32 when 128 * max_o sum |W[o]| + max |const| <= 2^24
+and in float64 otherwise: every partial sum is an integer subset sum of
+int8 x int8 products (|w * x| <= 128 |w|) plus perhaps const, so it never
+exceeds that bound, and float32 holds every integer up to 2^24 exactly.
+Values no fault can reach (the input and the layers fed only by it) carry
+no run axis and are computed once per sample block, and a MAC layer reading
+them shares per-lane partials between all runs. Samples and runs are tiled
+so that one tile's floating-point temporaries stay within BATCH_BYTES.
 """
 
 from __future__ import annotations
@@ -48,9 +52,11 @@ except ImportError:  # extension not built; pure-Python fallback only
 # Trace event mode name for each kernel fault code.
 _MODE_NAME = {code: mode.value for mode, code in MODE_CODE.items()}
 
-# Byte budget for the float64 temporaries of one (sample block, run block)
-# in batch_logits: lane partials, masked weights, im2col columns and
-# accumulators, which are requantized in place.
+# Byte budget for the floating-point temporaries of one (sample block, run
+# block) in batch_logits, each at its own itemsize: lane partials, masked
+# weights, im2col columns and accumulators, with the float64 array that
+# requantize scales a float32 accumulator into (a float64 one is scaled in
+# place).
 BATCH_BYTES = 1 << 20
 
 
@@ -287,9 +293,12 @@ class _MacOperands:
 
     prog: LayerProgram
     shared_input: bool  # input carries no run axis: use lane partials
-    w: np.ndarray  # float64 weights; (Cout, Cin*K*K), lane-major channels when shared_input
+    # Weights in the layer's GEMM dtype (float32 when its bound allows, else
+    # float64), which every temporary shares; (Cout, Cin*K*K) with lane-major
+    # channels when shared_input, else (Cout, Cin, K*K).
+    w: np.ndarray
     keep: np.ndarray  # bool; shared_input: (Cout, R, L) over the L used lanes, else (R, Cout, Cin, 1)
-    const: np.ndarray  # int64 bias plus forced values: (Cout, R) when shared_input, else (R, Cout)
+    const: np.ndarray  # bias plus forced values, in w's dtype: (Cout, R) if shared_input, else (R, Cout)
 
 
 def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
@@ -302,7 +311,8 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
     partials P[o, l] = W[o, c = l mod lanes] @ im2col(x)[c = l mod lanes],
     computed once per sample block; a run then costs keep_r @ P + const_r.
     Every later MAC layer is (W * keep_r) @ im2col(x_r) + const_r over a
-    (run block, sample block) stack.
+    (run block, sample block) stack. Each MAC layer takes float32 when its
+    bound over these runs proves every partial sum exact, else float64.
     """
     cfg = plan.cfg
     runs, n = len(keep), len(samples)
@@ -321,21 +331,29 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
         lane_of = np.arange(cin) % cfg.lanes
         slots = kk * np.bincount(lane_of, minlength=cfg.lanes)  # carried slots per lane
         const = prog.bias + forced[:, unit_of] @ slots  # (R, Cout)
-        w = prog.weights_flat.reshape(cout, cin, kk).astype(np.float64)
+        w = prog.weights_flat.reshape(cout, cin, kk)
+        # Every partial sum is bounded by 128 * max_o sum |W[o]| + max |const|
+        # (see above), and float32 is exact up to 2^24. Sum |W| in int64:
+        # np.abs maps an int8 -128 to -128.
+        w_abs = np.abs(w.astype(np.int64)).sum(axis=(1, 2)).max()
+        dtype = np.float32 if 128 * w_abs + np.abs(const).max() <= 2 ** 24 else np.float64
+        w, const = w.astype(dtype), const.astype(dtype)
+        isz = w.itemsize
+        acc_isz = isz if dtype is np.float64 else isz + 8  # requantize's float64 copy
         if not has_runs[layer.inputs[0]]:
             used = min(cin, cfg.lanes)
             w = w[:, _lane_major(cin, cfg.lanes)].reshape(cout, -1)
             op_keep = keep[:, unit_of, :used].transpose(1, 0, 2)
             ops[layer.id] = _MacOperands(prog, True, w, op_keep, const.T)
-            shared_bytes += 8 * cout * used * hw
-            cols_bytes = max(cols_bytes, 8 * cin * kk * hw)
-            pair_bytes = max(pair_bytes, 8 * cout * hw)
-            run_bytes = max(run_bytes, 8 * cout * used)
+            shared_bytes += isz * cout * used * hw
+            cols_bytes = max(cols_bytes, isz * cin * kk * hw)
+            pair_bytes = max(pair_bytes, acc_isz * cout * hw)
+            run_bytes = max(run_bytes, isz * cout * used)
         else:
             op_keep = keep[:, unit_of][:, :, lane_of, None]
             ops[layer.id] = _MacOperands(prog, False, w, op_keep, const)
-            pair_bytes = max(pair_bytes, 8 * (cin * kk + cout) * hw)
-            run_bytes = max(run_bytes, 8 * cout * cin * kk)
+            pair_bytes = max(pair_bytes, (isz * cin * kk + acc_isz * cout) * hw)
+            run_bytes = max(run_bytes, isz * cout * cin * kk)
     # Per sample, the partials stay alive through the block's runs; the
     # im2col columns they are built from do not.
     sb = min(n, max(1, min(BATCH_BYTES // max(1, shared_bytes + cols_bytes),
@@ -403,12 +421,12 @@ def _taps(prog: LayerProgram, x: np.ndarray) -> np.ndarray:
 
 
 def _lane_partials(op: _MacOperands, x: np.ndarray, lanes: int) -> np.ndarray:
-    """float64 (Cout, L, S*Hout*Wout): each lane's share of the accumulators
-    of samples x (S, Cin, H, W), before bias and faults."""
+    """(Cout, L, S*Hout*Wout) in op.w's dtype: each lane's share of the
+    accumulators of samples x (S, Cin, H, W), before bias and faults."""
     cin = x.shape[1]
     taps = _taps(op.prog, x)
     kk = taps.shape[2] * taps.shape[3]
-    cols = np.empty((cin,) + taps.shape[2:4] + (len(x),) + taps.shape[4:])
+    cols = np.empty((cin,) + taps.shape[2:4] + (len(x),) + taps.shape[4:], dtype=op.w.dtype)
     row = 0
     for lane in range(min(cin, lanes)):  # lane-major channels, as in op.w
         c = taps[:, lane::lanes]
@@ -416,7 +434,7 @@ def _lane_partials(op: _MacOperands, x: np.ndarray, lanes: int) -> np.ndarray:
         row += c.shape[1]
     cols = cols.reshape(cin * kk, -1)
     cout = op.w.shape[0]
-    p = np.empty((cout, op.keep.shape[2], cols.shape[1]))
+    p = np.empty((cout, op.keep.shape[2], cols.shape[1]), dtype=op.w.dtype)
     row = 0
     for lane in range(p.shape[1]):
         rows = kk * len(range(lane, cin, lanes))
@@ -427,10 +445,10 @@ def _lane_partials(op: _MacOperands, x: np.ndarray, lanes: int) -> np.ndarray:
 
 def _mac_from_partials(op: _MacOperands, p: np.ndarray, r0: int, rb: int) -> np.ndarray:
     """int8 (runs, S, Cout, Hout, Wout) from shared lane partials."""
-    keep = op.keep[:, r0 : r0 + rb].astype(np.float64)
+    keep = op.keep[:, r0 : r0 + rb].astype(p.dtype)
     acc = np.matmul(keep, p)  # (Cout, runs, S*Hout*Wout)
     acc += op.const[:, r0 : r0 + rb, None]
-    q = requantize_array(acc, op.prog.layer.m, out=acc)
+    q = _requantize(op, acc)
     cout, hout, wout = op.prog.out_shape
     q = q.reshape(cout, q.shape[1], -1, hout * wout).transpose(1, 2, 0, 3)
     return np.ascontiguousarray(q).reshape(q.shape[:3] + (hout, wout))
@@ -439,14 +457,20 @@ def _mac_from_partials(op: _MacOperands, p: np.ndarray, r0: int, rb: int) -> np.
 def _mac_masked(op: _MacOperands, x: np.ndarray, r0: int, rb: int) -> np.ndarray:
     """int8 (runs, S, Cout, Hout, Wout) from per-run inputs x (runs, S, Cin, H, W)."""
     taps = _taps(op.prog, x)
-    cols = np.empty(taps.shape)
+    cols = np.empty(taps.shape, dtype=op.w.dtype)
     cols[...] = taps
     runs, n = x.shape[:2]
     cout, hout, wout = op.prog.out_shape
     w = np.multiply(op.w, op.keep[r0 : r0 + rb])  # (runs, Cout, Cin, K*K)
     acc = np.matmul(w.reshape(runs, 1, cout, -1), cols.reshape(runs, n, -1, hout * wout))
     acc += op.const[r0 : r0 + rb, None, :, None]
-    return requantize_array(acc, op.prog.layer.m, out=acc).reshape(runs, n, cout, hout, wout)
+    return _requantize(op, acc).reshape(runs, n, cout, hout, wout)
+
+
+def _requantize(op: _MacOperands, acc: np.ndarray) -> np.ndarray:
+    """int8 of integer-valued accumulators; rint(acc * m) is taken in float64
+    either way, in place for a float64 acc and in a fresh array for float32."""
+    return requantize_array(acc, op.prog.layer.m, out=acc if acc.dtype == np.float64 else None)
 
 
 def execute_plan(plan: ExecutionPlan, input: QTensor, faults: FaultMap | None = None,

@@ -115,8 +115,9 @@ def requantize(acc: int, m: float) -> int:
 
 def requantize_array(acc: np.ndarray, m: float, out: np.ndarray | None = None) -> np.ndarray:
     """Vectorized requantize of an integer-valued array of any shape;
-    bit-identical to the scalar form per element. A float64 ``out`` (which
-    may be ``acc`` itself) holds the scaled values, so no temporary is made."""
+    bit-identical to the scalar form per element. acc * m is taken in
+    float64 whatever acc's dtype. A float64 ``out`` holds the scaled values,
+    so no temporary is made; ``out`` may be ``acc`` only when acc is float64."""
     m = _check_scale(m)
     out = np.multiply(acc, m, dtype=np.float64, out=out)
     np.rint(out, out=out)

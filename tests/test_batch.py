@@ -19,7 +19,8 @@ import macfi.macarray as macarray
 from macfi.campaign import (SweepSpec, evaluate_accuracy, results_to_csv, run_fault_sweep,
                             run_heatmap)
 from macfi.errors import ShapeError
-from macfi.faultctl import FaultMap, LaneFault, fault_for_error_value, sample_random_fault_map
+from macfi.faultctl import (FaultMap, LaneFault, fault_for_error_value, sample_random_fault_map,
+                            single_lane_map)
 from macfi.macarray import Emulator, batch_logits
 from macfi.model import Dataset, LayerSpec, ModelGraph
 from macfi.planner import plan_model
@@ -320,3 +321,158 @@ def test_results_csv_independent_of_workers_and_blocks(desk_plan, desk_dataset, 
     monkeypatch.setattr(macarray, "BATCH_BYTES", 1)
     for workers in (1, 2, 8):
         assert results_to_csv(run(workers)) == expected, workers
+
+
+# GEMM dtype. A MAC layer runs in float32 when 128 * max_o sum |W[o]| plus
+# the largest |bias + forced values| over the call's runs is at most 2^24,
+# so every partial sum is an integer float32 holds exactly; otherwise it
+# runs in float64. Each case is also checked bit for bit against Emulator.run.
+
+F32_EXACT = 2 ** 24
+
+
+@pytest.fixture
+def gemm_dtypes(monkeypatch):
+    """Records layer id -> set of op.w dtype names of every MAC block."""
+    seen: dict[str, set[str]] = {}
+    real_partials, real_masked = macarray._lane_partials, macarray._mac_masked
+
+    def partials(op, x, lanes):
+        seen.setdefault(op.prog.layer.id, set()).add(op.w.dtype.name)
+        return real_partials(op, x, lanes)
+
+    def masked(op, x, r0, rb):
+        seen.setdefault(op.prog.layer.id, set()).add(op.w.dtype.name)
+        return real_masked(op, x, r0, rb)
+
+    monkeypatch.setattr(macarray, "_lane_partials", partials)
+    monkeypatch.setattr(macarray, "_mac_masked", masked)
+    return seen
+
+
+def _check_batch(plan, samples, maps) -> np.ndarray:
+    expected = np.stack([_per_sample(plan, fmap, samples) for fmap in maps])
+    got = batch_logits(plan, samples, maps)
+    assert np.array_equal(got, expected)
+    return expected
+
+
+def _probe_model(cin: int, biases, m: float, second: bool) -> ModelGraph:
+    """An fc "probe" with zero weights on a (cin, 1, 1) input, so that its
+    accumulators are its biases plus forced values; with ``second`` it reads
+    a random fc instead of the input, which takes the masked path."""
+    rng = np.random.default_rng(12)
+    probe = mac_layer(rng, "probe", "fc", "input", cin, len(biases), 1, m=m)
+    probe.weights[:] = 0
+    probe.bias = np.array(biases, dtype=np.int32)
+    layers = [probe]
+    if second:
+        layers.insert(0, mac_layer(rng, "first", "fc", "input", cin, cin, 1))
+        probe.inputs = ["first"]
+    return ModelGraph(layers, (cin, 1, 1), 2.0 ** -6, "probe", len(biases))
+
+
+@pytest.mark.parametrize("second", [False, True])
+@pytest.mark.parametrize("extra, dtype", [(0, "float32"), (1, "float64")])
+def test_gemm_dtype_boundary(gemm_dtypes, second, extra, dtype):
+    # Channel 0's weights are all 16 over Cin=16: 128 * 256 plus a bias of
+    # -(2^24 - 32768) reaches the bound exactly (an all -128 sample drives
+    # the accumulator to -2^24); one more unit takes float64.
+    g = _probe_model(16, [-(F32_EXACT - 32768 + extra), 5, -7], 2.0 ** -18, second)
+    probe = g.layers[-1]
+    probe.weights[0] = 16
+    probe.weights[1:] = np.random.default_rng(3).integers(-16, 17, size=(2, 16, 1, 1))
+    plan = plan_model(g)
+    samples = np.random.default_rng(6).integers(-128, 128, size=(4, 16, 1, 1)).astype(np.int8)
+    samples[0] = -128
+    _check_batch(plan, samples, [FaultMap()])
+    assert gemm_dtypes["probe"] == {dtype}
+
+
+@pytest.mark.parametrize("second", [False, True])
+@pytest.mark.parametrize("acc, m, logit, dtype", [
+    (F32_EXACT + 1, 2.0 ** -25, 1, "float64"),
+    (F32_EXACT - 7, 100.5000015 / (F32_EXACT - 7), 101, "float32"),
+])
+def test_gemm_dtype_probe_rounding(gemm_dtypes, second, acc, m, logit, dtype):
+    # No products: the accumulators are the biases +-acc. Per step,
+    # (2^24 + 1) * 2^-25 = 0.5 + 2^-25 rounds to 1, but float32 holds only
+    # 2^24, whose 0.5 would round to the even 0. 2^24 - 7 is exact in
+    # float32, and acc * m = 100.5 + 1.5e-6 rounds to 101 in float64; held
+    # in float32 the scaled value would read 100.5, hence 100.
+    plan = plan_model(_probe_model(8, [acc, -acc], m, second))
+    samples = np.random.default_rng(2).integers(-128, 128, size=(3, 8, 1, 1)).astype(np.int8)
+    expected = _check_batch(plan, samples, [FaultMap()])
+    assert (expected == [logit, -logit]).all()
+    assert gemm_dtypes["probe"] == {dtype}
+
+
+def test_gemm_dtype_all_minus_128_weights(gemm_dtypes):
+    # 3x3 conv over Cin=128 on a 3x3 input: 1152 taps of weight -128, whose
+    # true bound 128 * 128 * 1152 + 1 is over 2^24 (np.abs on int8 would
+    # read each |-128| as -128). At x = 120 the accumulator is
+    # -128 * 138240 + 1 = -17694719, which float32 rounds to -17694720; m
+    # puts a rounding boundary between the two.
+    rng = np.random.default_rng(9)
+    m = 3 / 35389439  # -17694719.5 * m = -1.5
+    conv = mac_layer(rng, "conv", "conv", "input", 128, 2, 3, m=m)
+    conv.weights[:] = -128
+    conv.bias = np.array([1, -1], dtype=np.int32)
+    plan = plan_model(ModelGraph([conv], (128, 3, 3), 2.0 ** -6, "conv", 2))
+    samples = np.full((2, 128, 3, 3), 120, dtype=np.int8)
+    samples[1] = rng.integers(-128, 128, size=(128, 3, 3))
+    expected = _check_batch(plan, samples, [FaultMap()])
+    assert expected[0, 0, 0] == -1
+    assert gemm_dtypes["conv"] == {"float64"}
+
+
+@pytest.mark.parametrize("second", [False, True])
+def test_gemm_dtype_mixed_runs(gemm_dtypes, second):
+    # Lane 0 carries 8 of the probe's 64 channels, so a constant 131071 on
+    # unit 0, lane 0 adds 8 * 131071 to channel 0: 2^24 + 1 in all. The
+    # fault-free run alone stays in float32; together with the faulted run
+    # the layer takes float64 for both, and the faulted run reads 1.
+    bias = F32_EXACT + 1 - 8 * 131071
+    plan = plan_model(_probe_model(64, [bias, 3], 2.0 ** -25, second))
+    samples = np.random.default_rng(1).integers(-128, 128, size=(2, 64, 1, 1)).astype(np.int8)
+    fault = FaultMap()
+    fault.set(0, 0, LaneFault.constant(131071))
+    _check_batch(plan, samples, [FaultMap()])
+    assert gemm_dtypes.pop("probe") == {"float32"}
+    expected = _check_batch(plan, samples, [FaultMap(), fault])
+    assert gemm_dtypes["probe"] == {"float64"}
+    assert (expected[0, :, 0] == 0).all() and (expected[1, :, 0] == 1).all()
+
+
+def _wide_like_model() -> ModelGraph:
+    """The wide benchmark model's topology (Cin 16 and 24, weights within
+    +-16) on an 8x8 input."""
+    rng = np.random.default_rng(16)
+    layers = [
+        mac_layer(rng, "conv1", "conv", "input", 16, 24, 3, 2, 1),
+        LayerSpec(id="relu1", kind="relu", inputs=["conv1"]),
+        LayerSpec(id="pool1", kind="maxpool", inputs=["relu1"], k=2, stride=2),
+        mac_layer(rng, "conv2", "conv", "pool1", 24, 24, 3, 1, 1),
+        LayerSpec(id="relu2", kind="relu", inputs=["conv2"]),
+        LayerSpec(id="add1", kind="add", inputs=["relu2", "pool1"]),
+        LayerSpec(id="gap", kind="gavgpool", inputs=["add1"]),
+        mac_layer(rng, "fc", "fc", "gap", 24, 8, 1),
+    ]
+    for layer in layers:
+        if layer.kind in ("conv", "fc"):
+            layer.m = layer.weight_scale = 2.0 ** -7
+    return ModelGraph(layers, (16, 8, 8), 2.0 ** -6, "fc", 8)
+
+
+@pytest.mark.parametrize("model", ["desk", "wide"])
+def test_gemm_dtype_float32_on_heatmap_workloads(gemm_dtypes, desk_plan, desk_dataset, model):
+    plan = desk_plan if model == "desk" else plan_model(_wide_like_model())
+    if model == "desk":
+        samples = desk_dataset.samples[:2]
+    else:
+        samples = np.random.default_rng(0).integers(-128, 128, size=(2, 16, 8, 8)).astype(np.int8)
+    maps = [single_lane_map(u, lane, fault_for_error_value(v))
+            for v in (0, 131071, -131072) for u in range(8) for lane in range(8)]
+    _check_batch(plan, samples, maps)
+    mac_ids = {p.layer.id for p in plan.programs if p.is_mac}
+    assert gemm_dtypes == {lid: {"float32"} for lid in mac_ids}

@@ -232,6 +232,24 @@ def test_requantize_array_any_leading_dims():
     assert got.shape == acc.shape and got.reshape(-1).tolist() == want
 
 
+def test_requantize_array_float32_acc_matches_float64():
+    # Integers up to 2^24 are exact in float32, but acc * m must still be
+    # rounded once, in float64: these accumulators sit next to rounding
+    # boundaries, and exactly on .5 ties under m = 2^-1 and 2^-18.
+    near = 2 ** 24 - np.arange(64)
+    ties = np.array([1, 3, 5, 2 ** 24 - 2 ** 17, 2 ** 24 - 3 * 2 ** 17])
+    acc = np.concatenate([near, -near, ties, -ties])
+    ms = [2.0 ** -1, 2.0 ** -18] + [t / (2 ** 24 - 7) for t in (0.5, 63.5, 100.5, 127.5)]
+    scaled_in_float32_differs = False
+    for m in ms:
+        want = [requantize(int(v), m) for v in acc]
+        assert requantize_array(acc.astype(np.float32), m).tolist() == want, m
+        assert requantize_array(acc.astype(np.float64), m).tolist() == want, m
+        f32 = np.clip(np.rint(acc.astype(np.float32) * np.float32(m)), -128, 127)
+        scaled_in_float32_differs |= f32.tolist() != want
+    assert scaled_in_float32_differs  # the cases tell the two roundings apart
+
+
 def test_acctensor_rejects_wrong_dtype_range():
     with pytest.raises(ShapeError):
         AccTensor(np.zeros((2, 2), dtype=np.int32))  # not 3D
