@@ -188,7 +188,79 @@ class TestMaterialize:
         assert fmap.get(5, 5).mode is FaultMode.NONE
 
 
+# Sampled lanes (flat unit * lanes + lane, sorted) and digests under the
+# stuck-at-0, +131071 and -131071 templates, recorded from the per-seed
+# SplitMix64 definition. Campaign results are keyed to these draws.
+ALL_LANES = list(range(64))
+KNOWN_TEMPLATES = (LaneFault.stuck_zero(), LaneFault.constant(131071),
+                   LaneFault.constant(-131071))
+KNOWN_MAPS = {
+    (0, 0): ([],
+        ('86b501817f8ac68d', '86b501817f8ac68d', '86b501817f8ac68d')),
+    (0, 1): ([],
+        ('86b501817f8ac68d', '86b501817f8ac68d', '86b501817f8ac68d')),
+    (0, 2**63 + 5): ([],
+        ('86b501817f8ac68d', '86b501817f8ac68d', '86b501817f8ac68d')),
+    (0, -7): ([],
+        ('86b501817f8ac68d', '86b501817f8ac68d', '86b501817f8ac68d')),
+    (0, 2**64 + 3): ([],
+        ('86b501817f8ac68d', '86b501817f8ac68d', '86b501817f8ac68d')),
+    (1, 0): ([47],
+        ('5f771f162d6314d4', '9412f94adf52d7e7', '5894f7004270203d')),
+    (1, 1): ([1],
+        ('5325355115c796df', '57852a8deb4bd9dc', '51270ce27c74f84c')),
+    (1, 2**63 + 5): ([48],
+        ('8c8e46c8aa8b2282', '2c0ad4d0640de199', 'b8e5f1f7ed8a74c4')),
+    (1, -7): ([48],
+        ('8c8e46c8aa8b2282', '2c0ad4d0640de199', 'b8e5f1f7ed8a74c4')),
+    (1, 2**64 + 3): ([45],
+        ('22b73eaa5967f1f4', '4a30e313a49ddc7b', '3e8522e654d77458')),
+    (4, 0): ([31, 35, 37, 47],
+        ('222211a7cc533e41', '4b187c4b4cc20788', '7fae76c1d43e0ef3')),
+    (4, 1): ([1, 6, 8, 52],
+        ('3d482c8fad4bb8bf', 'f4dcbce364f77e84', '905a23c612c08dab')),
+    (4, 2**63 + 5): ([9, 23, 26, 48],
+        ('6e5382cb8e4c4ded', 'ab8ef735e35c9e4b', '8dd49b5ecc292713')),
+    (4, -7): ([7, 48, 53, 55],
+        ('9f47a8a98f538c56', '57a5ec1a1a6c3c45', '6cf6e41ba5139f2a')),
+    (4, 2**64 + 3): ([4, 26, 39, 45],
+        ('4924566bb2bdb84c', 'd45ee44098a77bfa', '5a20906f7450d8b1')),
+    (16, 0): ([0, 3, 8, 9, 11, 17, 30, 31, 35, 37, 47, 49, 51, 53, 55, 63],
+        ('72ac041bbb3b9d5f', '024e77d3113d6dfb', 'd0e472b7838ee874')),
+    (16, 1): ([1, 6, 7, 8, 16, 25, 26, 29, 30, 36, 37, 38, 41, 43, 44, 52],
+        ('070d22ecfe0445be', '476725d49711ccf4', '75450ef284ac2182')),
+    (16, 2**63 + 5): ([8, 9, 13, 16, 17, 20, 23, 26, 29, 34, 39, 41, 48, 52, 54, 58],
+        ('c47c7d9409167be1', '4adbc5e3272d7392', '9b8cb20e031490a8')),
+    (16, -7): ([1, 7, 15, 17, 26, 28, 29, 32, 37, 43, 45, 48, 51, 53, 55, 57],
+        ('1630fc07d043736b', '0a64f80d77d31cf4', 'ee851d588505246a')),
+    (16, 2**64 + 3): ([3, 4, 6, 10, 14, 20, 23, 26, 34, 35, 39, 41, 45, 46, 56, 61],
+        ('3abe1e65fc9eccef', 'baefbafdb82beaec', 'bcb766eb4822ee18')),
+    (64, 0): (ALL_LANES,
+        ('341f63c7754d793a', '590d3197ce41b79d', 'f8c71758458dec58')),
+    (64, 1): (ALL_LANES,
+        ('341f63c7754d793a', '590d3197ce41b79d', 'f8c71758458dec58')),
+    (64, 2**63 + 5): (ALL_LANES,
+        ('341f63c7754d793a', '590d3197ce41b79d', 'f8c71758458dec58')),
+    (64, -7): (ALL_LANES,
+        ('341f63c7754d793a', '590d3197ce41b79d', 'f8c71758458dec58')),
+    (64, 2**64 + 3): (ALL_LANES,
+        ('341f63c7754d793a', '590d3197ce41b79d', 'f8c71758458dec58')),
+}
+
+
 class TestSampling:
+    @pytest.mark.parametrize("k, seed", list(KNOWN_MAPS))
+    def test_known_answers(self, k, seed):
+        lanes, digests = KNOWN_MAPS[(k, seed)]
+        for template, digest in zip(KNOWN_TEMPLATES, digests):
+            fmap = sample_random_fault_map(k, template, seed)
+            cells = list(fmap.cells())
+            assert [u * 8 + l for (u, l), _ in cells] == lanes
+            assert all(f == template for _, f in cells)
+            assert fmap.digest() == digest
+            # Seeds are taken modulo 2^64, as SplitMix64 takes them.
+            assert sample_random_fault_map(k, template, seed & (2**64 - 1)) == fmap
+
     def test_k_zero_empty(self):
         assert sample_random_fault_map(0, LaneFault.stuck_zero(), 1).is_empty()
 
