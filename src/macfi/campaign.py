@@ -30,7 +30,8 @@ from .faultctl import (
     FaultMap,
     derive_seed,
     fault_for_error_value,
-    sample_random_fault_map,
+    sample_random_fault_map,  # unused here, but perfbench wraps it by this name
+    sample_random_fault_maps,
     single_lane_map,
 )
 from .macarray import batch_logits
@@ -212,11 +213,13 @@ def run_fault_sweep(spec: SweepSpec, plan: ExecutionPlan, dataset: Dataset,
     workers = _pool_size(workers)
     cfg = plan.cfg
     idx = _slice_indices(dataset, spec.slice_offset, spec.slice_count)
-    baseline = evaluate_accuracy(plan, dataset, idx)
     keys = [(k, v, r, derive_seed(spec.master_seed, k, v, r))
             for k in spec.k_values for v in spec.error_values for r in range(spec.reps)]
-    maps = [sample_random_fault_map(k, fault_for_error_value(v), seed, cfg.units, cfg.lanes)
-            for k, v, _, seed in keys]
+    templates = {v: fault_for_error_value(v) for v in spec.error_values}
+    maps = sample_random_fault_maps([k for k, _, _, _ in keys],
+                                    [templates[v] for _, v, _, _ in keys],
+                                    [seed for _, _, _, seed in keys], cfg.units, cfg.lanes)
+    baseline = evaluate_accuracy(plan, dataset, idx)
     accs = _evaluate_runs(plan, dataset, idx, maps, workers)
     records = [RunRecord("sweep", k, v, -1, -1, r, seed, acc, baseline - acc, fmap.digest())
                for (k, v, r, seed), fmap, acc in zip(keys, maps, accs)]

@@ -3,12 +3,15 @@
 Randomness is a fixed SplitMix64 stream (documented in the README): draws
 are ``state += 0x9E3779B97F4A7C15; output = mix(state)`` with the standard
 finalizer, bounded integers use modulo rejection, and lane subsets come
-from a partial Fisher-Yates shuffle. This must never be changed silently:
-campaign results are keyed to it.
+from a partial Fisher-Yates shuffle; sample_random_fault_maps runs many
+seeds' streams in one uint64 pass, with the same lanes as the per-seed
+definition. FaultMaps store the kernels' arrays and lend read-only views.
+This must never be changed silently: campaign results are keyed to it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
@@ -37,6 +40,7 @@ MODE_CODE = {
     FaultMode.CONSTANT: 2,
     FaultMode.PULSE: 3,
 }
+_MODE_OF_CODE = {code: mode for mode, code in MODE_CODE.items()}
 
 
 @dataclass(frozen=True)
@@ -80,16 +84,41 @@ def fault_for_error_value(value: int) -> LaneFault:
     return LaneFault.stuck_zero() if value == 0 else LaneFault.constant(value)
 
 
+@functools.cache
+def _cell_names(units: int, lanes: int) -> tuple[str, ...]:
+    """Spec-text prefix "unit,lane," of every flat cell index."""
+    return tuple(f"{u},{l}," for u in range(units) for l in range(lanes))
+
+
+def _read_only(arrays) -> tuple:
+    views = tuple(a.view() for a in arrays)
+    for view in views:
+        view.flags.writeable = False
+    return views
+
+
 class FaultMap:
-    """Dense units x lanes grid of LaneFaults; default-constructed all-none.
+    """Dense units x lanes grid of lane faults; default-constructed all-none.
+
+    Stored as the four lane-major arrays the kernels read (index unit *
+    lanes + lane): mode (u8, MODE_CODE), value (i32), start and length
+    (i64); to_arrays() lends read-only views of them, with no copy.
 
     Built once, then treated as immutable and shared across worker threads.
     """
 
     def __init__(self, units: int = 8, lanes: int = 8):
+        n = units * lanes
+        arrays = (np.zeros(n, np.uint8), np.zeros(n, np.int32),
+                  np.zeros(n, np.int64), np.zeros(n, np.int64))
+        self._adopt(units, lanes, arrays, _read_only(arrays))
+
+    def _adopt(self, units: int, lanes: int, arrays: tuple, views: tuple) -> "FaultMap":
         self.units = units
         self.lanes = lanes
-        self._grid: list[LaneFault] = [NO_FAULT] * (units * lanes)
+        self._arrays = arrays
+        self._views = views
+        return self
 
     def _index(self, unit: int, lane: int) -> int:
         if not (0 <= unit < self.units and 0 <= lane < self.lanes):
@@ -97,46 +126,41 @@ class FaultMap:
         return unit * self.lanes + lane
 
     def set(self, unit: int, lane: int, fault: LaneFault):
-        self._grid[self._index(unit, lane)] = fault
+        idx = self._index(unit, lane)
+        if fault.mode is FaultMode.NONE:
+            fault = NO_FAULT  # a none cell is all zeros
+        for a, v in zip(self._arrays, (MODE_CODE[fault.mode], fault.value, fault.start, fault.length)):
+            a[idx] = v
+
+    def _fault(self, idx: int) -> LaneFault:
+        mode, value, start, length = self._arrays
+        if not mode[idx]:
+            return NO_FAULT
+        return LaneFault(_MODE_OF_CODE[int(mode[idx])], int(value[idx]), int(start[idx]), int(length[idx]))
 
     def get(self, unit: int, lane: int) -> LaneFault:
-        return self._grid[self._index(unit, lane)]
+        return self._fault(self._index(unit, lane))
 
     def is_empty(self) -> bool:
-        return all(f.mode is FaultMode.NONE for f in self._grid)
+        return not self._arrays[0].any()
 
     def cells(self):
         """Yield ((unit, lane), fault) for every non-none cell."""
-        for idx, fault in enumerate(self._grid):
-            if fault.mode is not FaultMode.NONE:
-                yield divmod(idx, self.lanes), fault
+        for idx in np.flatnonzero(self._arrays[0]).tolist():
+            yield divmod(idx, self.lanes), self._fault(idx)
 
     def to_arrays(self):
-        """Kernel view: (mode u8, value i32, start i64, length i64), lane-major."""
-        n = self.units * self.lanes
-        mode = np.zeros(n, dtype=np.uint8)
-        value = np.zeros(n, dtype=np.int32)
-        start = np.zeros(n, dtype=np.int64)
-        length = np.zeros(n, dtype=np.int64)
-        for idx, f in enumerate(self._grid):
-            if f.mode is FaultMode.NONE:
-                continue
-            mode[idx] = MODE_CODE[f.mode]
-            value[idx] = f.value
-            start[idx] = f.start
-            length[idx] = f.length
-        return mode, value, start, length
+        """Kernel view: read-only (mode u8, value i32, start i64, length i64), lane-major."""
+        return self._views
 
     def to_spec_text(self) -> str:
-        lines = []
-        for (unit, lane), f in self.cells():
-            if f.mode is FaultMode.STUCK_ZERO:
-                lines.append(f"{unit},{lane},zero")
-            elif f.mode is FaultMode.CONSTANT:
-                lines.append(f"{unit},{lane},const,{f.value}")
-            else:
-                lines.append(f"{unit},{lane},pulse,{f.value},{f.start},{f.length}")
-        return "\n".join(lines) + ("\n" if lines else "")
+        mode, value, start, length = self._arrays
+        idx = np.flatnonzero(mode)
+        names = _cell_names(self.units, self.lanes)
+        return "".join([names[i] + "zero\n" if m == 1
+                        else f"{names[i]}const,{v}\n" if m == 2
+                        else f"{names[i]}pulse,{v},{int(start[i])},{int(length[i])}\n"
+                        for i, m, v in zip(idx.tolist(), mode[idx].tolist(), value[idx].tolist())])
 
     def digest(self) -> str:
         head = f"{self.units}x{self.lanes}\n"
@@ -148,7 +172,7 @@ class FaultMap:
         return (
             self.units == other.units
             and self.lanes == other.lanes
-            and self._grid == other._grid
+            and all(map(np.array_equal, self._arrays, other._arrays))
         )
 
 
@@ -335,29 +359,61 @@ def derive_seed(master: int, *parts: int) -> int:
     return s
 
 
-def sample_random_fault_map(
-    k: int,
-    template: LaneFault,
-    seed: int,
-    units: int = 8,
-    lanes: int = 8,
-) -> FaultMap:
+def _accepted(draws: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """SplitMix64.bounded's modulo-rejection test on uint64 draws: a draw
+    bounded to [0, n) is kept when it is below 2^64 - 2^64 mod n. In uint64,
+    (~n + 1) % n is 2^64 mod n and ~x is 2^64 - 1 - x."""
+    return draws <= ~((~n + 1) % n)
+
+
+def sample_random_fault_maps(ks, templates, seeds, units: int = 8, lanes: int = 8) -> list[FaultMap]:
+    """sample_random_fault_map for each (k, template, seed) of the three sequences.
+
+    Draw i = 1, 2, ... of a map is _mix64(seed + i * GOLDEN) modulo the lanes
+    left (SplitMix64(seed).bounded's stream), for all maps in one uint64
+    pass; the Fisher-Yates swaps then run one step at a time across all maps.
+    A map with a rejected draw (odds at most 2^-58 each) redraws through
+    SplitMix64.bounded.
+    """
+    total = units * lanes
+    for k in ks:
+        if not 0 <= k <= total:
+            raise KTooLarge(f"k={k} outside [0, {total}]")
+    ks = np.array(ks, dtype=np.intp).reshape(-1)
+    runs, steps = len(ks), int(ks.max(initial=0))
+    left = np.arange(total, total - steps, -1, dtype=np.uint64)
+    state = (np.fromiter((s & MASK64 for s in seeds), np.uint64, runs)[:, None]
+             + np.arange(1, steps + 1, dtype=np.uint64) * np.uint64(_GOLDEN))
+    draws = _mix64(state)
+    offset = (draws % left).astype(np.intp)
+    drawn = np.arange(steps) < ks[:, None]
+    for r in np.flatnonzero((drawn & ~_accepted(draws, left)).any(axis=1)).tolist():
+        rng = SplitMix64(seeds[r])
+        offset[r, :ks[r]] = [rng.bounded(total - i) for i in range(ks[r])]
+    # Flat positions in a (runs, total) permutation block: step i swaps
+    # position i of every map with position i + offset of the same map.
+    perm = np.tile(np.arange(total), runs)
+    pos_i = np.arange(runs) * total + np.arange(steps)[:, None]
+    for a, b in zip(pos_i, pos_i + offset.T):
+        perm[a], perm[b] = perm[b], perm[a]
+    owner = np.nonzero(drawn)[0]
+    flat = owner * total + perm.reshape(runs, total)[:, :steps][drawn]
+    fields = np.array([(MODE_CODE[t.mode], t.value, t.start, t.length) for t in templates],
+                      dtype=np.int64).reshape(runs, 4)
+    blocks = tuple(np.zeros((runs, total), dt) for dt in (np.uint8, np.int32, np.int64, np.int64))
+    for block, field in zip(blocks, fields.T):
+        block.reshape(-1)[flat] = field[owner]
+    # Each map owns one row of every block; rows of read-only views are read-only.
+    return [FaultMap.__new__(FaultMap)._adopt(units, lanes, rows[:4], rows[4:])
+            for rows in zip(*blocks, *_read_only(blocks))]
+
+
+def sample_random_fault_map(k: int, template: LaneFault, seed: int,
+                            units: int = 8, lanes: int = 8) -> FaultMap:
     """Place ``template`` on k distinct lanes drawn uniformly without replacement.
 
     Selection is a partial Fisher-Yates shuffle over the flat lane indices
     driven by SplitMix64(seed); identical arguments always produce an
-    identical map.
+    identical map. The one-map case of sample_random_fault_maps.
     """
-    total = units * lanes
-    if not 0 <= k <= total:
-        raise KTooLarge(f"k={k} outside [0, {total}]")
-    rng = SplitMix64(seed)
-    idx = list(range(total))
-    for i in range(k):
-        j = i + rng.bounded(total - i)
-        idx[i], idx[j] = idx[j], idx[i]
-    fmap = FaultMap(units, lanes)
-    for flat in idx[:k]:
-        unit, lane = divmod(flat, lanes)
-        fmap.set(unit, lane, template)
-    return fmap
+    return sample_random_fault_maps([k], [template], [seed], units, lanes)[0]

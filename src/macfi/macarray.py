@@ -267,9 +267,9 @@ def batch_logits(plan: ExecutionPlan, samples, fault_maps) -> np.ndarray:
         if (fmap.units, fmap.lanes) != (cfg.units, cfg.lanes):
             raise ShapeError(f"fault map is {fmap.units}x{fmap.lanes}, "
                              f"array is {cfg.units}x{cfg.lanes}")
-    arrays = [fmap.to_arrays() for fmap in fault_maps]
-    mode = np.stack([a[0] for a in arrays]).reshape(-1, cfg.units, cfg.lanes)
-    value = np.stack([a[1] for a in arrays]).reshape(mode.shape)
+    modes, values = zip(*(fmap.to_arrays()[:2] for fmap in fault_maps))
+    mode = np.stack(modes).reshape(-1, cfg.units, cfg.lanes)
+    value = np.stack(values).reshape(mode.shape)
     keep = mode == 0
     forced = np.where(mode == 2, value, 0).astype(np.int64)  # stuck-at-0 forces 0
     # Largest |lane sum| of one micro-op on any unit, per run.

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from macfi.faultctl import FaultMap, FaultMode, LaneFault
+from macfi.faultctl import FaultMap, FaultMode, LaneFault, SplitMix64
 from macfi.macarray import ExecResult, TraceEvent, mac_dot, mult_lane
 from macfi.model import INPUT_ID, Dataset, LayerSpec, ModelGraph, reference_forward
 from macfi.planner import ExecutionPlan
@@ -129,6 +129,22 @@ def bias_only_accuracy(g: ModelGraph, ds: Dataset, indices=None) -> float:
         _, logits = reference_forward(zg, ds.sample(i))
         correct += int(np.argmax(logits)) == int(ds.labels[i])
     return correct / len(idx)
+
+
+def scalar_fault_map(k: int, template: LaneFault, seed: int,
+                     units: int = 8, lanes: int = 8) -> FaultMap:
+    """Independent scalar reference for sample_random_fault_map(s): a partial
+    Fisher-Yates shuffle of the flat lane indices, one SplitMix64(seed).bounded
+    draw per step, with the chosen lanes set through FaultMap.set."""
+    rng = SplitMix64(seed)
+    idx = list(range(units * lanes))
+    for i in range(k):
+        j = i + rng.bounded(units * lanes - i)
+        idx[i], idx[j] = idx[j], idx[i]
+    fmap = FaultMap(units, lanes)
+    for flat in idx[:k]:
+        fmap.set(*divmod(flat, lanes), template)
+    return fmap
 
 
 def _mux_fires(fault: LaneFault, cycle: int) -> bool:

@@ -23,7 +23,7 @@ from macfi.campaign import (
     summarize_boxplot,
     summary_to_csv,
 )
-from macfi.errors import EmptyDataset, EmptyGroup, OutOfRange, SchemaError
+from macfi.errors import EmptyDataset, EmptyGroup, KTooLarge, OutOfRange, SchemaError
 from macfi.faultctl import (FaultMap, derive_seed, fault_for_error_value,
                             sample_random_fault_map, single_lane_map)
 from macfi.macarray import classify_argmax, execute_plan
@@ -167,6 +167,15 @@ class TestSweep:
                 out = execute_plan(cin4_plan, cin4_dataset.sample(i), fmap)
                 correct += classify_argmax(out.logits) == int(cin4_dataset.labels[i])
             assert r.accuracy == correct / 6
+
+    def test_oversized_k_fails_before_baseline(self, cin4_plan, cin4_dataset, monkeypatch):
+        calls = []
+        monkeypatch.setattr(macfi.campaign, "evaluate_accuracy",
+                            lambda *args, **kwargs: calls.append(args))
+        spec = SweepSpec((1, 65), (0,), 2, master_seed=3)
+        with pytest.raises(KTooLarge):
+            run_fault_sweep(spec, cin4_plan, cin4_dataset, workers=1)
+        assert calls == []
 
     def test_empty_slice(self, cin4_plan, cin4_dataset):
         spec = SweepSpec(k_values=(1,), error_values=(0,), reps=1,

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import macfi.campaign
 import macfi.macarray
 from macfi.campaign import parse_results_csv, parse_summary_csv
 from macfi.cli import main
@@ -139,6 +140,18 @@ class TestCampaign:
                                 "--k", "65", "--values", "0", "--reps", "1",
                                 "--slice", "0,1"))
         assert rc == 2
+
+    def test_k_over_grid_size_fails_before_any_run(self, desk_bundle, tmp_path, capsys,
+                                                   monkeypatch):
+        calls = []
+        monkeypatch.setattr(macfi.campaign, "evaluate_accuracy",
+                            lambda *args, **kwargs: calls.append(args))
+        rc = main(campaign_args(desk_bundle, tmp_path / "x", "--mode", "sweep",
+                                "--k", "1,65", "--values", "0", "--reps", "1"))
+        assert rc == 2
+        assert calls == []
+        assert "k=65" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("mode", [("sweep", "--k", "1"), ("heatmap",)], ids=lambda m: m[0])
     @pytest.mark.parametrize("workers", ["0", "-1"])

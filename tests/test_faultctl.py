@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macfi import faultctl
 from macfi.errors import KTooLarge, OutOfRange, SchemaError, UnmappedAddress
 from macfi.faultctl import (
     LANE_VALUE_MAX,
@@ -25,9 +27,12 @@ from macfi.faultctl import (
     parse_fault_spec,
     read_register,
     sample_random_fault_map,
+    sample_random_fault_maps,
     single_lane_map,
     write_register,
 )
+
+from helpers import scalar_fault_map
 
 
 class TestLaneFault:
@@ -80,6 +85,24 @@ class TestFaultMap:
         for bad in ("0,0,bogus", "0,0,const", "0,0,pulse,1", "9,0,zero", "0,0,const,200000"):
             with pytest.raises(SchemaError):
                 parse_fault_spec(bad)
+
+    def test_kernel_arrays_are_read_only_views(self):
+        built = FaultMap()
+        built.set(2, 3, LaneFault.pulse(-9, 4, 6))
+        for fmap in (built, single_lane_map(1, 1, LaneFault.constant(5)),
+                     *sample_random_fault_maps([3, 64], [LaneFault.stuck_zero()] * 2, [1, 2])):
+            arrays = fmap.to_arrays()
+            assert [a.dtype for a in arrays] == [np.uint8, np.int32, np.int64, np.int64]
+            for a in arrays:
+                with pytest.raises(ValueError):
+                    a[0] = 1
+            spec = fmap.to_spec_text()
+            assert parse_fault_spec(spec) == fmap  # nothing was written
+        # A later set shows through the views: they are the map's storage.
+        mode, value, start, length = built.to_arrays()
+        assert (mode[19], value[19], start[19], length[19]) == (3, -9, 4, 6)
+        built.set(2, 3, LaneFault.constant(8))
+        assert (mode[19], value[19]) == (2, 8)
 
     def test_digest_distinguishes_maps(self):
         a, b = FaultMap(), FaultMap()
@@ -295,6 +318,59 @@ class TestSampling:
         assert len(counts) == 64
         for n in counts.values():
             assert abs(n / 10_000 - 1 / 64) <= 0.01
+
+
+    @given(st.lists(st.tuples(st.integers(0, 64), st.integers(-2**64, 2**65),
+                              st.sampled_from([0, 1, -131072, 131071])), max_size=12),
+           st.sampled_from([(8, 8), (4, 2), (1, 3)]))
+    @settings(max_examples=60, deadline=None)
+    def test_batched_matches_scalar_reference(self, runs, grid):
+        units, lanes = grid
+        runs = [(min(k, units * lanes), seed, v) for k, seed, v in runs]
+        templates = [fault_for_error_value(v) for _, _, v in runs]
+        got = sample_random_fault_maps([k for k, _, _ in runs], templates,
+                                       [seed for _, seed, _ in runs], units, lanes)
+        want = [scalar_fault_map(k, t, seed, units, lanes)
+                for (k, seed, _), t in zip(runs, templates)]
+        assert got == want
+        assert [m.digest() for m in got] == [m.digest() for m in want]
+
+    def test_acceptance_rule_at_the_limit(self):
+        for n in range(1, 65):
+            limit = (1 << 64) - (1 << 64) % n
+            draws = sorted({limit - 1, min(limit, 2**64 - 1), 2**64 - 1})
+            got = faultctl._accepted(np.array(draws, dtype=np.uint64),
+                                     np.full(len(draws), n, dtype=np.uint64))
+            assert got.tolist() == [r < limit for r in draws], n
+
+    def test_rejected_draw_redraws_through_bounded(self, monkeypatch):
+        real_accepted, real_bounded = faultctl._accepted, SplitMix64.bounded
+        bounded_calls = []
+
+        def reject_second_map(draws, n):
+            ok = real_accepted(draws, n)
+            ok[1, 2] = False
+            return ok
+
+        def counting_bounded(rng, n):
+            bounded_calls.append(n)
+            return real_bounded(rng, n)
+
+        monkeypatch.setattr(faultctl, "_accepted", reject_second_map)
+        monkeypatch.setattr(SplitMix64, "bounded", counting_bounded)
+        ks, seeds = [5, 7, 2], [11, 2**64 - 3, 12]
+        templates = [LaneFault.stuck_zero(), LaneFault.constant(-4), LaneFault.constant(9)]
+        got = sample_random_fault_maps(ks, templates, seeds)
+        assert bounded_calls == [64 - i for i in range(7)]  # only the rejected map redraws
+        monkeypatch.setattr(SplitMix64, "bounded", real_bounded)
+        assert got == [scalar_fault_map(k, t, s) for k, t, s in zip(ks, templates, seeds)]
+
+    def test_batched_checks_every_k(self):
+        with pytest.raises(KTooLarge):
+            sample_random_fault_maps([1, 65], [LaneFault.stuck_zero()] * 2, [1, 2])
+        with pytest.raises(KTooLarge):
+            sample_random_fault_maps([-1], [LaneFault.stuck_zero()], [1])
+        assert sample_random_fault_maps([], [], []) == []
 
 
 class TestPrng:

@@ -221,3 +221,26 @@ def test_compiled_rejects_bad_arguments(breaker, desk_plan, desk_dataset):
     with pytest.raises((TypeError, ValueError)):
         kern.run_program(*breaker(args))
     assert np.array_equal(acc, before)
+
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_kernels_accept_read_only_fault_views(backend, desk_plan, desk_dataset):
+    """Only acc must be writable: the read-only views that FaultMap.to_arrays
+    lends run as they are and give what writable copies give."""
+    fmap = single_lane_map(0, 0, LaneFault.pulse(9, 10, 200))
+    fmap.set(3, 5, LaneFault.constant(-77))
+    fmap.set(6, 1, LaneFault.stuck_zero())
+    views = fmap.to_arrays()
+    assert not any(v.flags.writeable for v in views)
+    prog = next(p for p in desk_plan.programs if p.is_mac)
+    p, x = prog.packed, np.ascontiguousarray(desk_dataset.sample(0).data).reshape(-1)
+    accs = []
+    for farr in (views, [v.copy() for v in views], FaultMap().to_arrays()):
+        acc = np.repeat(prog.bias, prog.out_shape[1] * prog.out_shape[2])
+        assert get_kernel(backend).run_program(p.unit, p.dest, p.act_idx, p.w_idx, x,
+                                               prog.weights_flat, acc, *farr,
+                                               fmap.lanes, 0) == p.n_ops
+        accs.append(acc)
+    assert np.array_equal(accs[0], accs[1])
+    assert not np.array_equal(accs[0], accs[2])  # the faults fired
