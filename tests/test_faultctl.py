@@ -91,13 +91,13 @@ class TestFaultMap:
         built.set(2, 3, LaneFault.pulse(-9, 4, 6))
         for fmap in (built, single_lane_map(1, 1, LaneFault.constant(5)),
                      *sample_random_fault_maps([3, 64], [LaneFault.stuck_zero()] * 2, [1, 2])):
-            arrays = fmap.to_arrays()
+            arrays, before = fmap.to_arrays(), fmap.to_spec_text()
             assert [a.dtype for a in arrays] == [np.uint8, np.int32, np.int64, np.int64]
             for a in arrays:
                 with pytest.raises(ValueError):
                     a[0] = 1
-            spec = fmap.to_spec_text()
-            assert parse_fault_spec(spec) == fmap  # nothing was written
+            assert fmap.to_spec_text() == before
+            assert parse_fault_spec(before) == fmap
         # A later set shows through the views: they are the map's storage.
         mode, value, start, length = built.to_arrays()
         assert (mode[19], value[19], start[19], length[19]) == (3, -9, 4, 6)
