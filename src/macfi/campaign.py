@@ -1,24 +1,20 @@
-"""Seeded, parallel fault-injection campaigns and their aggregate statistics.
+"""Seeded fault-injection campaigns and their aggregate statistics.
 
 Reproducibility contract: every run's fault map comes from a seed derived as
 derive_seed(master, k, value, rep). A campaign builds all of its maps in job
-order, splits them into min(workers, runs) contiguous chunks and evaluates
-each chunk as one thread-pool job (one evaluate_accuracy call, batched in
+order and evaluates them in one evaluate_accuracy call (batched in
 macarray.batch_logits); accuracies come back in job order and records are
 sorted deterministically before serialization, so results never depend on
-worker count, chunking, block size or scheduling order. Quantiles are
-linear interpolation between order statistics (position (n-1)*q), matching
-numpy's default method.
-"""
+block size, and the accepted workers argument changes neither results nor
+scheduling. Quantiles are linear interpolation between order statistics
+(position (n-1)*q), matching numpy's default method."""
 
 from __future__ import annotations
 
 import csv
 import io
 import math
-import os
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,9 +26,9 @@ from .faultctl import (
     FaultMap,
     derive_seed,
     fault_for_error_value,
+    fault_map_rows,
     sample_random_fault_map,  # unused here, but perfbench wraps it by this name
     sample_random_fault_maps,
-    single_lane_map,
 )
 from .macarray import batch_logits
 from .model import Dataset
@@ -179,29 +175,10 @@ def evaluate_accuracy(plan: ExecutionPlan, dataset: Dataset, indices,
     return accs[0] if single else accs
 
 
-def _pool_size(workers: int | None) -> int:
-    """Thread count for a campaign; None means the CPUs this process may run on."""
-    if workers is None:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    if workers < 1:
+def _check_workers(workers: int | None):
+    """Range-checks workers, which no longer changes how a campaign runs."""
+    if workers is not None and workers < 1:
         raise OutOfRange(f"workers must be >= 1, got {workers}")
-    return workers
-
-
-def _evaluate_runs(plan: ExecutionPlan, dataset: Dataset, idx, maps: list[FaultMap],
-                   workers: int) -> list[float]:
-    """Accuracy per map, in order: the maps are split into min(workers, runs)
-    contiguous chunks, each one pool job and one evaluate_accuracy call."""
-    n = min(workers, len(maps))
-    chunks = [maps[len(maps) * i // n : len(maps) * (i + 1) // n] for i in range(n)]
-    # Looked up through the module at call time, so wrappers installed on
-    # macfi.campaign.evaluate_accuracy see every chunk.
-    jobs = [lambda chunk=chunk: evaluate_accuracy(plan, dataset, idx, chunk) for chunk in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # pool.map returns results in submission order, i.e. job order.
-        return [acc for accs in pool.map(lambda fn: fn(), jobs) for acc in accs]
 
 
 def run_fault_sweep(spec: SweepSpec, plan: ExecutionPlan, dataset: Dataset,
@@ -210,7 +187,7 @@ def run_fault_sweep(spec: SweepSpec, plan: ExecutionPlan, dataset: Dataset,
 
     Value 0 is realized as StuckZero, any other value as Constant(value).
     """
-    workers = _pool_size(workers)
+    _check_workers(workers)
     cfg = plan.cfg
     idx = _slice_indices(dataset, spec.slice_offset, spec.slice_count)
     keys = [(k, v, r, derive_seed(spec.master_seed, k, v, r))
@@ -220,7 +197,7 @@ def run_fault_sweep(spec: SweepSpec, plan: ExecutionPlan, dataset: Dataset,
                                     [templates[v] for _, v, _, _ in keys],
                                     [seed for _, _, _, seed in keys], cfg.units, cfg.lanes)
     baseline = evaluate_accuracy(plan, dataset, idx)
-    accs = _evaluate_runs(plan, dataset, idx, maps, workers)
+    accs = evaluate_accuracy(plan, dataset, idx, maps)
     records = [RunRecord("sweep", k, v, -1, -1, r, seed, acc, baseline - acc, fmap.digest())
                for (k, v, r, seed), fmap, acc in zip(keys, maps, accs)]
     records.append(RunRecord("baseline", 0, 0, -1, -1, 0, 0, baseline, 0.0,
@@ -234,7 +211,7 @@ def run_heatmap(values, plan: ExecutionPlan, dataset: Dataset,
                 slice_offset: int = 0, slice_count: int | None = None) -> CampaignResult:
     """Experiment 2: every (unit, lane) faulted in turn with each value;
     exhaustive and seedless. Value 0 is realized as StuckZero."""
-    workers = _pool_size(workers)
+    _check_workers(workers)
     values = [int(v) for v in values]
     if not values:
         raise EmptyGroup("heatmap needs at least one error value")
@@ -245,9 +222,11 @@ def run_heatmap(values, plan: ExecutionPlan, dataset: Dataset,
     idx = _slice_indices(dataset, slice_offset, slice_count)
     baseline = evaluate_accuracy(plan, dataset, idx)
     keys = [(v, u, l) for v in values for u in range(cfg.units) for l in range(cfg.lanes)]
-    maps = [single_lane_map(u, l, fault_for_error_value(v), cfg.units, cfg.lanes)
-            for v, u, l in keys]
-    accs = _evaluate_runs(plan, dataset, idx, maps, workers)
+    templates = {v: fault_for_error_value(v) for v in values}
+    cells = np.tile(np.arange(cfg.units * cfg.lanes), len(values))  # flat index u * lanes + l
+    maps = fault_map_rows(np.arange(len(keys)), cells, [templates[v] for v, _, _ in keys],
+                          cfg.units, cfg.lanes)
+    accs = evaluate_accuracy(plan, dataset, idx, maps)
     records = [RunRecord("heatmap", 1, v, u, l, 0, 0, acc, baseline - acc, fmap.digest())
                for (v, u, l), fmap, acc in zip(keys, maps, accs)]
     heatmap = {v: np.zeros((cfg.units, cfg.lanes), dtype=np.float64) for v in values}

@@ -68,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--reps", type=int, default=10, help="repetitions per (k, value)")
     sp.add_argument("--seed", type=int, default=0, help="master seed")
     sp.add_argument("--workers", type=int, default=None,
-                    help="worker threads (default: available parallelism)")
+                    help="accepted for compatibility (must be >= 1); affects neither "
+                         "results nor scheduling")
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--slice", help="dataset slice off,count")
     sp.add_argument("--verbose", action="store_true")

@@ -396,13 +396,20 @@ def sample_random_fault_maps(ks, templates, seeds, units: int = 8, lanes: int = 
     pos_i = np.arange(runs) * total + np.arange(steps)[:, None]
     for a, b in zip(pos_i, pos_i + offset.T):
         perm[a], perm[b] = perm[b], perm[a]
-    owner = np.nonzero(drawn)[0]
-    flat = owner * total + perm.reshape(runs, total)[:, :steps][drawn]
+    return fault_map_rows(np.nonzero(drawn)[0], perm.reshape(runs, total)[:, :steps][drawn],
+                          templates, units, lanes)
+
+
+def fault_map_rows(owner, cells, templates, units: int = 8, lanes: int = 8) -> list[FaultMap]:
+    """One FaultMap per template, each a row of one block per kernel array:
+    map owner[i] holds its template on flat cell cells[i] (unit * lanes + lane)."""
+    runs, total = len(templates), units * lanes
     fields = np.array([(MODE_CODE[t.mode], t.value, t.start, t.length) for t in templates],
                       dtype=np.int64).reshape(runs, 4)
     blocks = tuple(np.zeros((runs, total), dt) for dt in (np.uint8, np.int32, np.int64, np.int64))
+    owner = np.asarray(owner, dtype=np.intp)
     for block, field in zip(blocks, fields.T):
-        block.reshape(-1)[flat] = field[owner]
+        block.reshape(-1)[owner * total + cells] = field[owner]
     # Each map owns one row of every block; rows of read-only views are read-only.
     return [FaultMap.__new__(FaultMap)._adopt(units, lanes, rows[:4], rows[4:])
             for rows in zip(*blocks, *_read_only(blocks))]

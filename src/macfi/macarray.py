@@ -26,8 +26,13 @@ int8 x int8 products (|w * x| <= 128 |w|) plus perhaps const, so it never
 exceeds that bound, and float32 holds every integer up to 2^24 exactly.
 Values no fault can reach (the input and the layers fed only by it) carry
 no run axis and are computed once per sample block, and a MAC layer reading
-them shares per-lane partials between all runs. Samples and runs are tiled
-so that one tile's floating-point temporaries stay within BATCH_BYTES.
+them shares per-lane partials between all runs. Its output, and relu,
+maxpool and gavgpool of it, differ from the golden run only on the channels
+of the faulted units: each run carries those channels as a slab beside the
+golden tensor (when they are fewer than Cout), and a MAC layer reading a
+slab corrects the golden input's partials on them (when 2d < Cin). Samples
+and runs are tiled so that one tile's floating-point temporaries stay
+within BATCH_BYTES.
 """
 
 from __future__ import annotations
@@ -53,11 +58,12 @@ except ImportError:  # extension not built; pure-Python fallback only
 _MODE_NAME = {code: mode.value for mode, code in MODE_CODE.items()}
 
 # Byte budget for the floating-point temporaries of one (sample block, run
-# block) in batch_logits, each at its own itemsize: lane partials, masked
-# weights, im2col columns and accumulators, with the float64 array that
-# requantize scales a float32 accumulator into (a float64 one is scaled in
-# place).
-BATCH_BYTES = 1 << 20
+# block) in batch_logits, each at its own itemsize: lane partials (of golden
+# inputs too), masked weights, im2col columns (two sets at d channels on the
+# correction path), golden, slab and dense accumulators, with the float64
+# array that requantize scales a float32 accumulator into (a float64 one is
+# scaled in place). A campaign evaluates one tile at a time.
+BATCH_BYTES = 2 << 20
 
 
 def available_backends() -> list[str]:
@@ -287,18 +293,44 @@ def batch_logits(plan: ExecutionPlan, samples, fault_maps) -> np.ndarray:
     return out
 
 
+# Non-MAC layers that act on each channel alone; a slab passes through them.
+_CHANNEL_WISE = ("relu", "maxpool", "gavgpool")
+
+
 @dataclass
 class _MacOperands:
     """One conv/fc layer's closed form over a set of runs."""
 
     prog: LayerProgram
-    shared_input: bool  # input carries no run axis: use lane partials
-    # Weights in the layer's GEMM dtype (float32 when its bound allows, else
-    # float64), which every temporary shares; (Cout, Cin*K*K) with lane-major
-    # channels when shared_input, else (Cout, Cin, K*K).
+    partials: bool  # lane partials of its (golden) input are built per sample block
+    # Weights (Cout, Cin, K*K) in the layer's GEMM dtype (float32 when its
+    # bound allows, else float64), which every temporary shares.
     w: np.ndarray
-    keep: np.ndarray  # bool; shared_input: (Cout, R, L) over the L used lanes, else (R, Cout, Cin, 1)
-    const: np.ndarray  # bias plus forced values, in w's dtype: (Cout, R) if shared_input, else (R, Cout)
+    lane_keep: np.ndarray  # 0/1 in w's dtype, (Cout, R, L) over the L used lanes
+    keep: np.ndarray  # bool (R, Cout, Cin, 1)
+    const: np.ndarray  # bias plus forced values, in w's dtype: (R, Cout)
+    dirty: np.ndarray  # bool (R, Cout): the channel's unit drops a used lane
+
+
+@dataclass
+class _Slab:
+    """A run-carrying value equal to its golden tensor (S, C, H, W) except
+    on a few channels per run: data (runs, d, S, H, W) holds channels
+    ch (runs, d) of each run."""
+
+    golden: np.ndarray
+    data: np.ndarray
+    ch: np.ndarray
+
+
+def _dense(x: np.ndarray | _Slab) -> np.ndarray:
+    """A _Slab expanded to int8 (runs, S, C, H, W); an array as it is."""
+    if not isinstance(x, _Slab):
+        return x
+    out = np.empty((len(x.ch),) + x.golden.shape, dtype=np.int8)
+    out[:] = x.golden
+    out[np.arange(len(x.ch))[:, None], :, x.ch] = x.data
+    return out
 
 
 def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
@@ -306,27 +338,43 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
     """Logits (R, S, classes) of R permanent-fault runs, given each run's
     (units, lanes) lane-keep mask and forced values.
 
-    Layers that no MAC layer feeds carry no run axis and run once per sample
-    block. A MAC layer reading such a value is evaluated through per-lane
-    partials P[o, l] = W[o, c = l mod lanes] @ im2col(x)[c = l mod lanes],
-    computed once per sample block; a run then costs keep_r @ P + const_r.
-    Every later MAC layer is (W * keep_r) @ im2col(x_r) + const_r over a
-    (run block, sample block) stack. Each MAC layer takes float32 when its
-    bound over these runs proves every partial sum exact, else float64.
+    A value is free, a slab or dense. Free values (the input, and layers
+    fed only by free values) carry no run axis and are computed once per
+    sample block. A slab, the output of a MAC layer reading a free value or
+    of relu/maxpool/gavgpool reading a slab, differs from the golden
+    (fault-free) tensor only on the channels of the units a run faults: it
+    holds the golden tensor once per sample block and, per run, those
+    channels, padded with clean ones to the run block's largest count d.
+    Every other value is dense, (runs, S, C, H, W).
+
+    A MAC layer reading a free value builds per-lane partials
+    P[o, l] = W[o, c = l mod lanes] @ im2col(x)[c = l mod lanes] once per
+    sample block: golden is sum_l P + bias, and a run's faulted channel o is
+    keep_r[u(o)] @ P[o] + const_r (every channel when d is Cout). A MAC
+    layer reading a slab with 2d < Cin corrects its golden input's lane
+    partials (_mac_corrected); any other is (W * keep_r) @ im2col(x_r) +
+    const_r. Each MAC layer takes float32 when its bound over these runs
+    proves every partial sum exact, else float64.
     """
     cfg = plan.cfg
     runs, n = len(keep), len(samples)
-    has_runs = {INPUT_ID: False}
+    kind_of = {INPUT_ID: "free"}
+    widths = {}  # slab (or first MAC layer) -> smallest and largest d of a run block
     ops: dict[str, _MacOperands] = {}
-    shared_bytes, cols_bytes, pair_bytes, run_bytes = 0, 0, 0, 0
+    shared_bytes, cols_bytes, pair_bytes, run_bytes = 0, 0, [0], [0]
     for prog in plan.programs:
         layer = prog.layer
-        has_runs[layer.id] = prog.is_mac or any(has_runs[i] for i in layer.inputs)
+        src = kind_of[layer.inputs[0]]
         if not prog.is_mac:
+            if src == "slab" and layer.kind in _CHANNEL_WISE:
+                widths[layer.id] = widths[layer.inputs[0]]
+            kind_of[layer.id] = ("free" if all(kind_of[i] == "free" for i in layer.inputs)
+                                 else "slab" if layer.id in widths else "dense")
             continue
         cin = prog.in_shape[0]
         cout, hout, wout = prog.out_shape
         hw, kk = hout * wout, prog.packed.k ** 2
+        used = min(cin, cfg.lanes)
         unit_of = np.arange(cout) % cfg.units
         lane_of = np.arange(cin) % cfg.lanes
         slots = kk * np.bincount(lane_of, minlength=cfg.lanes)  # carried slots per lane
@@ -334,26 +382,41 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
         w = prog.weights_flat.reshape(cout, cin, kk)
         # Every partial sum is bounded by 128 * max_o sum |W[o]| + max |const|
         # (see above), and float32 is exact up to 2^24. Sum |W| in int64:
-        # np.abs maps an int8 -128 to -128.
+        # np.abs maps an int8 -128 to -128. A golden channel is read only by
+        # runs that leave its unit clean, whose const is its bias.
         w_abs = np.abs(w.astype(np.int64)).sum(axis=(1, 2)).max()
         dtype = np.float32 if 128 * w_abs + np.abs(const).max() <= 2 ** 24 else np.float64
-        w, const = w.astype(dtype), const.astype(dtype)
-        isz = w.itemsize
+        isz = np.dtype(dtype).itemsize
         acc_isz = isz if dtype is np.float64 else isz + 8  # requantize's float64 copy
-        if not has_runs[layer.inputs[0]]:
-            used = min(cin, cfg.lanes)
-            w = w[:, _lane_major(cin, cfg.lanes)].reshape(cout, -1)
-            op_keep = keep[:, unit_of, :used].transpose(1, 0, 2)
-            ops[layer.id] = _MacOperands(prog, True, w, op_keep, const.T)
+        dirty = ~keep[:, unit_of, :used].all(axis=2)
+        if src == "free":  # d counts its own faulted channels, else its input's
+            d = np.maximum(1, dirty.sum(axis=1))
+            widths[layer.id] = int(d.min()), int(d.max())
+        d_lo, d_hi = widths.get(layer.id if src == "free" else layer.inputs[0], (cin, cin))
+        kind_of[layer.id] = "slab" if src == "free" and d_lo < cout else "dense"
+        partials = src == "free" or 2 * d_lo < cin
+        lane_keep = keep[:, unit_of, :used].transpose(1, 0, 2).astype(dtype)
+        ops[layer.id] = _MacOperands(prog, partials, w.astype(dtype), lane_keep,
+                                     keep[:, unit_of][:, :, lane_of, None],
+                                     const.astype(dtype), dirty)
+        # Bytes per sample (shared: kept through the block's runs; cols: im2col
+        # columns of a partials build), per (run, sample) pair and per run.
+        if partials:
             shared_bytes += isz * cout * used * hw
             cols_bytes = max(cols_bytes, isz * cin * kk * hw)
-            pair_bytes = max(pair_bytes, acc_isz * cout * hw)
-            run_bytes = max(run_bytes, isz * cout * used)
-        else:
-            op_keep = keep[:, unit_of][:, :, lane_of, None]
-            ops[layer.id] = _MacOperands(prog, False, w, op_keep, const)
-            pair_bytes = max(pair_bytes, (isz * cin * kk + acc_isz * cout) * hw)
-            run_bytes = max(run_bytes, isz * cout * cin * kk)
+        if src == "free":  # golden accumulators and their float64 copy; slab or dense ones
+            shared_bytes += (isz + 8) * cout * hw * (d_lo < cout)
+            pair_bytes.append((acc_isz + isz) * d_hi * hw)
+            run_bytes.append(isz * cout * used)
+            continue
+        if partials:  # two column sets at d channels, their GEMM output, keep @ P
+            d = min(d_hi, (cin - 1) // 2)
+            pair_bytes.append((2 * d * kk + 3 * cout) * isz * hw + (acc_isz - isz) * cout * hw)
+            run_bytes.append(isz * cout * (used + d * kk))
+        if 2 * d_hi >= cin:
+            pair_bytes.append((isz * cin * kk + acc_isz * cout) * hw)
+            run_bytes.append(isz * cout * cin * kk)
+    pair_bytes, run_bytes = max(pair_bytes), max(run_bytes)
     # Per sample, the partials stay alive through the block's runs; the
     # im2col columns they are built from do not.
     sb = min(n, max(1, min(BATCH_BYTES // max(1, shared_bytes + cols_bytes),
@@ -362,29 +425,43 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
 
     out = np.empty((runs, n, plan.classes), dtype=np.int8)
     for s0 in range(0, n, sb):
+        # Free values, and the golden tensors of slabs.
         env = {INPUT_ID: samples[s0 : s0 + sb]}
-        partials = {}
+        partials, golden_acc = {}, {}
         for prog in plan.programs:
-            layer = prog.layer
-            if not has_runs[layer.id]:
+            layer, op = prog.layer, ops.get(prog.layer.id)
+            if op is not None and op.partials:
+                partials[layer.id] = _lane_partials(op, env[layer.inputs[0]], cfg.lanes)
+            if op is None and kind_of[layer.id] != "dense":
                 env[layer.id] = array_layer(layer, [env[i] for i in layer.inputs])
-            elif layer.id in ops and ops[layer.id].shared_input:
-                partials[layer.id] = _lane_partials(ops[layer.id], env[layer.inputs[0]],
-                                                    cfg.lanes)
+            elif kind_of[layer.id] == "slab":
+                g = golden_acc[layer.id] = partials[layer.id].sum(axis=1)
+                g += prog.bias[:, None]
+                q = requantize_array(g, layer.m).reshape((len(g), -1) + prog.out_shape[1:])
+                env[layer.id] = np.ascontiguousarray(q.transpose(1, 0, 2, 3))
         for r0 in range(0, runs, rb):
             run_env = dict(env)
             for prog in plan.programs:
                 layer = prog.layer
-                if not has_runs[layer.id]:
+                if kind_of[layer.id] == "free":
                     continue
-                if not prog.is_mac:
-                    y = array_layer(layer, _broadcast_runs([run_env[i] for i in layer.inputs]))
-                elif ops[layer.id].shared_input:
-                    y = _mac_from_partials(ops[layer.id], partials[layer.id], r0, rb)
+                x = run_env[layer.inputs[0]]
+                op = ops.get(layer.id)
+                if op is None:
+                    if isinstance(x, _Slab) and layer.kind in _CHANNEL_WISE:
+                        y = _Slab(env[layer.id], array_layer(layer, [x.data]), x.ch)
+                    else:
+                        xs = [_dense(run_env[i]) for i in layer.inputs]
+                        y = array_layer(layer, _broadcast_runs(xs))
+                elif kind_of[layer.inputs[0]] == "free":
+                    y = _mac_slab(op, partials[layer.id], golden_acc.get(layer.id),
+                                  env.get(layer.id), cfg.units, r0, rb)
+                elif isinstance(x, _Slab) and 2 * x.ch.shape[1] < x.golden.shape[1]:
+                    y = _mac_corrected(op, x, partials[layer.id], r0, rb)
                 else:
-                    y = _mac_masked(ops[layer.id], run_env[layer.inputs[0]], r0, rb)
+                    y = _mac_masked(op, _dense(x), r0, rb)
                 run_env[layer.id] = y
-            logits = run_env[plan.output]
+            logits = _dense(run_env[plan.output])
             out[r0 : r0 + rb, s0 : s0 + sb] = logits.reshape(*logits.shape[:-3], plan.classes)
     return out
 
@@ -428,30 +505,82 @@ def _lane_partials(op: _MacOperands, x: np.ndarray, lanes: int) -> np.ndarray:
     kk = taps.shape[2] * taps.shape[3]
     cols = np.empty((cin,) + taps.shape[2:4] + (len(x),) + taps.shape[4:], dtype=op.w.dtype)
     row = 0
-    for lane in range(min(cin, lanes)):  # lane-major channels, as in op.w
+    for lane in range(min(cin, lanes)):  # lane-major channels
         c = taps[:, lane::lanes]
         cols[row : row + c.shape[1]] = c.transpose(1, 2, 3, 0, 4, 5)
         row += c.shape[1]
     cols = cols.reshape(cin * kk, -1)
     cout = op.w.shape[0]
-    p = np.empty((cout, op.keep.shape[2], cols.shape[1]), dtype=op.w.dtype)
+    w = op.w[:, _lane_major(cin, lanes)].reshape(cout, -1)
+    p = np.empty((cout, op.lane_keep.shape[2], cols.shape[1]), dtype=op.w.dtype)
     row = 0
     for lane in range(p.shape[1]):
         rows = kk * len(range(lane, cin, lanes))
-        np.matmul(op.w[:, row : row + rows], cols[row : row + rows], out=p[:, lane])
+        np.matmul(w[:, row : row + rows], cols[row : row + rows], out=p[:, lane])
         row += rows
     return p
 
 
 def _mac_from_partials(op: _MacOperands, p: np.ndarray, r0: int, rb: int) -> np.ndarray:
-    """int8 (runs, S, Cout, Hout, Wout) from shared lane partials."""
-    keep = op.keep[:, r0 : r0 + rb].astype(p.dtype)
-    acc = np.matmul(keep, p)  # (Cout, runs, S*Hout*Wout)
-    acc += op.const[:, r0 : r0 + rb, None]
-    q = _requantize(op, acc)
+    """keep_r @ p + const_r, (Cout, runs, S*Hout*Wout), for runs [r0, r0 + rb)
+    over shared lane partials p."""
+    acc = np.matmul(op.lane_keep[:, r0 : r0 + rb], p)
+    acc += op.const[r0 : r0 + rb].T[:, :, None]
+    return acc
+
+
+def _run_major(op: _MacOperands, acc: np.ndarray) -> np.ndarray:
+    """int8 (runs, S, Cout, Hout, Wout) of accumulators (runs, Cout, S*Hout*Wout)."""
     cout, hout, wout = op.prog.out_shape
-    q = q.reshape(cout, q.shape[1], -1, hout * wout).transpose(1, 2, 0, 3)
+    q = _requantize(op, acc).reshape(len(acc), cout, -1, hout * wout).transpose(0, 2, 1, 3)
     return np.ascontiguousarray(q).reshape(q.shape[:3] + (hout, wout))
+
+
+def _mac_slab(op: _MacOperands, p: np.ndarray, g: np.ndarray | None,
+              golden: np.ndarray | None, units: int, r0: int, rb: int):
+    """Runs [r0, r0 + rb) of a MAC layer reading a free value, from its lane
+    partials p and golden accumulators g (Cout, S*Hout*Wout): a _Slab over
+    each run's faulted channels, or dense int8 when d is Cout."""
+    dirty = op.dirty[r0 : r0 + rb]
+    cout, hout, wout = op.prog.out_shape
+    d = max(1, int(dirty.sum(axis=1).max()))
+    if d == cout:
+        return _run_major(op, _mac_from_partials(op, p, r0, rb).transpose(1, 0, 2))
+    ch = np.argsort(~dirty, axis=1, kind="stable")[:, :d]  # faulted channels first
+    slot = np.cumsum(dirty, axis=1) - 1  # a faulted channel's slot in ch
+    acc = g[ch]  # (runs, d, S*Hout*Wout); clean padding keeps its golden value
+    for u in range(min(units, cout)):  # channel u runs on unit u, as do u + units, ...
+        rs = np.flatnonzero(dirty[:, u])
+        if len(rs):
+            unit_acc = np.matmul(op.lane_keep[u, r0 + rs], p[u::units])
+            unit_acc += op.const[r0 + rs, u::units].T[:, :, None]
+            acc[rs[:, None], slot[rs, u::units]] = unit_acc.transpose(1, 0, 2)
+    return _Slab(golden, _requantize(op, acc).reshape(len(ch), d, -1, hout, wout), ch)
+
+
+def _mac_corrected(op: _MacOperands, x: _Slab, p: np.ndarray, r0: int, rb: int) -> np.ndarray:
+    """int8 (runs, S, Cout, Hout, Wout) of runs [r0, r0 + rb) reading slab x,
+    from the lane partials p of x's golden tensor.
+
+    acc = keep_r @ p + const_r - (W * keep_r)[:, ch] @ im2col(golden[ch])
+    + (W * keep_r)[:, ch] @ im2col(x_r[ch]), summed in that order: each
+    step is a subset sum of int8 products plus const, as the dtype bound
+    needs (x_r - golden would not be)."""
+    (runs, d), cout = x.ch.shape, len(op.w)
+    both = np.empty((runs, 2) + x.data.shape[1:], dtype=np.int8)  # (runs, 2, d, S, H, W)
+    both[:, 0] = x.data
+    both[:, 1] = x.golden[:, x.ch].transpose(1, 2, 0, 3, 4)
+    taps = _taps(op.prog, both).transpose(0, 1, 2, 4, 5, 3, 6, 7)  # (runs, 2, d, K, K, S, ...)
+    cols = np.empty(taps.shape, dtype=op.w.dtype)
+    cols[...] = taps
+    keep = op.keep[r0 + np.arange(runs)[:, None, None], np.arange(cout)[:, None], x.ch[:, None]]
+    w = np.empty((runs, cout, d, op.w.shape[2]), dtype=op.w.dtype)
+    np.multiply(op.w[:, x.ch].transpose(1, 0, 2, 3), keep, out=w)
+    corr = np.matmul(w.reshape(runs, 1, cout, -1), cols.reshape(runs, 2, d * w.shape[3], -1))
+    res = corr[:, 1]
+    np.subtract(_mac_from_partials(op, p, r0, rb).transpose(1, 0, 2), res, out=res)
+    res += corr[:, 0]
+    return _run_major(op, res)
 
 
 def _mac_masked(op: _MacOperands, x: np.ndarray, r0: int, rb: int) -> np.ndarray:

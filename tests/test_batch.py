@@ -167,7 +167,9 @@ def test_dataset_scale_must_match_plan(desk_plan, desk_dataset):
 
 
 DEFAULT_BUDGET = macarray.BATCH_BYTES
-BUDGETS = [1, DEFAULT_BUDGET, 1 << 30]
+# 1 MiB, the default before the campaign thread pool was removed, stays as an
+# intermediate budget.
+BUDGETS = [1, 1 << 20, DEFAULT_BUDGET, 1 << 30]
 
 
 def _pulse_map() -> FaultMap:
@@ -201,20 +203,39 @@ def _rail_maps() -> tuple[list[FaultMap], list[bool]]:
     return maps, [False, True, False, True, True, False]
 
 
+def make_conv_only_model(rng: np.random.Generator, cout: int) -> ModelGraph:
+    """One conv on the input, which is also the output: its slab is the result."""
+    cin, h, w = (int(v) for v in rng.integers(3, 13, size=3))
+    conv = mac_layer(rng, "conv", "conv", "input", cin, cout, 3, 1, 1)
+    return ModelGraph([conv], (cin, h, w), 2.0 ** -6, "conv", cout * h * w)
+
+
+def _sparse_maps(mi: int) -> list[FaultMap]:
+    """Maps that fault few units: one single-lane map per unit, then k = 4
+    maps. With no k = 64 map in the call, whole blocks keep d < Cout and pad
+    runs that fault fewer channels than their block's widest."""
+    value = ERROR_VALUES[mi % len(ERROR_VALUES)]
+    return ([single_lane_map(u, (u + mi) % 8, fault_for_error_value(value)) for u in range(8)]
+            + [sample_random_fault_map(4, fault_for_error_value(v), mi * 1000 + 4, 8, 8)
+               for v in ERROR_VALUES])
+
+
 @pytest.mark.parametrize("budget", BUDGETS)
 def test_batch_logits_matches_run_on_corpus(monkeypatch, budget):
     monkeypatch.setattr(macarray, "BATCH_BYTES", budget)
     rng = np.random.default_rng(31)
-    for mi, g in enumerate(_models()):
+    models = _models() + [make_conv_only_model(rng, cout) for cout in (5, 12, 20)]
+    for mi, g in enumerate(models):
         plan = plan_model(g)
         samples = rng.integers(-128, 128, size=(3, *g.input_shape)).astype(np.int8)
-        maps = [FaultMap(), _pulse_map()] + [
+        dense_maps = [FaultMap(), _pulse_map()] + [
             sample_random_fault_map(k, fault_for_error_value(v), mi * 1000 + k, 8, 8)
             for k in K_VALUES for v in ERROR_VALUES]
-        expected = np.stack([_per_sample(plan, fmap, samples) for fmap in maps])
-        got = batch_logits(plan, samples, maps)
-        assert got.dtype == np.int8 and got.shape == (len(maps), 3, g.classes)
-        assert np.array_equal(got, expected), mi
+        for maps in (dense_maps, _sparse_maps(mi)):
+            expected = np.stack([_per_sample(plan, fmap, samples) for fmap in maps])
+            got = batch_logits(plan, samples, maps)
+            assert got.dtype == np.int8 and got.shape == (len(maps), 3, g.classes)
+            assert np.array_equal(got, expected), mi
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
@@ -247,13 +268,16 @@ def test_bound_edge(run_calls, extra, falls_back):
 
 @pytest.fixture
 def blocks(desk_plan, monkeypatch):
-    """Records the sample rows of every lane-partials build and the run range
-    of every block of the desk model's output layer."""
+    """Records the sample rows of every lane-partials build of the input (by
+    the first MAC layer; later layers build their golden input's partials
+    too) and the run range of every block of the desk model's output layer."""
     seen = []
     real_partials, real_masked = macarray._lane_partials, macarray._mac_masked
+    first = next(p.layer.id for p in desk_plan.programs if p.is_mac)
 
     def partials(op, x, lanes):
-        seen.append(("partials", x.copy()))
+        if op.prog.layer.id == first:
+            seen.append(("partials", x.copy()))
         return real_partials(op, x, lanes)
 
     def masked(op, x, r0, rb):
@@ -266,7 +290,7 @@ def blocks(desk_plan, monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("budget", [1, 60_000, DEFAULT_BUDGET])
+@pytest.mark.parametrize("budget", [1, 60_000, 1 << 20, DEFAULT_BUDGET])
 def test_blocks_cover_each_run_and_sample_once(desk_plan, desk_dataset, blocks, monkeypatch,
                                                budget):
     monkeypatch.setattr(macarray, "BATCH_BYTES", budget)
@@ -335,18 +359,18 @@ F32_EXACT = 2 ** 24
 def gemm_dtypes(monkeypatch):
     """Records layer id -> set of op.w dtype names of every MAC block."""
     seen: dict[str, set[str]] = {}
-    real_partials, real_masked = macarray._lane_partials, macarray._mac_masked
 
-    def partials(op, x, lanes):
-        seen.setdefault(op.prog.layer.id, set()).add(op.w.dtype.name)
-        return real_partials(op, x, lanes)
+    def spy(name):
+        real = getattr(macarray, name)
 
-    def masked(op, x, r0, rb):
-        seen.setdefault(op.prog.layer.id, set()).add(op.w.dtype.name)
-        return real_masked(op, x, r0, rb)
+        def record(op, *args):
+            seen.setdefault(op.prog.layer.id, set()).add(op.w.dtype.name)
+            return real(op, *args)
 
-    monkeypatch.setattr(macarray, "_lane_partials", partials)
-    monkeypatch.setattr(macarray, "_mac_masked", masked)
+        monkeypatch.setattr(macarray, name, record)
+
+    for name in ("_lane_partials", "_mac_corrected", "_mac_masked"):
+        spy(name)
     return seen
 
 
@@ -476,3 +500,52 @@ def test_gemm_dtype_float32_on_heatmap_workloads(gemm_dtypes, desk_plan, desk_da
     _check_batch(plan, samples, maps)
     mac_ids = {p.layer.id for p in plan.programs if p.is_mac}
     assert gemm_dtypes == {lid: {"float32"} for lid in mac_ids}
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """Records (layer id, path) of every MAC block, where the path is
+    "slab" or "dense" for a layer reading a value with no run axis (both
+    through _mac_slab), else "corrected" or "masked"."""
+    seen = []
+
+    def spy(name, path):
+        real = getattr(macarray, name)
+
+        def record(op, *args):
+            y = real(op, *args)
+            taken = path or ("slab" if isinstance(y, macarray._Slab) else "dense")
+            seen.append((op.prog.layer.id, taken))
+            return y
+
+        monkeypatch.setattr(macarray, name, record)
+
+    spy("_mac_slab", None)
+    spy("_mac_corrected", "corrected")
+    spy("_mac_masked", "masked")
+    return seen
+
+
+@pytest.mark.parametrize("budget", [60_000, DEFAULT_BUDGET])
+def test_heatmap_blocks_take_the_slab_and_correction_paths(paths, monkeypatch, budget):
+    # A single-lane map faults 3 of the 24 channels of conv1 on one unit, so
+    # every block's slab has d = 3 < 24, and 2d < Cin = 24 for conv2; fc
+    # reads a dense value (after the add).
+    monkeypatch.setattr(macarray, "BATCH_BYTES", budget)
+    plan = plan_model(_wide_like_model())
+    samples = np.random.default_rng(3).integers(-128, 128, size=(2, 16, 8, 8)).astype(np.int8)
+    maps = [single_lane_map(u, lane, fault_for_error_value(v))
+            for v in (0, 131071, -131072) for u in range(8) for lane in range(8)]
+    _check_batch(plan, samples, maps)
+    blocks = Counter(layer for layer, _ in paths)["conv1"]
+    assert blocks >= (2 if budget < DEFAULT_BUDGET else 1)
+    assert Counter(paths) == Counter({("conv1", "slab"): blocks, ("conv2", "corrected"): blocks,
+                                      ("fc", "masked"): blocks})
+
+
+def test_dense_maps_take_the_dense_and_masked_paths(paths, desk_plan, desk_dataset):
+    # k = 64 faults every unit: d = Cout, so conv1 runs the K = 8 GEMM over
+    # all channels and conv2 the masked GEMM.
+    maps = [sample_random_fault_map(64, fault_for_error_value(v), 5, 8, 8) for v in (0, 1, -1)]
+    _check_batch(desk_plan, desk_dataset.samples[:3], maps)
+    assert set(paths) == {("conv1", "dense"), ("conv2", "masked"), ("fc", "masked")}

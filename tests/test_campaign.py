@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,39 +182,6 @@ class TestSweep:
             run_fault_sweep(spec, cin4_plan, cin4_dataset)
 
 
-class TestPoolSize:
-    @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        """max_workers of every thread pool a campaign starts."""
-        sizes = []
-        real = macfi.campaign.ThreadPoolExecutor
-
-        def spy(max_workers=None):
-            sizes.append(max_workers)
-            return real(max_workers=max_workers)
-
-        monkeypatch.setattr(macfi.campaign, "ThreadPoolExecutor", spy)
-        return sizes
-
-    def test_default_is_affinity_cpu_count(self, cin4_plan, cin4_dataset, pool_sizes,
-                                           monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3, 4}, raising=False)
-        run_heatmap([0], cin4_plan, cin4_dataset, slice_count=1)
-        assert pool_sizes == [5]
-
-    def test_default_falls_back_to_cpu_count(self, cin4_plan, cin4_dataset, pool_sizes,
-                                             monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        spec = SweepSpec(k_values=(1,), error_values=(0,), reps=1, master_seed=0, slice_count=1)
-        run_fault_sweep(spec, cin4_plan, cin4_dataset)
-        assert pool_sizes == [3]
-
-    def test_explicit_count(self, cin4_plan, cin4_dataset, pool_sizes):
-        run_heatmap([0], cin4_plan, cin4_dataset, workers=2, slice_count=1)
-        assert pool_sizes == [2]
-
-
 class TestHeatmap:
     def test_exhaustive_counts_and_grid_consistency(self, cin4_plan, cin4_dataset):
         res = run_heatmap([0, 5], cin4_plan, cin4_dataset, slice_count=3)
@@ -227,6 +192,29 @@ class TestHeatmap:
             == {(u, l) for u in range(8) for l in range(8)}
         for r in heat:
             assert res.heatmap[r.value][r.unit, r.lane] == r.drop
+
+    def test_maps_equal_single_lane_maps(self, cin4_plan, cin4_dataset, monkeypatch):
+        # The heatmap builds its maps as rows of one block per kernel array.
+        seen = []
+        real = macfi.campaign.evaluate_accuracy
+
+        def spy(plan, dataset, indices, faults=None):
+            seen.extend(faults or [])
+            return real(plan, dataset, indices, faults)
+
+        monkeypatch.setattr(macfi.campaign, "evaluate_accuracy", spy)
+        values = [0, 7, -131072]
+        res = run_heatmap(values, cin4_plan, cin4_dataset, slice_count=2)
+        keys = [(v, u, l) for v in values for u in range(8) for l in range(8)]
+        expected = [single_lane_map(u, l, fault_for_error_value(v)) for v, u, l in keys]
+        assert len(seen) == len(expected)
+        for got, want in zip(seen, expected):
+            assert got == want and list(got.cells()) == list(want.cells())
+            assert all(np.array_equal(a, b) and a.dtype == b.dtype and not a.flags.writeable
+                       for a, b in zip(got.to_arrays(), want.to_arrays()))
+            assert got.digest() == want.digest()
+        digests = {(r.value, r.unit, r.lane): r.digest for r in res.records if r.kind == "heatmap"}
+        assert digests == {key: m.digest() for key, m in zip(keys, expected)}
 
     def test_zero_activity_lanes_have_zero_drop(self, cin4_plan, cin4_dataset):
         # cin=4 model leaves lanes 4..7 without operands on every cycle
@@ -334,11 +322,11 @@ class TestEvaluateAccuracy:
 
 class TestEvaluateAccuracySeam:
     """Campaigns call evaluate_accuracy through the module: once with three
-    positional arguments for the baseline, then once per chunk of runs with
-    four (plan, dataset, indices, maps), where the chunks are min(workers,
-    runs) contiguous slices of every run's fault map in job order.
-    Instrumentation that wraps macfi.campaign.evaluate_accuracy, such as
-    perfbench's traced run, relies on that."""
+    positional arguments for the baseline, then once with four (plan,
+    dataset, indices, maps) holding every run's fault map in job order,
+    whatever the workers argument. Instrumentation that wraps
+    macfi.campaign.evaluate_accuracy, such as perfbench's traced run, relies
+    on that."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -352,35 +340,32 @@ class TestEvaluateAccuracySeam:
         monkeypatch.setattr(macfi.campaign, "evaluate_accuracy", spy)
         return seen
 
-    def check(self, calls, plan, dataset, maps, workers):
-        assert len(calls) == 1 + min(workers, len(maps))
-        (args, kwargs), rest = calls[0], calls[1:]
-        assert len(args) == 3 and kwargs == {}
+    def check(self, calls, plan, dataset, maps):
+        assert len(calls) == 2
+        (base_args, base_kwargs), (args, kwargs) = calls
+        assert len(base_args) == 3 and base_kwargs == {}
+        assert base_args[0] is plan and base_args[1] is dataset
+        assert len(args) == 4 and kwargs == {}
         assert args[0] is plan and args[1] is dataset
-        chunks = []
-        for args, kwargs in rest:
-            assert len(args) == 4 and kwargs == {}
-            assert args[0] is plan and args[1] is dataset
-            assert len(args[3]) > 0 and all(isinstance(m, FaultMap) for m in args[3])
-            chunks.extend(args[3])
-        assert chunks == maps
+        assert all(isinstance(m, FaultMap) for m in args[3])
+        assert list(args[3]) == maps
         calls.clear()
 
     def test_heatmap(self, cin4_plan, cin4_dataset, calls):
         values = [0, 7]
         maps = [single_lane_map(u, l, fault_for_error_value(v))
                 for v in values for u in range(8) for l in range(8)]
-        for workers in (1, 3):
+        for workers in (1, 3, 20):
             run_heatmap(values, cin4_plan, cin4_dataset, workers=workers, slice_count=4)
-            self.check(calls, cin4_plan, cin4_dataset, maps, workers)
+            self.check(calls, cin4_plan, cin4_dataset, maps)
 
     def test_sweep(self, cin4_plan, cin4_dataset, calls):
         spec = SweepSpec((1, 8), (0, -1), 3, master_seed=9, slice_count=4)
         maps = [sample_random_fault_map(k, fault_for_error_value(v), derive_seed(9, k, v, r), 8, 8)
                 for k in spec.k_values for v in spec.error_values for r in range(spec.reps)]
-        for workers in (2, 20):
+        for workers in (1, 3, 20):
             run_fault_sweep(spec, cin4_plan, cin4_dataset, workers=workers)
-            self.check(calls, cin4_plan, cin4_dataset, maps, workers)
+            self.check(calls, cin4_plan, cin4_dataset, maps)
 
 
 def test_map_sequence_gives_one_accuracy_per_map(cin4_plan, cin4_dataset):
