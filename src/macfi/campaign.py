@@ -29,6 +29,7 @@ from .faultctl import (
     fault_map_rows,
     sample_random_fault_map,  # unused here, but perfbench wraps it by this name
     sample_random_fault_maps,
+    single_lane_map,  # likewise
 )
 from .macarray import batch_logits
 from .model import Dataset
