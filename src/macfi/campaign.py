@@ -7,7 +7,8 @@ macarray.batch_logits); accuracies come back in job order and records are
 sorted deterministically before serialization, so results never depend on
 block size, and the accepted workers argument changes neither results nor
 scheduling. Quantiles are linear interpolation between order statistics
-(position (n-1)*q), matching numpy's default method."""
+(position (n-1)*q), matching numpy's default method.
+"""
 
 from __future__ import annotations
 

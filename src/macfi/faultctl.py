@@ -407,7 +407,6 @@ def fault_map_rows(owner, cells, templates, units: int = 8, lanes: int = 8) -> l
     fields = np.array([(MODE_CODE[t.mode], t.value, t.start, t.length) for t in templates],
                       dtype=np.int64).reshape(runs, 4)
     blocks = tuple(np.zeros((runs, total), dt) for dt in (np.uint8, np.int32, np.int64, np.int64))
-    owner = np.asarray(owner, dtype=np.intp)
     for block, field in zip(blocks, fields.T):
         block.reshape(-1)[owner * total + cells] = field[owner]
     # Each map owns one row of every block; rows of read-only views are read-only.

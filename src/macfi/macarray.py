@@ -394,14 +394,14 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
             widths[layer.id] = int(d.min()), int(d.max())
         d_lo, d_hi = widths.get(layer.id if src == "free" else layer.inputs[0], (cin, cin))
         kind_of[layer.id] = "slab" if src == "free" and d_lo < cout else "dense"
-        partials = src == "free" or 2 * d_lo < cin
+        needs_partials = src == "free" or 2 * d_lo < cin
         lane_keep = keep[:, unit_of, :used].transpose(1, 0, 2).astype(dtype)
-        ops[layer.id] = _MacOperands(prog, partials, w.astype(dtype), lane_keep,
+        ops[layer.id] = _MacOperands(prog, needs_partials, w.astype(dtype), lane_keep,
                                      keep[:, unit_of][:, :, lane_of, None],
                                      const.astype(dtype), dirty)
         # Bytes per sample (shared: kept through the block's runs; cols: im2col
         # columns of a partials build), per (run, sample) pair and per run.
-        if partials:
+        if needs_partials:
             shared_bytes += isz * cout * used * hw
             cols_bytes = max(cols_bytes, isz * cin * kk * hw)
         if src == "free":  # golden accumulators and their float64 copy; slab or dense ones
@@ -409,7 +409,7 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
             pair_bytes.append((acc_isz + isz) * d_hi * hw)
             run_bytes.append(isz * cout * used)
             continue
-        if partials:  # two column sets at d channels, their GEMM output, keep @ P
+        if needs_partials:  # two column sets at d channels, their GEMM output, keep @ P
             d = min(d_hi, (cin - 1) // 2)
             pair_bytes.append((2 * d * kk + 3 * cout) * isz * hw + (acc_isz - isz) * cout * hw)
             run_bytes.append(isz * cout * (used + d * kk))

@@ -167,8 +167,7 @@ def test_dataset_scale_must_match_plan(desk_plan, desk_dataset):
 
 
 DEFAULT_BUDGET = macarray.BATCH_BYTES
-# 1 MiB, the default before the campaign thread pool was removed, stays as an
-# intermediate budget.
+# 1 MiB sits between one byte (one run and one sample per block) and the default.
 BUDGETS = [1, 1 << 20, DEFAULT_BUDGET, 1 << 30]
 
 
@@ -466,6 +465,34 @@ def test_gemm_dtype_mixed_runs(gemm_dtypes, second):
     expected = _check_batch(plan, samples, [FaultMap(), fault])
     assert gemm_dtypes["probe"] == {"float64"}
     assert (expected[0, :, 0] == 0).all() and (expected[1, :, 0] == 1).all()
+
+
+def test_gemm_dtype_correction_order(gemm_dtypes, paths):
+    # fc1 (1400 channels) reads the input; stuck-at-0 on lane 0 of units 0-2
+    # drops its only product, so its 525 channels o = 0, 1, 2 mod 8 read
+    # 127 instead of the golden -128. fc2's channel 7 weighs each of them
+    # 127: sum |W| = 66675 keeps it in float32, and 2 * 525 < 1400 takes the
+    # correction path. Its true accumulator is 525 * 127 * 127 = 8467725;
+    # summing the two column sets first would form 127 * 525 * 255, odd and
+    # over 2^24, which float32 rounds, and m puts a rounding boundary
+    # between 8467725 and 8467724.
+    rng = np.random.default_rng(14)
+    fc1 = mac_layer(rng, "fc1", "fc", "input", 8, 1400, 1, m=1.0)
+    fc1.weights[:] = 0
+    fc1.weights[:, 0] = -127
+    fc1.bias[:] = 16000
+    fc2 = mac_layer(rng, "fc2", "fc", "fc1", 1400, 8, 1, m=1.5 / 8467724.5)
+    fc2.weights[:] = 0
+    fc2.weights[7, np.arange(1400) % 8 < 3] = 127
+    fc2.bias[:] = 0
+    plan = plan_model(ModelGraph([fc1, fc2], (8, 1, 1), 2.0 ** -6, "fc2", 8))
+    samples = np.full((2, 8, 1, 1), 127, dtype=np.int8)
+    fault = FaultMap()
+    for unit in range(3):
+        fault.set(unit, 0, LaneFault.stuck_zero())
+    expected = _check_batch(plan, samples, [fault])
+    assert (expected[0, :, 7] == 2).all()
+    assert gemm_dtypes["fc2"] == {"float32"} and ("fc2", "corrected") in paths
 
 
 def _wide_like_model() -> ModelGraph:
