@@ -104,7 +104,8 @@ class FaultMap:
     lanes + lane): mode (u8, MODE_CODE), value (i32), start and length
     (i64); to_arrays() lends read-only views of them, with no copy.
 
-    Built once, then treated as immutable and shared across worker threads.
+    Built once, then treated as immutable: emulators and batch_logits read
+    its arrays without copying them.
     """
 
     def __init__(self, units: int = 8, lanes: int = 8):

@@ -30,9 +30,9 @@ them shares per-lane partials between all runs. Its output, and relu,
 maxpool and gavgpool of it, differ from the golden run only on the channels
 of the faulted units: each run carries those channels as a slab beside the
 golden tensor (when they are fewer than Cout), and a MAC layer reading a
-slab corrects the golden input's partials on them (when 2d < Cin). Samples
-and runs are tiled so that one tile's floating-point temporaries stay
-within BATCH_BYTES.
+slab recomputes only those channels' products over per-channel partials of
+the golden input. Samples and runs are tiled so that one tile's
+floating-point temporaries stay within BATCH_BYTES.
 """
 
 from __future__ import annotations
@@ -58,11 +58,11 @@ except ImportError:  # extension not built; pure-Python fallback only
 _MODE_NAME = {code: mode.value for mode, code in MODE_CODE.items()}
 
 # Byte budget for the floating-point temporaries of one (sample block, run
-# block) in batch_logits, each at its own itemsize: lane partials (of golden
-# inputs too), masked weights, im2col columns (two sets at d channels on the
-# correction path), golden, slab and dense accumulators, with the float64
-# array that requantize scales a float32 accumulator into (a float64 one is
-# scaled in place). A campaign evaluates one tile at a time.
+# block) in batch_logits, each at its own itemsize: partials of free and
+# golden inputs, masked weights and keep masks, im2col columns (at d channels
+# on the correction path), golden, slab and dense accumulators, with the
+# float64 array that requantize scales a float32 accumulator into (a float64
+# one is scaled in place). A campaign evaluates one tile at a time.
 BATCH_BYTES = 2 << 20
 
 
@@ -302,14 +302,15 @@ class _MacOperands:
     """One conv/fc layer's closed form over a set of runs."""
 
     prog: LayerProgram
-    partials: bool  # lane partials of its (golden) input are built per sample block
     # Weights (Cout, Cin, K*K) in the layer's GEMM dtype (float32 when its
     # bound allows, else float64), which every temporary shares.
     w: np.ndarray
-    lane_keep: np.ndarray  # 0/1 in w's dtype, (Cout, R, L) over the L used lanes
-    keep: np.ndarray  # bool (R, Cout, Cin, 1)
+    # bool (R, Cout, G): whether run r keeps the products of channel o with
+    # the input channels of group g, those c with c mod G = g. G is
+    # min(Cin, lanes) (a group per lane) for a layer reading a free value,
+    # else Cin (a group per channel).
+    keep: np.ndarray
     const: np.ndarray  # bias plus forced values, in w's dtype: (R, Cout)
-    dirty: np.ndarray  # bool (R, Cout): the channel's unit drops a used lane
 
 
 @dataclass
@@ -347,14 +348,15 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
     channels, padded with clean ones to the run block's largest count d.
     Every other value is dense, (runs, S, C, H, W).
 
-    A MAC layer reading a free value builds per-lane partials
-    P[o, l] = W[o, c = l mod lanes] @ im2col(x)[c = l mod lanes] once per
-    sample block: golden is sum_l P + bias, and a run's faulted channel o is
-    keep_r[u(o)] @ P[o] + const_r (every channel when d is Cout). A MAC
-    layer reading a slab with 2d < Cin corrects its golden input's lane
-    partials (_mac_corrected); any other is (W * keep_r) @ im2col(x_r) +
-    const_r. Each MAC layer takes float32 when its bound over these runs
-    proves every partial sum exact, else float64.
+    A MAC layer reading a free value or a slab builds the partials
+    P[o, g] = W[o, c in g] @ im2col(x)[c in g] of its (golden) input once
+    per sample block, grouped by lane for a free value and by channel for a
+    slab. Reading a free value, golden is sum_g P + bias, and a run's
+    faulted channel o is keep_r[o] @ P[o] + const_r (every channel when d
+    is Cout). Reading a slab, a run is corrected on its channels ch_r
+    (_mac_corrected); reading a dense value, it is (W * keep_r) @
+    im2col(x_r) + const_r. Each MAC layer takes float32 when its bound over
+    these runs proves every partial sum exact, else float64.
     """
     cfg = plan.cfg
     runs, n = len(keep), len(samples)
@@ -374,7 +376,6 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
         cin = prog.in_shape[0]
         cout, hout, wout = prog.out_shape
         hw, kk = hout * wout, prog.packed.k ** 2
-        used = min(cin, cfg.lanes)
         unit_of = np.arange(cout) % cfg.units
         lane_of = np.arange(cin) % cfg.lanes
         slots = kk * np.bincount(lane_of, minlength=cfg.lanes)  # carried slots per lane
@@ -388,32 +389,29 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
         dtype = np.float32 if 128 * w_abs + np.abs(const).max() <= 2 ** 24 else np.float64
         isz = np.dtype(dtype).itemsize
         acc_isz = isz if dtype is np.float64 else isz + 8  # requantize's float64 copy
-        dirty = ~keep[:, unit_of, :used].all(axis=2)
+        groups = min(cin, cfg.lanes) if src == "free" else cin
+        op_keep = keep[:, unit_of[:, None], lane_of[:groups]]  # (R, Cout, G)
         if src == "free":  # d counts its own faulted channels, else its input's
-            d = np.maximum(1, dirty.sum(axis=1))
+            d = np.maximum(1, (~op_keep.all(axis=2)).sum(axis=1))
             widths[layer.id] = int(d.min()), int(d.max())
         d_lo, d_hi = widths.get(layer.id if src == "free" else layer.inputs[0], (cin, cin))
         kind_of[layer.id] = "slab" if src == "free" and d_lo < cout else "dense"
-        needs_partials = src == "free" or 2 * d_lo < cin
-        lane_keep = keep[:, unit_of, :used].transpose(1, 0, 2).astype(dtype)
-        ops[layer.id] = _MacOperands(prog, needs_partials, w.astype(dtype), lane_keep,
-                                     keep[:, unit_of][:, :, lane_of, None],
-                                     const.astype(dtype), dirty)
+        ops[layer.id] = _MacOperands(prog, w.astype(dtype), op_keep, const.astype(dtype))
         # Bytes per sample (shared: kept through the block's runs; cols: im2col
-        # columns of a partials build), per (run, sample) pair and per run.
-        if needs_partials:
-            shared_bytes += isz * cout * used * hw
-            cols_bytes = max(cols_bytes, isz * cin * kk * hw)
+        # columns of a partials build, Cin padded to a multiple of G), per
+        # (run, sample) pair and per run.
+        if src != "dense":
+            shared_bytes += isz * cout * groups * hw
+            cols_bytes = max(cols_bytes, isz * -(-cin // groups) * groups * kk * hw)
         if src == "free":  # golden accumulators and their float64 copy; slab or dense ones
             shared_bytes += (isz + 8) * cout * hw * (d_lo < cout)
             pair_bytes.append((acc_isz + isz) * d_hi * hw)
-            run_bytes.append(isz * cout * used)
+            run_bytes.append(isz * cout * groups)  # keep
             continue
-        if needs_partials:  # two column sets at d channels, their GEMM output, keep @ P
-            d = min(d_hi, (cin - 1) // 2)
-            pair_bytes.append((2 * d * kk + 3 * cout) * isz * hw + (acc_isz - isz) * cout * hw)
-            run_bytes.append(isz * cout * (used + d * kk))
-        if 2 * d_hi >= cin:
+        if src == "slab":  # columns at d channels, their GEMM output, keep @ P
+            pair_bytes.append((isz * (d_hi * kk + cout) + acc_isz * cout) * hw)
+            run_bytes.append(isz * cout * (cin + d_hi * kk))  # keep, masked weights at d
+        if d_hi == cin:  # a dense input (or a block with d = Cin): masked weights, full columns
             pair_bytes.append((isz * cin * kk + acc_isz * cout) * hw)
             run_bytes.append(isz * cout * cin * kk)
     pair_bytes, run_bytes = max(pair_bytes), max(run_bytes)
@@ -430,8 +428,8 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
         partials, golden_acc = {}, {}
         for prog in plan.programs:
             layer, op = prog.layer, ops.get(prog.layer.id)
-            if op is not None and op.partials:
-                partials[layer.id] = _lane_partials(op, env[layer.inputs[0]], cfg.lanes)
+            if op is not None and kind_of[layer.inputs[0]] != "dense":
+                partials[layer.id] = _partials(op, env[layer.inputs[0]])
             if op is None and kind_of[layer.id] != "dense":
                 env[layer.id] = array_layer(layer, [env[i] for i in layer.inputs])
             elif kind_of[layer.id] == "slab":
@@ -456,19 +454,14 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
                 elif kind_of[layer.inputs[0]] == "free":
                     y = _mac_slab(op, partials[layer.id], golden_acc.get(layer.id),
                                   env.get(layer.id), cfg.units, r0, rb)
-                elif isinstance(x, _Slab) and 2 * x.ch.shape[1] < x.golden.shape[1]:
+                elif isinstance(x, _Slab):
                     y = _mac_corrected(op, x, partials[layer.id], r0, rb)
                 else:
-                    y = _mac_masked(op, _dense(x), r0, rb)
+                    y = _mac_masked(op, x, r0, rb)
                 run_env[layer.id] = y
             logits = _dense(run_env[plan.output])
             out[r0 : r0 + rb, s0 : s0 + sb] = logits.reshape(*logits.shape[:-3], plan.classes)
     return out
-
-
-def _lane_major(cin: int, lanes: int) -> np.ndarray:
-    """Input channels reordered lane by lane: c = 0, lanes, 2*lanes, ..., 1, ..."""
-    return np.concatenate([np.arange(lane, cin, lanes) for lane in range(min(cin, lanes))])
 
 
 def _broadcast_runs(arrays: list[np.ndarray]) -> list[np.ndarray]:
@@ -497,35 +490,36 @@ def _taps(prog: LayerProgram, x: np.ndarray) -> np.ndarray:
         writeable=False)
 
 
-def _lane_partials(op: _MacOperands, x: np.ndarray, lanes: int) -> np.ndarray:
-    """(Cout, L, S*Hout*Wout) in op.w's dtype: each lane's share of the
-    accumulators of samples x (S, Cin, H, W), before bias and faults."""
-    cin = x.shape[1]
+def _partials(op: _MacOperands, x: np.ndarray) -> np.ndarray:
+    """(Cout, G, S*Hout*Wout) in op.w's dtype: the share of each channel
+    group g (channels c = g, g + G, ...) in the accumulators of samples x
+    (S, Cin, H, W), before bias and faults.
+
+    One GEMM batched over the groups, with Cin zero-padded to a multiple of
+    G, writes each group's share in place."""
+    (n, cin), (cout, _, kk), groups = x.shape[:2], op.w.shape, op.keep.shape[2]
+    per_group = -(-cin // groups)
+    w, pad = op.w, per_group * groups - cin
+    if pad:  # zero channels, which zero weights read, complete the last group
+        w = np.concatenate([w, np.zeros((cout, pad, kk), dtype=w.dtype)], axis=1)
+        x = np.concatenate([x, np.zeros((n, pad) + x.shape[2:], dtype=np.int8)], axis=1)
     taps = _taps(op.prog, x)
-    kk = taps.shape[2] * taps.shape[3]
-    cols = np.empty((cin,) + taps.shape[2:4] + (len(x),) + taps.shape[4:], dtype=op.w.dtype)
-    row = 0
-    for lane in range(min(cin, lanes)):  # lane-major channels
-        c = taps[:, lane::lanes]
-        cols[row : row + c.shape[1]] = c.transpose(1, 2, 3, 0, 4, 5)
-        row += c.shape[1]
-    cols = cols.reshape(cin * kk, -1)
-    cout = op.w.shape[0]
-    w = op.w[:, _lane_major(cin, lanes)].reshape(cout, -1)
-    p = np.empty((cout, op.lane_keep.shape[2], cols.shape[1]), dtype=op.w.dtype)
-    row = 0
-    for lane in range(p.shape[1]):
-        rows = kk * len(range(lane, cin, lanes))
-        np.matmul(w[:, row : row + rows], cols[row : row + rows], out=p[:, lane])
-        row += rows
+    taps = taps.reshape((n, per_group, groups) + taps.shape[2:])
+    cols = np.empty((groups, per_group) + taps.shape[3:5] + (n,) + taps.shape[5:],
+                    dtype=op.w.dtype)
+    cols[...] = taps.transpose(2, 1, 3, 4, 0, 5, 6)  # (G, channel in group, K, K, S, ...)
+    cols = cols.reshape(groups, per_group * kk, -1)
+    w = w.reshape(cout, per_group, groups, kk).transpose(2, 0, 1, 3).reshape(groups, cout, -1)
+    p = np.empty((cout, groups, cols.shape[2]), dtype=op.w.dtype)
+    np.matmul(w, cols, out=p.transpose(1, 0, 2))
     return p
 
 
-def _mac_from_partials(op: _MacOperands, p: np.ndarray, r0: int, rb: int) -> np.ndarray:
-    """keep_r @ p + const_r, (Cout, runs, S*Hout*Wout), for runs [r0, r0 + rb)
-    over shared lane partials p."""
-    acc = np.matmul(op.lane_keep[:, r0 : r0 + rb], p)
-    acc += op.const[r0 : r0 + rb].T[:, :, None]
+def _from_partials(op: _MacOperands, keep: np.ndarray, p: np.ndarray, r0: int) -> np.ndarray:
+    """keep_r @ p + const_r, (Cout, runs, S*Hout*Wout), for runs [r0, r0 +
+    len(keep)) with 0/1 keep (runs, Cout, G) over partials p (Cout, G, ...)."""
+    acc = np.matmul(keep.transpose(1, 0, 2), p)
+    acc += op.const[r0 : r0 + len(keep)].T[:, :, None]
     return acc
 
 
@@ -541,18 +535,20 @@ def _mac_slab(op: _MacOperands, p: np.ndarray, g: np.ndarray | None,
     """Runs [r0, r0 + rb) of a MAC layer reading a free value, from its lane
     partials p and golden accumulators g (Cout, S*Hout*Wout): a _Slab over
     each run's faulted channels, or dense int8 when d is Cout."""
-    dirty = op.dirty[r0 : r0 + rb]
+    keep = op.keep[r0 : r0 + rb]
+    dirty = ~keep.all(axis=2)
+    keep = keep.astype(op.w.dtype)
     cout, hout, wout = op.prog.out_shape
     d = max(1, int(dirty.sum(axis=1).max()))
     if d == cout:
-        return _run_major(op, _mac_from_partials(op, p, r0, rb).transpose(1, 0, 2))
+        return _run_major(op, _from_partials(op, keep, p, r0).transpose(1, 0, 2))
     ch = np.argsort(~dirty, axis=1, kind="stable")[:, :d]  # faulted channels first
     slot = np.cumsum(dirty, axis=1) - 1  # a faulted channel's slot in ch
     acc = g[ch]  # (runs, d, S*Hout*Wout); clean padding keeps its golden value
     for u in range(min(units, cout)):  # channel u runs on unit u, as do u + units, ...
         rs = np.flatnonzero(dirty[:, u])
         if len(rs):
-            unit_acc = np.matmul(op.lane_keep[u, r0 + rs], p[u::units])
+            unit_acc = np.matmul(keep[rs, u], p[u::units])
             unit_acc += op.const[r0 + rs, u::units].T[:, :, None]
             acc[rs[:, None], slot[rs, u::units]] = unit_acc.transpose(1, 0, 2)
     return _Slab(golden, _requantize(op, acc).reshape(len(ch), d, -1, hout, wout), ch)
@@ -560,27 +556,23 @@ def _mac_slab(op: _MacOperands, p: np.ndarray, g: np.ndarray | None,
 
 def _mac_corrected(op: _MacOperands, x: _Slab, p: np.ndarray, r0: int, rb: int) -> np.ndarray:
     """int8 (runs, S, Cout, Hout, Wout) of runs [r0, r0 + rb) reading slab x,
-    from the lane partials p of x's golden tensor.
+    from the per-channel partials p (Cout, Cin, ...) of x's golden tensor.
 
-    acc = keep_r @ p + const_r - (W * keep_r)[:, ch] @ im2col(golden[ch])
-    + (W * keep_r)[:, ch] @ im2col(x_r[ch]), summed in that order: each
-    step is a subset sum of int8 products plus const, as the dtype bound
-    needs (x_r - golden would not be)."""
-    (runs, d), cout = x.ch.shape, len(op.w)
-    both = np.empty((runs, 2) + x.data.shape[1:], dtype=np.int8)  # (runs, 2, d, S, H, W)
-    both[:, 0] = x.data
-    both[:, 1] = x.golden[:, x.ch].transpose(1, 2, 0, 3, 4)
-    taps = _taps(op.prog, both).transpose(0, 1, 2, 4, 5, 3, 6, 7)  # (runs, 2, d, K, K, S, ...)
+    acc = (keep_r with channels ch_r zeroed) @ p + (W * keep_r)[:, ch_r] @
+    im2col(x_r[ch_r]) + const_r. Off ch_r, x_r is golden, so every partial
+    sum is a subset sum of run r's own int8 products, plus perhaps const_r,
+    in any order, as the dtype bound needs."""
+    runs, d = x.ch.shape
+    keep = op.keep[r0 : r0 + rb].astype(op.w.dtype)  # (runs, Cout, Cin)
+    at = x.ch[:, None]
+    w = op.w[:, x.ch].transpose(1, 0, 2, 3) * np.take_along_axis(keep, at, axis=2)[..., None]
+    np.put_along_axis(keep, at, 0, axis=2)
+    taps = _taps(op.prog, x.data).transpose(0, 1, 3, 4, 2, 5, 6)  # (runs, d, K, K, S, ...)
     cols = np.empty(taps.shape, dtype=op.w.dtype)
     cols[...] = taps
-    keep = op.keep[r0 + np.arange(runs)[:, None, None], np.arange(cout)[:, None], x.ch[:, None]]
-    w = np.empty((runs, cout, d, op.w.shape[2]), dtype=op.w.dtype)
-    np.multiply(op.w[:, x.ch].transpose(1, 0, 2, 3), keep, out=w)
-    corr = np.matmul(w.reshape(runs, 1, cout, -1), cols.reshape(runs, 2, d * w.shape[3], -1))
-    res = corr[:, 1]
-    np.subtract(_mac_from_partials(op, p, r0, rb).transpose(1, 0, 2), res, out=res)
-    res += corr[:, 0]
-    return _run_major(op, res)
+    acc = np.matmul(w.reshape(runs, len(op.w), -1), cols.reshape(runs, d * w.shape[3], -1))
+    acc += _from_partials(op, keep, p, r0).transpose(1, 0, 2)
+    return _run_major(op, acc)
 
 
 def _mac_masked(op: _MacOperands, x: np.ndarray, r0: int, rb: int) -> np.ndarray:
@@ -590,7 +582,7 @@ def _mac_masked(op: _MacOperands, x: np.ndarray, r0: int, rb: int) -> np.ndarray
     cols[...] = taps
     runs, n = x.shape[:2]
     cout, hout, wout = op.prog.out_shape
-    w = np.multiply(op.w, op.keep[r0 : r0 + rb])  # (runs, Cout, Cin, K*K)
+    w = np.multiply(op.w, op.keep[r0 : r0 + rb, :, :, None])  # (runs, Cout, Cin, K*K)
     acc = np.matmul(w.reshape(runs, 1, cout, -1), cols.reshape(runs, n, -1, hout * wout))
     acc += op.const[r0 : r0 + rb, None, :, None]
     return _requantize(op, acc).reshape(runs, n, cout, hout, wout)

@@ -48,11 +48,6 @@ class QTensor:
     def dims(self) -> tuple[int, int, int]:
         return tuple(self.data.shape)
 
-    @classmethod
-    def from_flat(cls, dims: tuple[int, int, int], flat, scale: float) -> "QTensor":
-        arr = np.asarray(flat, dtype=np.int8).reshape(dims)
-        return cls(arr, scale)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, QTensor):
             return NotImplemented

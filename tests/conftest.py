@@ -2,19 +2,20 @@ from __future__ import annotations
 
 import importlib.util
 import re
+import shutil
 from pathlib import Path
 
 import pytest
 
 # Build the C kernel with the benchmark's own recipe and register it as
 # macfi._kernel before macfi is imported, so the suite exercises the compiled
-# backend. Without gcc it reports the backend absent and the compiled-only
-# tests skip.
+# backend. Without gcc or _kernel.c the compiled-only tests skip; with both,
+# a kernel that fails to build or load stops the session.
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("provision", ROOT / "perfbench" / "provision.py")
 _provision = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(_provision)
-_provision.load_compiled_kernel(ROOT, ROOT / ".bench_build")
+_KERNEL_STATUS = _provision.load_compiled_kernel(ROOT, ROOT / ".bench_build")["compiled"]
 
 import macfi.macarray as macarray
 from macfi.deskmodel import build_desk_dataset, build_desk_model, write_desk_bundle
@@ -23,6 +24,14 @@ from macfi.planner import plan_model
 from helpers import make_cin4_model, make_dataset_for
 
 _ACCEPT = re.compile(r"test_criterion_(\d+)_([a-z0-9_]+)")
+
+
+def pytest_configure(config):
+    """Stops the session when gcc and _kernel.c are present but the kernel
+    did not build or load."""
+    if (_KERNEL_STATUS.startswith("absent") and shutil.which("gcc")
+            and (ROOT / "src" / "macfi" / "_kernel.c").is_file()):
+        pytest.exit(f"compiled kernel {_KERNEL_STATUS}", returncode=pytest.ExitCode.INTERNAL_ERROR)
 
 
 def pytest_report_teststatus(report, config):

@@ -267,24 +267,24 @@ def test_bound_edge(run_calls, extra, falls_back):
 
 @pytest.fixture
 def blocks(desk_plan, monkeypatch):
-    """Records the sample rows of every lane-partials build of the input (by
-    the first MAC layer; later layers build their golden input's partials
-    too) and the run range of every block of the desk model's output layer."""
+    """Records the sample rows of every partials build of the input (by the
+    first MAC layer; later layers build their golden input's partials too)
+    and the run range of every block of the desk model's output layer."""
     seen = []
-    real_partials, real_masked = macarray._lane_partials, macarray._mac_masked
+    real_partials, real_masked = macarray._partials, macarray._mac_masked
     first = next(p.layer.id for p in desk_plan.programs if p.is_mac)
 
-    def partials(op, x, lanes):
+    def partials(op, x):
         if op.prog.layer.id == first:
             seen.append(("partials", x.copy()))
-        return real_partials(op, x, lanes)
+        return real_partials(op, x)
 
     def masked(op, x, r0, rb):
         if op.prog.layer.id == desk_plan.output:
             seen.append(("runs", r0, x.shape[0], x.shape[1]))
         return real_masked(op, x, r0, rb)
 
-    monkeypatch.setattr(macarray, "_lane_partials", partials)
+    monkeypatch.setattr(macarray, "_partials", partials)
     monkeypatch.setattr(macarray, "_mac_masked", masked)
     return seen
 
@@ -368,7 +368,7 @@ def gemm_dtypes(monkeypatch):
 
         monkeypatch.setattr(macarray, name, record)
 
-    for name in ("_lane_partials", "_mac_corrected", "_mac_masked"):
+    for name in ("_partials", "_mac_corrected", "_mac_masked"):
         spy(name)
     return seen
 
@@ -471,11 +471,11 @@ def test_gemm_dtype_correction_order(gemm_dtypes, paths):
     # fc1 (1400 channels) reads the input; stuck-at-0 on lane 0 of units 0-2
     # drops its only product, so its 525 channels o = 0, 1, 2 mod 8 read
     # 127 instead of the golden -128. fc2's channel 7 weighs each of them
-    # 127: sum |W| = 66675 keeps it in float32, and 2 * 525 < 1400 takes the
-    # correction path. Its true accumulator is 525 * 127 * 127 = 8467725;
-    # summing the two column sets first would form 127 * 525 * 255, odd and
-    # over 2^24, which float32 rounds, and m puts a rounding boundary
-    # between 8467725 and 8467724.
+    # 127: sum |W| = 66675 keeps it in float32, and its slab input takes the
+    # correction path. Its true accumulator is 525 * 127 * 127 = 8467725,
+    # and m puts a rounding boundary between 8467725 and 8467724: a partial
+    # sum beyond the run's own int8 products (odd and over 2^24) would be
+    # rounded by float32 and read 1.
     rng = np.random.default_rng(14)
     fc1 = mac_layer(rng, "fc1", "fc", "input", 8, 1400, 1, m=1.0)
     fc1.weights[:] = 0
@@ -556,8 +556,8 @@ def paths(monkeypatch):
 @pytest.mark.parametrize("budget", [60_000, DEFAULT_BUDGET])
 def test_heatmap_blocks_take_the_slab_and_correction_paths(paths, monkeypatch, budget):
     # A single-lane map faults 3 of the 24 channels of conv1 on one unit, so
-    # every block's slab has d = 3 < 24, and 2d < Cin = 24 for conv2; fc
-    # reads a dense value (after the add).
+    # every block's slab has d = 3 < 24, which conv2 reads; fc reads a dense
+    # value (after the add).
     monkeypatch.setattr(macarray, "BATCH_BYTES", budget)
     plan = plan_model(_wide_like_model())
     samples = np.random.default_rng(3).integers(-128, 128, size=(2, 16, 8, 8)).astype(np.int8)
@@ -568,6 +568,20 @@ def test_heatmap_blocks_take_the_slab_and_correction_paths(paths, monkeypatch, b
     assert blocks >= (2 if budget < DEFAULT_BUDGET else 1)
     assert Counter(paths) == Counter({("conv1", "slab"): blocks, ("conv2", "corrected"): blocks,
                                       ("fc", "masked"): blocks})
+
+
+def test_half_width_slabs_take_the_correction_path(paths, desk_plan, desk_dataset):
+    # Each map faults one used lane on each of four units, so conv1's slab
+    # has d = 4 = Cin / 2 channels of conv2 in every block: a slab input
+    # takes the correction path however wide it is.
+    maps = []
+    for i, v in enumerate((0, 1, -1, 131071, -131072)):
+        fmap = FaultMap()
+        for u in range(i, i + 8, 2):
+            fmap.set(u % 8, (3 * u + i) % 8, fault_for_error_value(v))
+        maps.append(fmap)
+    _check_batch(desk_plan, desk_dataset.samples[:3], maps)
+    assert set(paths) == {("conv1", "slab"), ("conv2", "corrected"), ("fc", "masked")}
 
 
 def test_dense_maps_take_the_dense_and_masked_paths(paths, desk_plan, desk_dataset):
