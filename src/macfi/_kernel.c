@@ -8,8 +8,7 @@
  * kind and item size before the loop runs; act_idx/w_idx must be
  * (n, lanes) because rows are indexed flat. Index values are not checked
  * here: plan_model range-checks every program's unit, dest, act_idx and
- * w_idx once when it builds it. The hot loop releases the GIL so campaign
- * workers can overlap.
+ * w_idx once when it builds it. The hot loop releases the GIL.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>

@@ -125,9 +125,13 @@ def cmd_infer(args) -> int:
 
 
 def _write(path: str, text: str, written: list[str]):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    written.append(path)
+    """Write text to path, listed in written once opened; an OSError is bad input."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            written.append(path)
+            fh.write(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def cmd_campaign(args) -> int:
@@ -145,7 +149,10 @@ def cmd_campaign(args) -> int:
     else:
         result = camp.run_heatmap(values, plan, ds, workers=args.workers,
                                   slice_offset=off, slice_count=count)
-    os.makedirs(args.out, exist_ok=True)  # only once there is something to write
+    try:  # only once there is something to write
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise SchemaError(f"cannot create --out {args.out}: {exc.strerror or exc}") from exc
     written: list[str] = []
     try:
         if args.mode == "sweep":
@@ -185,8 +192,7 @@ def cmd_plan(args) -> int:
     lines.append(f"idle lane slots: {stats.idle_slots}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write(args.out, text, [])
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

@@ -29,10 +29,12 @@ no run axis and are computed once per sample block, and a MAC layer reading
 them shares per-lane partials between all runs. Its output, and relu,
 maxpool and gavgpool of it, differ from the golden run only on the channels
 of the faulted units: each run carries those channels as a slab beside the
-golden tensor (when they are fewer than Cout), and a MAC layer reading a
-slab recomputes only those channels' products over per-channel partials of
-the golden input. Samples and runs are tiled so that one tile's
-floating-point temporaries stay within BATCH_BYTES.
+golden tensor (when they are fewer than Cout). Every value is laid out
+channel-major, a dense one as a slab holding all channels, so one reader
+serves a MAC layer reading either: it recomputes a slab's channels over
+per-channel partials of the golden input, and all channels of a dense
+value. Samples and runs are tiled so that one tile's floating-point
+temporaries stay within BATCH_BYTES.
 """
 
 from __future__ import annotations
@@ -59,10 +61,11 @@ _MODE_NAME = {code: mode.value for mode, code in MODE_CODE.items()}
 
 # Byte budget for the floating-point temporaries of one (sample block, run
 # block) in batch_logits, each at its own itemsize: partials of free and
-# golden inputs, masked weights and keep masks, im2col columns (at d channels
-# on the correction path), golden, slab and dense accumulators, with the
-# float64 array that requantize scales a float32 accumulator into (a float64
-# one is scaled in place). A campaign evaluates one tile at a time.
+# golden inputs, masked weights and keep masks, im2col columns (at the d
+# channels a slab holds, all Cin of a dense value), golden, slab and dense
+# accumulators, with the float64 array that requantize scales a float32
+# accumulator into (a float64 one is scaled in place). A campaign evaluates
+# one tile at a time.
 BATCH_BYTES = 2 << 20
 
 
@@ -315,7 +318,7 @@ class _MacOperands:
 
 @dataclass
 class _Slab:
-    """A run-carrying value equal to its golden tensor (S, C, H, W) except
+    """A run-carrying value equal to its golden tensor (C, S, H, W) except
     on a few channels per run: data (runs, d, S, H, W) holds channels
     ch (runs, d) of each run."""
 
@@ -325,12 +328,12 @@ class _Slab:
 
 
 def _dense(x: np.ndarray | _Slab) -> np.ndarray:
-    """A _Slab expanded to int8 (runs, S, C, H, W); an array as it is."""
+    """A _Slab expanded to int8 (runs, C, S, H, W); an array as it is."""
     if not isinstance(x, _Slab):
         return x
     out = np.empty((len(x.ch),) + x.golden.shape, dtype=np.int8)
     out[:] = x.golden
-    out[np.arange(len(x.ch))[:, None], :, x.ch] = x.data
+    out[np.arange(len(x.ch))[:, None], x.ch] = x.data
     return out
 
 
@@ -339,24 +342,29 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
     """Logits (R, S, classes) of R permanent-fault runs, given each run's
     (units, lanes) lane-keep mask and forced values.
 
-    A value is free, a slab or dense. Free values (the input, and layers
-    fed only by free values) carry no run axis and are computed once per
-    sample block. A slab, the output of a MAC layer reading a free value or
-    of relu/maxpool/gavgpool reading a slab, differs from the golden
+    A value is free, a slab or dense, and every value is channel-major.
+    Free values (the input, and layers fed only by free values) carry no
+    run axis and are computed once per sample block, as (C, S, H, W). A
+    slab, the output of a MAC layer reading a free value or of
+    relu/maxpool/gavgpool reading a slab, differs from the golden
     (fault-free) tensor only on the channels of the units a run faults: it
-    holds the golden tensor once per sample block and, per run, those
-    channels, padded with clean ones to the run block's largest count d.
-    Every other value is dense, (runs, S, C, H, W).
+    holds the golden tensor (C, S, H, W) once per sample block and, per
+    run, those channels (runs, d, S, H, W), padded with clean ones to the
+    run block's largest count d. Every other value is dense, (runs, C, S,
+    H, W): laid out as a slab holding every channel. Non-MAC layers act on
+    the trailing (H, W) axes or elementwise, so the layout is theirs too;
+    only the logits are put back in (runs, S, classes) order, once a tile.
 
     A MAC layer reading a free value or a slab builds the partials
     P[o, g] = W[o, c in g] @ im2col(x)[c in g] of its (golden) input once
     per sample block, grouped by lane for a free value and by channel for a
     slab. Reading a free value, golden is sum_g P + bias, and a run's
     faulted channel o is keep_r[o] @ P[o] + const_r (every channel when d
-    is Cout). Reading a slab, a run is corrected on its channels ch_r
-    (_mac_corrected); reading a dense value, it is (W * keep_r) @
-    im2col(x_r) + const_r. Each MAC layer takes float32 when its bound over
-    these runs proves every partial sum exact, else float64.
+    is Cout). Reading a slab or a dense value, one reader (_mac_runs) takes
+    (keep_r with ch_r zeroed) @ P + (W * keep_r)[:, ch_r] @ im2col(x_r) +
+    const_r over the channels ch_r the value holds: all Cin, with no P
+    term, for a dense value. Each MAC layer takes float32 when its bound
+    over these runs proves every partial sum exact, else float64.
     """
     cfg = plan.cfg
     runs, n = len(keep), len(samples)
@@ -408,12 +416,10 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
             pair_bytes.append((acc_isz + isz) * d_hi * hw)
             run_bytes.append(isz * cout * groups)  # keep
             continue
-        if src == "slab":  # columns at d channels, their GEMM output, keep @ P
-            pair_bytes.append((isz * (d_hi * kk + cout) + acc_isz * cout) * hw)
-            run_bytes.append(isz * cout * (cin + d_hi * kk))  # keep, masked weights at d
-        if d_hi == cin:  # a dense input (or a block with d = Cin): masked weights, full columns
-            pair_bytes.append((isz * cin * kk + acc_isz * cout) * hw)
-            run_bytes.append(isz * cout * cin * kk)
+        # Columns at d channels (d = Cin for a dense input), keep @ P and
+        # the GEMM output; keep and the masked weights at d.
+        pair_bytes.append((isz * (d_hi * kk + cout) + acc_isz * cout) * hw)
+        run_bytes.append(isz * cout * (cin + d_hi * kk))
     pair_bytes, run_bytes = max(pair_bytes), max(run_bytes)
     # Per sample, the partials stay alive through the block's runs; the
     # im2col columns they are built from do not.
@@ -424,7 +430,7 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
     out = np.empty((runs, n, plan.classes), dtype=np.int8)
     for s0 in range(0, n, sb):
         # Free values, and the golden tensors of slabs.
-        env = {INPUT_ID: samples[s0 : s0 + sb]}
+        env = {INPUT_ID: samples[s0 : s0 + sb].transpose(1, 0, 2, 3)}
         partials, golden_acc = {}, {}
         for prog in plan.programs:
             layer, op = prog.layer, ops.get(prog.layer.id)
@@ -435,8 +441,8 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
             elif kind_of[layer.id] == "slab":
                 g = golden_acc[layer.id] = partials[layer.id].sum(axis=1)
                 g += prog.bias[:, None]
-                q = requantize_array(g, layer.m).reshape((len(g), -1) + prog.out_shape[1:])
-                env[layer.id] = np.ascontiguousarray(q.transpose(1, 0, 2, 3))
+                env[layer.id] = requantize_array(g, layer.m).reshape(
+                    (len(g), -1) + prog.out_shape[1:])
         for r0 in range(0, runs, rb):
             run_env = dict(env)
             for prog in plan.programs:
@@ -454,12 +460,10 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
                 elif kind_of[layer.inputs[0]] == "free":
                     y = _mac_slab(op, partials[layer.id], golden_acc.get(layer.id),
                                   env.get(layer.id), cfg.units, r0, rb)
-                elif isinstance(x, _Slab):
-                    y = _mac_corrected(op, x, partials[layer.id], r0, rb)
                 else:
-                    y = _mac_masked(op, x, r0, rb)
+                    y = _mac_runs(op, x, r0, rb, partials.get(layer.id))
                 run_env[layer.id] = y
-            logits = _dense(run_env[plan.output])
+            logits = np.moveaxis(_dense(run_env[plan.output]), -4, -3)  # (..., S, C, H, W)
             out[r0 : r0 + rb, s0 : s0 + sb] = logits.reshape(*logits.shape[:-3], plan.classes)
     return out
 
@@ -473,7 +477,7 @@ def _broadcast_runs(arrays: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def _taps(prog: LayerProgram, x: np.ndarray) -> np.ndarray:
-    """int8 im2col view (..., Cin, K, K, Hout, Wout) of x (..., Cin, H, W)."""
+    """int8 im2col view (..., K, K, Hout, Wout) of x (..., H, W)."""
     layer = prog.layer
     k = prog.packed.k
     stride = layer.stride if layer.kind == "conv" else 1
@@ -493,21 +497,21 @@ def _taps(prog: LayerProgram, x: np.ndarray) -> np.ndarray:
 def _partials(op: _MacOperands, x: np.ndarray) -> np.ndarray:
     """(Cout, G, S*Hout*Wout) in op.w's dtype: the share of each channel
     group g (channels c = g, g + G, ...) in the accumulators of samples x
-    (S, Cin, H, W), before bias and faults.
+    (Cin, S, H, W), before bias and faults.
 
     One GEMM batched over the groups, with Cin zero-padded to a multiple of
     G, writes each group's share in place."""
-    (n, cin), (cout, _, kk), groups = x.shape[:2], op.w.shape, op.keep.shape[2]
+    (cin, n), (cout, _, kk), groups = x.shape[:2], op.w.shape, op.keep.shape[2]
     per_group = -(-cin // groups)
     w, pad = op.w, per_group * groups - cin
     if pad:  # zero channels, which zero weights read, complete the last group
         w = np.concatenate([w, np.zeros((cout, pad, kk), dtype=w.dtype)], axis=1)
-        x = np.concatenate([x, np.zeros((n, pad) + x.shape[2:], dtype=np.int8)], axis=1)
+        x = np.concatenate([x, np.zeros((pad,) + x.shape[1:], dtype=np.int8)])
     taps = _taps(op.prog, x)
-    taps = taps.reshape((n, per_group, groups) + taps.shape[2:])
+    taps = taps.reshape((per_group, groups) + taps.shape[1:])
     cols = np.empty((groups, per_group) + taps.shape[3:5] + (n,) + taps.shape[5:],
                     dtype=op.w.dtype)
-    cols[...] = taps.transpose(2, 1, 3, 4, 0, 5, 6)  # (G, channel in group, K, K, S, ...)
+    cols[...] = taps.transpose(1, 0, 3, 4, 2, 5, 6)  # (G, channel in group, K, K, S, ...)
     cols = cols.reshape(groups, per_group * kk, -1)
     w = w.reshape(cout, per_group, groups, kk).transpose(2, 0, 1, 3).reshape(groups, cout, -1)
     p = np.empty((cout, groups, cols.shape[2]), dtype=op.w.dtype)
@@ -516,18 +520,12 @@ def _partials(op: _MacOperands, x: np.ndarray) -> np.ndarray:
 
 
 def _from_partials(op: _MacOperands, keep: np.ndarray, p: np.ndarray, r0: int) -> np.ndarray:
-    """keep_r @ p + const_r, (Cout, runs, S*Hout*Wout), for runs [r0, r0 +
+    """keep_r @ p + const_r, (runs, Cout, S*Hout*Wout), for runs [r0, r0 +
     len(keep)) with 0/1 keep (runs, Cout, G) over partials p (Cout, G, ...)."""
-    acc = np.matmul(keep.transpose(1, 0, 2), p)
-    acc += op.const[r0 : r0 + len(keep)].T[:, :, None]
+    acc = np.empty((len(keep), len(p), p.shape[2]), dtype=p.dtype)
+    np.matmul(keep.transpose(1, 0, 2), p, out=acc.transpose(1, 0, 2))
+    acc += op.const[r0 : r0 + len(keep), :, None]
     return acc
-
-
-def _run_major(op: _MacOperands, acc: np.ndarray) -> np.ndarray:
-    """int8 (runs, S, Cout, Hout, Wout) of accumulators (runs, Cout, S*Hout*Wout)."""
-    cout, hout, wout = op.prog.out_shape
-    q = _requantize(op, acc).reshape(len(acc), cout, -1, hout * wout).transpose(0, 2, 1, 3)
-    return np.ascontiguousarray(q).reshape(q.shape[:3] + (hout, wout))
 
 
 def _mac_slab(op: _MacOperands, p: np.ndarray, g: np.ndarray | None,
@@ -541,7 +539,8 @@ def _mac_slab(op: _MacOperands, p: np.ndarray, g: np.ndarray | None,
     cout, hout, wout = op.prog.out_shape
     d = max(1, int(dirty.sum(axis=1).max()))
     if d == cout:
-        return _run_major(op, _from_partials(op, keep, p, r0).transpose(1, 0, 2))
+        acc = _from_partials(op, keep, p, r0)
+        return _requantize(op, acc).reshape(len(keep), cout, -1, hout, wout)
     ch = np.argsort(~dirty, axis=1, kind="stable")[:, :d]  # faulted channels first
     slot = np.cumsum(dirty, axis=1) - 1  # a faulted channel's slot in ch
     acc = g[ch]  # (runs, d, S*Hout*Wout); clean padding keeps its golden value
@@ -554,38 +553,34 @@ def _mac_slab(op: _MacOperands, p: np.ndarray, g: np.ndarray | None,
     return _Slab(golden, _requantize(op, acc).reshape(len(ch), d, -1, hout, wout), ch)
 
 
-def _mac_corrected(op: _MacOperands, x: _Slab, p: np.ndarray, r0: int, rb: int) -> np.ndarray:
-    """int8 (runs, S, Cout, Hout, Wout) of runs [r0, r0 + rb) reading slab x,
-    from the per-channel partials p (Cout, Cin, ...) of x's golden tensor.
+def _mac_runs(op: _MacOperands, x: np.ndarray | _Slab, r0: int, rb: int,
+              p: np.ndarray | None) -> np.ndarray:
+    """int8 (runs, Cout, S, Hout, Wout) of runs [r0, r0 + rb) reading x: a
+    slab, whose golden tensor has the per-channel partials p (Cout, Cin,
+    ...), or a dense value (runs, Cin, S, H, W).
 
     acc = (keep_r with channels ch_r zeroed) @ p + (W * keep_r)[:, ch_r] @
-    im2col(x_r[ch_r]) + const_r. Off ch_r, x_r is golden, so every partial
-    sum is a subset sum of run r's own int8 products, plus perhaps const_r,
-    in any order, as the dtype bound needs."""
-    runs, d = x.ch.shape
-    keep = op.keep[r0 : r0 + rb].astype(op.w.dtype)  # (runs, Cout, Cin)
-    at = x.ch[:, None]
-    w = op.w[:, x.ch].transpose(1, 0, 2, 3) * np.take_along_axis(keep, at, axis=2)[..., None]
-    np.put_along_axis(keep, at, 0, axis=2)
-    taps = _taps(op.prog, x.data).transpose(0, 1, 3, 4, 2, 5, 6)  # (runs, d, K, K, S, ...)
-    cols = np.empty(taps.shape, dtype=op.w.dtype)
-    cols[...] = taps
-    acc = np.matmul(w.reshape(runs, len(op.w), -1), cols.reshape(runs, d * w.shape[3], -1))
-    acc += _from_partials(op, keep, p, r0).transpose(1, 0, 2)
-    return _run_major(op, acc)
-
-
-def _mac_masked(op: _MacOperands, x: np.ndarray, r0: int, rb: int) -> np.ndarray:
-    """int8 (runs, S, Cout, Hout, Wout) from per-run inputs x (runs, S, Cin, H, W)."""
-    taps = _taps(op.prog, x)
-    cols = np.empty(taps.shape, dtype=op.w.dtype)
-    cols[...] = taps
-    runs, n = x.shape[:2]
+    im2col(x_r[ch_r]) + const_r, where a dense value holds every channel
+    and so has no p term. Off ch_r, x_r is golden, so every partial sum is
+    a subset sum of run r's own int8 products, plus perhaps const_r, in any
+    order, as the dtype bound needs."""
+    keep = op.keep[r0 : r0 + rb]  # (runs, Cout, Cin)
+    if isinstance(x, _Slab):
+        at = x.ch[:, None]
+        w = op.w[:, x.ch].transpose(1, 0, 2, 3) * np.take_along_axis(keep, at, axis=2)[..., None]
+        keep = keep.astype(op.w.dtype)
+        np.put_along_axis(keep, at, 0, axis=2)
+        x = x.data
+    else:
+        w, keep = np.multiply(op.w, keep[..., None]), None
+    runs, d = x.shape[:2]
     cout, hout, wout = op.prog.out_shape
-    w = np.multiply(op.w, op.keep[r0 : r0 + rb, :, :, None])  # (runs, Cout, Cin, K*K)
-    acc = np.matmul(w.reshape(runs, 1, cout, -1), cols.reshape(runs, n, -1, hout * wout))
-    acc += op.const[r0 : r0 + rb, None, :, None]
-    return _requantize(op, acc).reshape(runs, n, cout, hout, wout)
+    taps = _taps(op.prog, x).transpose(0, 1, 3, 4, 2, 5, 6)  # (runs, d, K, K, S, ...)
+    cols = np.empty(taps.shape, dtype=op.w.dtype)
+    cols[...] = taps
+    acc = np.matmul(w.reshape(runs, cout, -1), cols.reshape(runs, d * w.shape[3], -1))
+    acc += op.const[r0 : r0 + rb, :, None] if keep is None else _from_partials(op, keep, p, r0)
+    return _requantize(op, acc).reshape(runs, cout, -1, hout, wout)
 
 
 def _requantize(op: _MacOperands, acc: np.ndarray) -> np.ndarray:

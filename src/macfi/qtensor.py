@@ -179,8 +179,9 @@ def ref_conv2d(
     return AccTensor(np.clip(acc, ACC_MIN, ACC_MAX).astype(np.int32))
 
 
-# Non-MAC layers on int8 arrays whose trailing axes are (C, H, W); any
-# leading axes are batch dimensions. The QTensor wrappers below and the
+# Non-MAC layers on int8 arrays whose trailing axes are (H, W): they act on
+# those axes or elementwise, so any leading axes (channels, samples, runs, in
+# any order) are batch dimensions. The QTensor wrappers below and the
 # emulator's batched path both go through these.
 
 def relu_array(data: np.ndarray) -> np.ndarray:
@@ -217,7 +218,8 @@ def add_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def array_layer(layer, arrays: list[np.ndarray]) -> np.ndarray:
-    """One relu/maxpool/gavgpool/add layer on int8 (..., C, H, W) arrays."""
+    """One relu/maxpool/gavgpool/add layer on int8 (..., H, W) arrays; only
+    the trailing (H, W) axes matter."""
     kind = layer.kind
     if kind == "relu":
         (x,) = arrays

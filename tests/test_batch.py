@@ -209,6 +209,21 @@ def make_conv_only_model(rng: np.random.Generator, cout: int) -> ModelGraph:
     return ModelGraph([conv], (cin, h, w), 2.0 ** -6, "conv", cout * h * w)
 
 
+def make_conv_relu_conv_model(rng: np.random.Generator) -> ModelGraph:
+    """conv -> relu -> conv, whose output conv reads 12 channels and keeps
+    the input's spatial size: a slab input takes the correction, a dense one
+    the masked GEMM, and either output is (runs, Cout, S, H, W) before the
+    logits are put back in sample order."""
+    cin, h, w = (int(v) for v in rng.integers(3, 9, size=3))
+    cout = int(rng.integers(3, 8))
+    layers = [
+        mac_layer(rng, "conv1", "conv", "input", cin, 12, 3, 1, 1),
+        LayerSpec(id="relu", kind="relu", inputs=["conv1"]),
+        mac_layer(rng, "conv2", "conv", "relu", 12, cout, 3, 1, 1),
+    ]
+    return ModelGraph(layers, (cin, h, w), 2.0 ** -6, "conv2", cout * h * w)
+
+
 def _sparse_maps(mi: int) -> list[FaultMap]:
     """Maps that fault few units: one single-lane map per unit, then k = 4
     maps. With no k = 64 map in the call, whole blocks keep d < Cout and pad
@@ -224,6 +239,7 @@ def test_batch_logits_matches_run_on_corpus(monkeypatch, budget):
     monkeypatch.setattr(macarray, "BATCH_BYTES", budget)
     rng = np.random.default_rng(31)
     models = _models() + [make_conv_only_model(rng, cout) for cout in (5, 12, 20)]
+    models.append(make_conv_relu_conv_model(np.random.default_rng(32)))
     for mi, g in enumerate(models):
         plan = plan_model(g)
         samples = rng.integers(-128, 128, size=(3, *g.input_shape)).astype(np.int8)
@@ -271,21 +287,21 @@ def blocks(desk_plan, monkeypatch):
     first MAC layer; later layers build their golden input's partials too)
     and the run range of every block of the desk model's output layer."""
     seen = []
-    real_partials, real_masked = macarray._partials, macarray._mac_masked
+    real_partials, real_runs = macarray._partials, macarray._mac_runs
     first = next(p.layer.id for p in desk_plan.programs if p.is_mac)
 
     def partials(op, x):
-        if op.prog.layer.id == first:
-            seen.append(("partials", x.copy()))
+        if op.prog.layer.id == first:  # x is (Cin, S, H, W): record sample rows
+            seen.append(("partials", x.transpose(1, 0, 2, 3).copy()))
         return real_partials(op, x)
 
-    def masked(op, x, r0, rb):
-        if op.prog.layer.id == desk_plan.output:
-            seen.append(("runs", r0, x.shape[0], x.shape[1]))
-        return real_masked(op, x, r0, rb)
+    def runs(op, x, r0, rb, *args):
+        if op.prog.layer.id == desk_plan.output:  # a dense input (runs, Cin, S, H, W)
+            seen.append(("runs", r0, x.shape[0], x.shape[2]))
+        return real_runs(op, x, r0, rb, *args)
 
     monkeypatch.setattr(macarray, "_partials", partials)
-    monkeypatch.setattr(macarray, "_mac_masked", masked)
+    monkeypatch.setattr(macarray, "_mac_runs", runs)
     return seen
 
 
@@ -368,7 +384,7 @@ def gemm_dtypes(monkeypatch):
 
         monkeypatch.setattr(macarray, name, record)
 
-    for name in ("_partials", "_mac_corrected", "_mac_masked"):
+    for name in ("_partials", "_mac_runs"):
         spy(name)
     return seen
 
@@ -533,23 +549,22 @@ def test_gemm_dtype_float32_on_heatmap_workloads(gemm_dtypes, desk_plan, desk_da
 def paths(monkeypatch):
     """Records (layer id, path) of every MAC block, where the path is
     "slab" or "dense" for a layer reading a value with no run axis (both
-    through _mac_slab), else "corrected" or "masked"."""
+    through _mac_slab, by what it returns), else "corrected" or "masked"
+    (both through _mac_runs, by whether it reads a slab)."""
     seen = []
 
     def spy(name, path):
         real = getattr(macarray, name)
 
-        def record(op, *args):
-            y = real(op, *args)
-            taken = path or ("slab" if isinstance(y, macarray._Slab) else "dense")
-            seen.append((op.prog.layer.id, taken))
+        def record(op, x, *args):
+            y = real(op, x, *args)
+            seen.append((op.prog.layer.id, path(x, y)))
             return y
 
         monkeypatch.setattr(macarray, name, record)
 
-    spy("_mac_slab", None)
-    spy("_mac_corrected", "corrected")
-    spy("_mac_masked", "masked")
+    spy("_mac_slab", lambda x, y: "slab" if isinstance(y, macarray._Slab) else "dense")
+    spy("_mac_runs", lambda x, y: "corrected" if isinstance(x, macarray._Slab) else "masked")
     return seen
 
 

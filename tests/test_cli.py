@@ -194,6 +194,30 @@ class TestCampaign:
         assert "not a directory" in capsys.readouterr().err
         assert out.read_text() == "keep"
 
+    def test_out_under_a_file_is_bad_input(self, desk_bundle, tmp_path, capsys):
+        parent = tmp_path / "file"
+        parent.write_text("keep")
+        out = parent / "sub"
+        rc = main(campaign_args(desk_bundle, out, "--mode", "heatmap", "--slice", "0,1"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "internal error" not in err and str(out) in err
+        assert parent.read_text() == "keep"
+
+    def test_unwritable_output_is_bad_input_and_leaves_no_partial_files(
+            self, desk_bundle, tmp_path, capsys):
+        # results.csv is written after the heatmap SVGs; a directory in its
+        # place makes that write fail, and the SVGs already written go too.
+        out = tmp_path / "out"
+        (out / "results.csv").mkdir(parents=True)
+        rc = main(campaign_args(desk_bundle, out, "--mode", "heatmap", "--values", "0",
+                                "--slice", "0,1"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "internal error" not in err
+        assert str(out / "results.csv") in err
+        assert [p.name for p in out.iterdir()] == ["results.csv"]
+
 
 class TestPlan:
     def test_stdout_stats(self, desk_bundle, capsys):
@@ -214,6 +238,15 @@ class TestPlan:
         assert rc == 0
         assert "wrote " in capsys.readouterr().out
         assert "lane activity" in target.read_text()
+
+    def test_out_in_missing_dir_is_bad_input(self, desk_bundle, tmp_path, capsys):
+        target = tmp_path / "missing" / "plan.txt"
+        rc = main(["plan", "--model", desk_bundle["manifest"],
+                   "--weights", desk_bundle["weights"], "--out", str(target)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "internal error" not in err and str(target) in err
+        assert not (tmp_path / "missing").exists()
 
     def test_narrow_model_idle_lane_columns(self, cin4_graph, tmp_path, capsys):
         man, blob = str(tmp_path / "m.json"), str(tmp_path / "w.bin")
