@@ -429,7 +429,7 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
 
     out = np.empty((runs, n, plan.classes), dtype=np.int8)
     for s0 in range(0, n, sb):
-        # Free values, and the golden tensors of slabs.
+        # Free values, and the golden tensors of slabs, as (C, S, H, W).
         env = {INPUT_ID: samples[s0 : s0 + sb].transpose(1, 0, 2, 3)}
         partials, golden_acc = {}, {}
         for prog in plan.programs:
