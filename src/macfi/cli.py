@@ -134,12 +134,27 @@ def _write(path: str, text: str, written: list[str]):
         raise SchemaError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _check_out_dir(out: str):
+    """Bad input unless ``out`` is, or can be made, a writable directory:
+    its nearest existing ancestor (itself if it exists) must be a directory
+    this process may write into. Creates nothing."""
+    near = os.path.abspath(out)
+    while not os.path.exists(near):
+        near = os.path.dirname(near)
+    if near == os.path.abspath(out):
+        if not os.path.isdir(near):
+            raise SchemaError(f"--out {out} exists and is not a directory")
+    elif not os.path.isdir(near):
+        raise SchemaError(f"cannot create --out {out}: {near} is not a directory")
+    if not os.access(near, os.W_OK | os.X_OK):
+        raise SchemaError(f"cannot write under --out {out}: {near} is not writable")
+
+
 def cmd_campaign(args) -> int:
     plan, ds = _load(args, with_dataset=True)
     values = _int_list(args.values)
     off, count = _slice_pair(args.slice) if args.slice else (0, None)
-    if os.path.exists(args.out) and not os.path.isdir(args.out):
-        raise SchemaError(f"--out {args.out} exists and is not a directory")
+    _check_out_dir(args.out)
     if args.mode == "sweep":
         if not args.k:
             raise SchemaError("sweep mode requires --k")

@@ -5,21 +5,26 @@ fault mux that can force the 18-bit lane value (see faultctl). Idle lanes are
 gated: a fault on a lane that carries no operands this cycle cannot fire.
 Padded-zero taps do carry operands, so their muxes are live.
 
-Two interchangeable kernels execute the packed layer programs: a
-hand-written C extension (macfi._kernel) and a pure-Python twin
+Two interchangeable kernels execute the packed layer programs one micro-op
+at a time: a hand-written C extension (macfi._kernel) and a pure-Python twin
 (macfi._kernel_py). The extension is used whenever it is built; an install
 without it falls back to the Python kernel, which gives bit-identical results.
 ``_kernel_py.engaged`` defines the mux over a whole program at once (the C
 kernel is its twin); traced runs take their events from that mask after the
 kernel has run, so tracing adds no execution path.
 
+Under the planner's mapping (output channel o on unit o mod units, input
+channel c on lane c mod lanes) a permanent fault has a closed form: a
+faulted lane drops the products of its (o, c) weights and adds its forced
+value once per carried slot. Each MAC layer is then a matmul, exact
+whenever no partial sum can saturate (_fast_runs decides both). An untraced
+Emulator whose map has the closed form runs each MAC layer as one float64
+matmul over im2col taps, built once per Emulator; a traced one, or one whose
+map has a pulse or could saturate, runs the per-step kernel.
+
 batch_logits evaluates R fault maps over S samples at once (Emulator.run_batch
-is its one-map case). Under the planner's mapping (output channel o on unit
-o mod units, input channel c on lane c mod lanes) a permanent fault has a
-closed form: a faulted lane drops the products of its (o, c) weights and
-adds its forced value once per carried slot. Each MAC layer is then a
-matmul, exact whenever no partial sum can saturate; a run that could
-saturate, or that has a pulse, takes the per-step kernel sample by sample.
+is its one-map case); a run without the closed form takes the per-step
+kernel sample by sample.
 The matmul runs in float32 when 128 * max_o sum |W[o]| + max |const| <= 2^24
 and in float64 otherwise: every partial sum is an integer subset sum of
 int8 x int8 products (|w * x| <= 128 |w|) plus perhaps const, so it never
@@ -152,8 +157,13 @@ class Emulator:
     """Executes one inference at a time (run) or a stack of samples at once
     (run_batch); owns the cycle counter and accumulators.
 
-    Instances are cheap. plan/faults are treated as immutable and may be
-    shared across instances on different threads.
+    Untraced, with a map that has no pulse and passes the no-saturation
+    bound, run evaluates each MAC layer in closed form, from masked weights,
+    constants and tap indices built here, one pass over the plan's weights;
+    otherwise it runs the per-step kernel. Either way the cycle counter
+    advances by each layer's micro-ops, and the results are bit-identical.
+    plan/faults are treated as immutable and may be shared across instances
+    on different threads.
     """
 
     def __init__(self, plan: ExecutionPlan, faults: FaultMap | None = None,
@@ -170,6 +180,14 @@ class Emulator:
         self.trace = trace
         self._farr = self.faults.to_arrays()
         self.cycle = 0
+        # Per MAC layer, its closed form under this map: None when traced,
+        # or when the map has a pulse or could saturate a partial sum.
+        self._closed: dict[str, _LayerForm] | None = None
+        if not trace:
+            keep, forced, fast = _fast_runs(plan, [self.faults])
+            if fast[0]:
+                self._closed = {prog.layer.id: _layer_form(prog, cfg, keep, forced)
+                                for prog in plan.programs if prog.is_mac}
 
     @property
     def backend(self) -> str:
@@ -208,13 +226,26 @@ class Emulator:
 
     def run_layer_program(self, prog: LayerProgram, x: QTensor,
                           events: list[TraceEvent] | None = None) -> QTensor:
-        """One conv/fc program: bias-preloaded accumulate, then requantize.
+        """One conv/fc program of the plan: bias-preloaded accumulate, then
+        requantize; advances the cycle counter by the program's micro-ops.
 
-        With ``events`` given, appends one TraceEvent per slot whose fault
-        mux fired, in (cycle, lane) order.
+        With ``events`` given, runs the per-step kernel and appends one
+        TraceEvent per slot whose fault mux fired, in (cycle, lane) order.
+        Without, an emulator whose map has a closed form evaluates the
+        layer as one exact float64 matmul.
         """
         if x.dims != prog.in_shape:
             raise ShapeError(f"input dims {x.dims} do not match {prog.in_shape}", prog.layer.id)
+        if events is None and self._closed is not None:
+            form, cin = self._closed[prog.layer.id], prog.in_shape[0]
+            x_pad = np.zeros((cin, x.data[0].size + 1))  # column 0 is every padded tap
+            x_pad[:, 1:] = x.data.reshape(cin, -1)
+            cols = np.take(x_pad, form.taps, axis=1)  # (Cin, K*K, Hout*Wout)
+            acc = form.w @ cols.reshape(form.w.shape[1], -1)
+            acc += form.const
+            self.cycle += prog.n_ops
+            return QTensor(requantize_array(acc, prog.layer.m, out=acc).reshape(prog.out_shape),
+                           prog.out_scale)
         p = prog.packed
         cout, hout, wout = prog.out_shape
         acc3 = np.empty((cout, hout, wout), dtype=np.int32)
@@ -276,6 +307,21 @@ def batch_logits(plan: ExecutionPlan, samples, fault_maps) -> np.ndarray:
         if (fmap.units, fmap.lanes) != (cfg.units, cfg.lanes):
             raise ShapeError(f"fault map is {fmap.units}x{fmap.lanes}, "
                              f"array is {cfg.units}x{cfg.lanes}")
+    keep, forced, fast = _fast_runs(plan, fault_maps)
+    for r in np.flatnonzero(~fast):
+        _run_each(Emulator(plan, fault_maps[r]), samples, out[r])
+    if fast.any() and len(samples):
+        out[fast] = _closed_form(plan, samples, keep[fast], forced[fast])
+    return out
+
+
+def _fast_runs(plan: ExecutionPlan, fault_maps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(keep, forced, fast) of R fault maps: bool (R, units, lanes), whether
+    a lane passes its products; int64 (R, units, lanes), the value a faulted
+    lane forces instead (0 for stuck-at-0 and for a clean lane); bool (R,),
+    whether the run has the closed form: no pulse, and no partial sum of
+    any MAC layer can saturate."""
+    cfg = plan.cfg
     modes, values = zip(*(fmap.to_arrays()[:2] for fmap in fault_maps))
     mode = np.stack(modes).reshape(-1, cfg.units, cfg.lanes)
     value = np.stack(values).reshape(mode.shape)
@@ -289,11 +335,45 @@ def batch_logits(plan: ExecutionPlan, samples, fault_maps) -> np.ndarray:
             bias_bound = max(-int(prog.bias.min()), int(prog.bias.max()))
             groups = -(-prog.in_shape[0] // cfg.lanes)
             fast &= bias_bound + groups * prog.packed.k ** 2 * row_bound <= ACC_MAX
-    for r in np.flatnonzero(~fast):
-        _run_each(Emulator(plan, fault_maps[r]), samples, out[r])
-    if fast.any() and len(samples):
-        out[fast] = _closed_form(plan, samples, keep[fast], forced[fast])
-    return out
+    return keep, forced, fast
+
+
+def _lane_faults(prog: LayerProgram, cfg, keep: np.ndarray,
+                 forced: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One MAC layer's faults over R runs, from _fast_runs' keep and forced:
+    bool (R, Cout, Cin), whether output channel o (on unit o mod units)
+    keeps its products with input channel c (on lane c mod lanes); int64
+    (R, Cout), o's bias plus each of its unit's forced values once per slot
+    its lane carries."""
+    unit_of = np.arange(prog.out_shape[0]) % cfg.units
+    lane_of = np.arange(prog.in_shape[0]) % cfg.lanes
+    slots = prog.packed.k ** 2 * np.bincount(lane_of, minlength=cfg.lanes)  # carried slots per lane
+    return keep[:, unit_of[:, None], lane_of], prog.bias + forced[:, unit_of] @ slots
+
+
+@dataclass
+class _LayerForm:
+    """One MAC layer's closed form under one fault map, for Emulator.run:
+    acc = w @ im2col(x) + const, where channel c's im2col rows are
+    [0, x[c].flat...][taps]. Every partial sum is an integer below 2^31
+    under the bound, so float64 sums it exactly in any order."""
+
+    w: np.ndarray  # float64 (Cout, Cin*K*K): the weights times the run's keep mask
+    const: np.ndarray  # float64 (Cout, 1): bias plus forced values
+    # intp (K*K, Hout*Wout): 1 + the flat (y, x) index each tap reads within
+    # a channel, 0 for a padded tap; one index for all channels keeps it small.
+    taps: np.ndarray
+
+
+def _layer_form(prog: LayerProgram, cfg, keep: np.ndarray, forced: np.ndarray) -> _LayerForm:
+    """_LayerForm of one MAC layer from the one-run keep and forced of _fast_runs."""
+    layer_keep, const = _lane_faults(prog, cfg, keep, forced)
+    cout, cin = layer_keep.shape[1:]
+    w = np.multiply(prog.weights_flat.reshape(cout, cin, -1), layer_keep[0, :, :, None],
+                    dtype=np.float64)
+    _, h, wd = prog.in_shape
+    taps = _taps(prog, np.arange(1, h * wd + 1).reshape(h, wd)).reshape(w.shape[2], -1)
+    return _LayerForm(w.reshape(cout, -1), const.astype(np.float64).T, taps)
 
 
 # Non-MAC layers that act on each channel alone; a slab passes through them.
@@ -384,10 +464,7 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
         cin = prog.in_shape[0]
         cout, hout, wout = prog.out_shape
         hw, kk = hout * wout, prog.packed.k ** 2
-        unit_of = np.arange(cout) % cfg.units
-        lane_of = np.arange(cin) % cfg.lanes
-        slots = kk * np.bincount(lane_of, minlength=cfg.lanes)  # carried slots per lane
-        const = prog.bias + forced[:, unit_of] @ slots  # (R, Cout)
+        layer_keep, const = _lane_faults(prog, cfg, keep, forced)
         w = prog.weights_flat.reshape(cout, cin, kk)
         # Every partial sum is bounded by 128 * max_o sum |W[o]| + max |const|
         # (see above), and float32 is exact up to 2^24. Sum |W| in int64:
@@ -398,7 +475,7 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
         isz = np.dtype(dtype).itemsize
         acc_isz = isz if dtype is np.float64 else isz + 8  # requantize's float64 copy
         groups = min(cin, cfg.lanes) if src == "free" else cin
-        op_keep = keep[:, unit_of[:, None], lane_of[:groups]]  # (R, Cout, G)
+        op_keep = layer_keep[..., :groups]  # (R, Cout, G)
         if src == "free":  # d counts its own faulted channels, else its input's
             d = np.maximum(1, (~op_keep.all(axis=2)).sum(axis=1))
             widths[layer.id] = int(d.min()), int(d.max())
@@ -477,7 +554,7 @@ def _broadcast_runs(arrays: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def _taps(prog: LayerProgram, x: np.ndarray) -> np.ndarray:
-    """int8 im2col view (..., K, K, Hout, Wout) of x (..., H, W)."""
+    """im2col view (..., K, K, Hout, Wout) of x (..., H, W), padded with 0."""
     layer = prog.layer
     k = prog.packed.k
     stride = layer.stride if layer.kind == "conv" else 1
@@ -485,7 +562,7 @@ def _taps(prog: LayerProgram, x: np.ndarray) -> np.ndarray:
     _, hout, wout = prog.out_shape
     if pad:
         h, w = x.shape[-2:]
-        xp = np.zeros(x.shape[:-2] + (h + 2 * pad, w + 2 * pad), dtype=np.int8)
+        xp = np.zeros(x.shape[:-2] + (h + 2 * pad, w + 2 * pad), dtype=x.dtype)
         xp[..., pad : pad + h, pad : pad + w] = x
         x = xp
     *lead, sh, sw = x.strides

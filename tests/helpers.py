@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from macfi.faultctl import FaultMap, FaultMode, LaneFault, SplitMix64
-from macfi.macarray import ExecResult, TraceEvent, mac_dot, mult_lane
+from macfi.macarray import ExecResult, TraceEvent, get_kernel, mac_dot, mult_lane
 from macfi.model import INPUT_ID, Dataset, LayerSpec, ModelGraph, reference_forward
 from macfi.planner import ExecutionPlan
-from macfi.qtensor import QTensor, ref_execute_layer, requantize, sat32
+from macfi.qtensor import QTensor, ref_execute_layer, requantize, requantize_array, sat32
 
 
 def mac_layer(rng, lid, kind, src, cin, cout, k, stride=1, pad=0, m=None):
@@ -192,11 +192,41 @@ def oracle_run(plan: ExecutionPlan, x: QTensor, faults: FaultMap) -> ExecResult:
     return ExecResult(env, env[plan.output].data.reshape(-1), cycle, events)
 
 
-def assert_same_run(got: ExecResult, want: ExecResult):
-    """Equal logits, cycles, per-layer outputs and trace events."""
+def per_step_run(plan: ExecutionPlan, x: QTensor, faults: FaultMap | None = None) -> ExecResult:
+    """An untraced run on the per-step datapath: each MAC layer's packed
+    program through the active kernel's run_program, one micro-op per
+    cycle, then requantize; non-MAC layers on the reference pipeline.
+    Emulator.run's closed form must equal it; unlike a traced run, it
+    builds no trace events, so maps that fire on every slot stay cheap."""
+    faults = faults if faults is not None else FaultMap(plan.cfg.units, plan.cfg.lanes)
+    kernel, farr = get_kernel(), faults.to_arrays()
+    env, cycle = {INPUT_ID: x}, 0
+    for prog in plan.programs:
+        layer = prog.layer
+        if not prog.is_mac:
+            env[layer.id] = ref_execute_layer(layer, [env[i] for i in layer.inputs])
+            continue
+        p = prog.packed
+        acc = np.repeat(prog.bias, prog.out_shape[1] * prog.out_shape[2])
+        cycle = kernel.run_program(p.unit, p.dest, p.act_idx, p.w_idx,
+                                   env[layer.inputs[0]].data.reshape(-1), prog.weights_flat,
+                                   acc, *farr, plan.cfg.lanes, cycle)
+        env[layer.id] = QTensor(requantize_array(acc, layer.m).reshape(prog.out_shape),
+                                prog.out_scale)
+    del env[INPUT_ID]
+    return ExecResult(env, env[plan.output].data.reshape(-1), cycle)
+
+
+def assert_same_outputs(got: ExecResult, want: ExecResult):
+    """Equal logits, cycles and per-layer outputs."""
     assert np.array_equal(got.logits, want.logits)
     assert got.cycles == want.cycles
     assert list(got.outputs) == list(want.outputs)
     for lid in want.outputs:
         assert got.outputs[lid] == want.outputs[lid]
+
+
+def assert_same_run(got: ExecResult, want: ExecResult):
+    """Equal logits, cycles, per-layer outputs and trace events."""
+    assert_same_outputs(got, want)
     assert got.trace == want.trace

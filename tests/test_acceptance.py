@@ -237,7 +237,9 @@ def test_criterion_7_register_roundtrip():
 
 
 def test_criterion_8_throughput_stability(desk_bundle, capsys, monkeypatch):
-    monkeypatch.setattr(macfi.macarray, "_kernel", None)  # the python kernel
+    # Pins an install without the C extension; fault-free, infer runs each
+    # MAC layer in closed form and reaches neither kernel.
+    monkeypatch.setattr(macfi.macarray, "_kernel", None)
     args = ["infer", "--model", desk_bundle["manifest"],
             "--weights", desk_bundle["weights"],
             "--dataset", desk_bundle["dataset"]]

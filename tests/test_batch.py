@@ -1,10 +1,11 @@
-"""macarray.batch_logits and Emulator.run_batch against per-sample
-Emulator.run, bit for bit.
+"""macarray.batch_logits, Emulator.run_batch and Emulator.run against the
+per-step datapath, bit for bit.
 
 The batched path replaces every permanent lane fault by its closed form
 (masked weights plus a constant per output channel), evaluates many runs at
 once, and shares the lane partials of layers that read fault-free values;
-these tests cross-check it with the per-step kernels, pin when a run must
+an untraced Emulator.run takes the same closed form one sample at a time.
+These tests cross-check both with the per-step kernels, pin when a run must
 fall back to them, and check how runs and samples are split into blocks.
 """
 
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 import macfi.macarray as macarray
+from macfi import _kernel_py
 from macfi.campaign import (SweepSpec, evaluate_accuracy, results_to_csv, run_fault_sweep,
                             run_heatmap)
 from macfi.errors import ShapeError
@@ -26,7 +28,8 @@ from macfi.model import Dataset, LayerSpec, ModelGraph
 from macfi.planner import plan_model
 from macfi.qtensor import ACC_MAX, QTensor
 
-from helpers import mac_layer, make_random_model
+from helpers import (assert_same_outputs, mac_layer, make_random_model, oracle_run,
+                     per_step_run)
 
 K_VALUES = (0, 1, 8, 64)
 ERROR_VALUES = (0, 1, -1, 131071, -131072)
@@ -58,8 +61,10 @@ def _models():
 
 
 def _per_sample(plan, faults, samples) -> np.ndarray:
-    emu = Emulator(plan, faults)
-    return np.stack([emu.run(QTensor(x, plan.input_scale)).logits for x in samples])
+    """Logits of the per-step datapath, which Emulator.run's closed form
+    does not reach."""
+    return np.stack([per_step_run(plan, QTensor(x, plan.input_scale), faults).logits
+                     for x in samples])
 
 
 @pytest.fixture
@@ -279,6 +284,93 @@ def test_bound_edge(run_calls, extra, falls_back):
     run_calls.clear()
     assert np.array_equal(batch_logits(plan, samples, [FaultMap()])[0], expected)
     assert len(run_calls) == (len(samples) if falls_back else 0)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts run_program calls on every kernel module. Request it after
+    ``backend``, so that it patches the kernel the emulator resolves."""
+    calls = []
+    for kern in {macarray.get_kernel(), _kernel_py}:
+        def spy(*args, real=kern.run_program):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(kern, "run_program", spy)
+    return calls
+
+
+def test_run_matches_per_step_run(backend, kernel_calls):
+    # Every corpus model passes the bound under these maps, so the untraced
+    # runs take the closed form and never reach the kernel.
+    rng = np.random.default_rng(17)
+    for mi, g in enumerate(_models()):
+        plan = plan_model(g)
+        maps = [FaultMap(),
+                sample_random_fault_map(8, LaneFault.stuck_zero(), mi, 8, 8),
+                sample_random_fault_map(4, LaneFault.constant(ERROR_VALUES[mi % 5]), mi, 8, 8),
+                sample_random_fault_map(64, LaneFault.constant(-131072), mi, 8, 8)]
+        for fmap in maps:
+            emu = Emulator(plan, fmap)
+            for _ in range(SAMPLES):
+                x = QTensor(rng.integers(-128, 128, size=g.input_shape).astype(np.int8),
+                            g.input_scale)
+                kernel_calls.clear()
+                got = emu.run(x)
+                assert kernel_calls == [], mi
+                assert got.trace is None
+                assert_same_outputs(got, per_step_run(plan, x, fmap))
+
+
+def test_only_traced_pulse_and_over_bound_runs_call_the_kernel(desk_plan, desk_dataset,
+                                                               kernel_calls):
+    x = desk_dataset.sample(0)
+    mac_layers = sum(prog.is_mac for prog in desk_plan.programs)
+    permanent = [FaultMap(), single_lane_map(2, 3, LaneFault.constant(-131072)),
+                 sample_random_fault_map(64, LaneFault.stuck_zero(), 5, 8, 8)]
+    for fmap in permanent:
+        kernel_calls.clear()
+        fast = Emulator(desk_plan, fmap).run(x)
+        assert kernel_calls == []
+        traced = Emulator(desk_plan, fmap, trace=True).run(x)
+        assert len(kernel_calls) == mac_layers
+        assert_same_outputs(fast, traced)
+    kernel_calls.clear()
+    Emulator(desk_plan, _pulse_map()).run(x)
+    assert len(kernel_calls) == mac_layers
+    g = _rail_model()
+    g.layers[0].bias[0] += 1001
+    kernel_calls.clear()
+    Emulator(plan_model(g), FaultMap()).run(QTensor(np.zeros((24, 1, 1), np.int8), 2.0 ** -6))
+    assert len(kernel_calls) == 1
+
+
+@pytest.mark.parametrize("extra, falls_back", [(1000, False), (1001, True)])
+def test_run_bound_edge(kernel_calls, extra, falls_back):
+    # test_bound_edge for Emulator.run: at ACC_MAX the closed form, one above
+    # it the per-step kernel; both equal the scalar oracle.
+    g = _rail_model()
+    g.layers[0].bias[0] += extra
+    plan = plan_model(g)
+    x = QTensor(np.full((24, 1, 1), 127, dtype=np.int8), g.input_scale)
+    got = Emulator(plan, FaultMap()).run(x)
+    assert len(kernel_calls) == falls_back
+    assert_same_outputs(got, oracle_run(plan, x, FaultMap()))
+
+
+def test_run_on_rail_maps(kernel_calls):
+    # The map that faults every lane saturates per step (logit 64, where the
+    # unsaturated closed form would give 65), so Emulator.run must fall back.
+    plan = plan_model(_rail_model())
+    maps, falls_back = _rail_maps()
+    x = QTensor(np.random.default_rng(4).integers(-128, 128, size=(24, 1, 1)).astype(np.int8),
+                2.0 ** -6)
+    for fmap, slow in zip(maps, falls_back):
+        kernel_calls.clear()
+        got = Emulator(plan, fmap).run(x)
+        assert len(kernel_calls) == slow
+        assert_same_outputs(got, oracle_run(plan, x, fmap))
+    assert Emulator(plan, maps[1]).run(x).logits[0] == 64
 
 
 @pytest.fixture

@@ -194,14 +194,20 @@ class TestCampaign:
         assert "not a directory" in capsys.readouterr().err
         assert out.read_text() == "keep"
 
-    def test_out_under_a_file_is_bad_input(self, desk_bundle, tmp_path, capsys):
+    def test_out_under_a_file_is_bad_input(self, desk_bundle, tmp_path, capsys, monkeypatch):
+        # Rejected before the campaign runs, so no baseline or fault run is paid for.
+        calls = []
+        monkeypatch.setattr(macfi.campaign, "evaluate_accuracy",
+                            lambda *args, **kwargs: calls.append(args))
         parent = tmp_path / "file"
         parent.write_text("keep")
-        out = parent / "sub"
-        rc = main(campaign_args(desk_bundle, out, "--mode", "heatmap", "--slice", "0,1"))
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "error:" in err and "internal error" not in err and str(out) in err
+        for out in (parent / "sub", parent / "sub" / "deeper"):
+            rc = main(campaign_args(desk_bundle, out, "--mode", "heatmap", "--slice", "0,1"))
+            assert rc == 2
+            assert calls == []
+            err = capsys.readouterr().err
+            assert "error:" in err and "internal error" not in err and str(out) in err
+            assert "not a directory" in err
         assert parent.read_text() == "keep"
 
     def test_unwritable_output_is_bad_input_and_leaves_no_partial_files(
