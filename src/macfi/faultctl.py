@@ -21,6 +21,8 @@ import numpy as np
 from .errors import KTooLarge, OutOfRange, SchemaError, UnmappedAddress
 
 LANE_VALUE_MIN, LANE_VALUE_MAX = -(1 << 17), (1 << 17) - 1  # signed 18-bit
+# A pulse window ends at start + length, which the kernels compute in int64.
+PULSE_END_MAX = (1 << 63) - 1
 
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -61,6 +63,9 @@ class LaneFault:
                 raise OutOfRange(f"pulse start must be >= 0, got {self.start}")
             if self.length < 1:
                 raise OutOfRange(f"pulse length must be >= 1, got {self.length}")
+            if self.start + self.length > PULSE_END_MAX:
+                raise OutOfRange(f"pulse start + length must be <= {PULSE_END_MAX}, "
+                                 f"got {self.start + self.length}")
 
     @staticmethod
     def stuck_zero() -> "LaneFault":

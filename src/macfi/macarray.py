@@ -19,8 +19,10 @@ faulted lane drops the products of its (o, c) weights and adds its forced
 value once per carried slot. Each MAC layer is then a matmul, exact
 whenever no partial sum can saturate (_fast_runs decides both). An untraced
 Emulator whose map has the closed form runs each MAC layer as one float64
-matmul over im2col taps, built once per Emulator; a traced one, or one whose
-map has a pulse or could saturate, runs the per-step kernel.
+matmul over im2col columns; a traced one, or one whose map has a pulse or
+could saturate, runs the per-step kernel. Both closed forms gather their
+im2col columns through the plan's tap index (LayerProgram.taps), the one
+record of each layer's conv geometry that the packed rows are built from too.
 
 batch_logits evaluates R fault maps over S samples at once (Emulator.run_batch
 is its one-map case); a run without the closed form takes the per-step
@@ -180,9 +182,10 @@ class Emulator:
         self.trace = trace
         self._farr = self.faults.to_arrays()
         self.cycle = 0
-        # Per MAC layer, its closed form under this map: None when traced,
-        # or when the map has a pulse or could saturate a partial sum.
-        self._closed: dict[str, _LayerForm] | None = None
+        # Per MAC layer, its closed form under this map, (w, const) of
+        # _layer_form: None when traced, or when the map has a pulse or
+        # could saturate a partial sum.
+        self._closed: dict[str, tuple[np.ndarray, np.ndarray]] | None = None
         if not trace:
             keep, forced, fast = _fast_runs(plan, [self.faults])
             if fast[0]:
@@ -237,12 +240,12 @@ class Emulator:
         if x.dims != prog.in_shape:
             raise ShapeError(f"input dims {x.dims} do not match {prog.in_shape}", prog.layer.id)
         if events is None and self._closed is not None:
-            form, cin = self._closed[prog.layer.id], prog.in_shape[0]
+            (w, const), cin = self._closed[prog.layer.id], prog.in_shape[0]
             x_pad = np.zeros((cin, x.data[0].size + 1))  # column 0 is every padded tap
             x_pad[:, 1:] = x.data.reshape(cin, -1)
-            cols = np.take(x_pad, form.taps, axis=1)  # (Cin, K*K, Hout*Wout)
-            acc = form.w @ cols.reshape(form.w.shape[1], -1)
-            acc += form.const
+            cols = np.take(x_pad, prog.taps, axis=1)  # (Cin, K*K, Hout*Wout)
+            acc = w @ cols.reshape(w.shape[1], -1)
+            acc += const
             self.cycle += prog.n_ops
             return QTensor(requantize_array(acc, prog.layer.m, out=acc).reshape(prog.out_shape),
                            prog.out_scale)
@@ -334,7 +337,7 @@ def _fast_runs(plan: ExecutionPlan, fault_maps) -> tuple[np.ndarray, np.ndarray,
         if prog.is_mac:
             bias_bound = max(-int(prog.bias.min()), int(prog.bias.max()))
             groups = -(-prog.in_shape[0] // cfg.lanes)
-            fast &= bias_bound + groups * prog.packed.k ** 2 * row_bound <= ACC_MAX
+            fast &= bias_bound + groups * len(prog.taps) * row_bound <= ACC_MAX
     return keep, forced, fast
 
 
@@ -347,33 +350,23 @@ def _lane_faults(prog: LayerProgram, cfg, keep: np.ndarray,
     its lane carries."""
     unit_of = np.arange(prog.out_shape[0]) % cfg.units
     lane_of = np.arange(prog.in_shape[0]) % cfg.lanes
-    slots = prog.packed.k ** 2 * np.bincount(lane_of, minlength=cfg.lanes)  # carried slots per lane
+    slots = len(prog.taps) * np.bincount(lane_of, minlength=cfg.lanes)  # carried slots per lane
     return keep[:, unit_of[:, None], lane_of], prog.bias + forced[:, unit_of] @ slots
 
 
-@dataclass
-class _LayerForm:
-    """One MAC layer's closed form under one fault map, for Emulator.run:
-    acc = w @ im2col(x) + const, where channel c's im2col rows are
-    [0, x[c].flat...][taps]. Every partial sum is an integer below 2^31
-    under the bound, so float64 sums it exactly in any order."""
-
-    w: np.ndarray  # float64 (Cout, Cin*K*K): the weights times the run's keep mask
-    const: np.ndarray  # float64 (Cout, 1): bias plus forced values
-    # intp (K*K, Hout*Wout): 1 + the flat (y, x) index each tap reads within
-    # a channel, 0 for a padded tap; one index for all channels keeps it small.
-    taps: np.ndarray
-
-
-def _layer_form(prog: LayerProgram, cfg, keep: np.ndarray, forced: np.ndarray) -> _LayerForm:
-    """_LayerForm of one MAC layer from the one-run keep and forced of _fast_runs."""
+def _layer_form(prog: LayerProgram, cfg, keep: np.ndarray,
+                forced: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One MAC layer's closed form under one fault map, for Emulator.run,
+    from the one-run keep and forced of _fast_runs: acc = w @ im2col(x) +
+    const, with w float64 (Cout, Cin*K*K), the weights times the run's keep
+    mask, and const float64 (Cout, 1), bias plus forced values. Every
+    partial sum is an integer below 2^31 under the bound, so float64 sums
+    it exactly in any order."""
     layer_keep, const = _lane_faults(prog, cfg, keep, forced)
     cout, cin = layer_keep.shape[1:]
     w = np.multiply(prog.weights_flat.reshape(cout, cin, -1), layer_keep[0, :, :, None],
                     dtype=np.float64)
-    _, h, wd = prog.in_shape
-    taps = _taps(prog, np.arange(1, h * wd + 1).reshape(h, wd)).reshape(w.shape[2], -1)
-    return _LayerForm(w.reshape(cout, -1), const.astype(np.float64).T, taps)
+    return w.reshape(cout, -1), const.astype(np.float64).T
 
 
 # Non-MAC layers that act on each channel alone; a slab passes through them.
@@ -463,7 +456,7 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
             continue
         cin = prog.in_shape[0]
         cout, hout, wout = prog.out_shape
-        hw, kk = hout * wout, prog.packed.k ** 2
+        hw, kk = hout * wout, len(prog.taps)
         layer_keep, const = _lane_faults(prog, cfg, keep, forced)
         w = prog.weights_flat.reshape(cout, cin, kk)
         # Every partial sum is bounded by 128 * max_o sum |W[o]| + max |const|
@@ -553,22 +546,15 @@ def _broadcast_runs(arrays: list[np.ndarray]) -> list[np.ndarray]:
     return [np.broadcast_to(a, shape) for a in arrays]
 
 
-def _taps(prog: LayerProgram, x: np.ndarray) -> np.ndarray:
-    """im2col view (..., K, K, Hout, Wout) of x (..., H, W), padded with 0."""
-    layer = prog.layer
-    k = prog.packed.k
-    stride = layer.stride if layer.kind == "conv" else 1
-    pad = layer.pad if layer.kind == "conv" else 0
-    _, hout, wout = prog.out_shape
-    if pad:
-        h, w = x.shape[-2:]
-        xp = np.zeros(x.shape[:-2] + (h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-        xp[..., pad : pad + h, pad : pad + w] = x
-        x = xp
-    *lead, sh, sw = x.strides
-    return np.lib.stride_tricks.as_strided(
-        x, x.shape[:-2] + (k, k, hout, wout), (*lead, sh, sw, sh * stride, sw * stride),
-        writeable=False)
+def _im2col(prog: LayerProgram, x: np.ndarray, dtype) -> np.ndarray:
+    """im2col columns (..., C, K*K, S, Hout*Wout) in dtype of int8 x (...,
+    C, S, H, W), gathered through the plan's tap index: each sample's H*W
+    values follow one zero column, which every padded tap reads."""
+    *lead, n, h, w = x.shape
+    x_pad = np.zeros((*lead, n, h * w + 1), dtype=dtype)
+    x_pad[..., 1:] = x.reshape(*lead, n, h * w)
+    idx = prog.taps[:, None] + (h * w + 1) * np.arange(n)[:, None]  # (K*K, S, Hout*Wout)
+    return np.take(x_pad.reshape(*lead, -1), idx, axis=-1)
 
 
 def _partials(op: _MacOperands, x: np.ndarray) -> np.ndarray:
@@ -578,18 +564,14 @@ def _partials(op: _MacOperands, x: np.ndarray) -> np.ndarray:
 
     One GEMM batched over the groups, with Cin zero-padded to a multiple of
     G, writes each group's share in place."""
-    (cin, n), (cout, _, kk), groups = x.shape[:2], op.w.shape, op.keep.shape[2]
+    cin, (cout, _, kk), groups = len(x), op.w.shape, op.keep.shape[2]
     per_group = -(-cin // groups)
     w, pad = op.w, per_group * groups - cin
     if pad:  # zero channels, which zero weights read, complete the last group
         w = np.concatenate([w, np.zeros((cout, pad, kk), dtype=w.dtype)], axis=1)
         x = np.concatenate([x, np.zeros((pad,) + x.shape[1:], dtype=np.int8)])
-    taps = _taps(op.prog, x)
-    taps = taps.reshape((per_group, groups) + taps.shape[1:])
-    cols = np.empty((groups, per_group) + taps.shape[3:5] + (n,) + taps.shape[5:],
-                    dtype=op.w.dtype)
-    cols[...] = taps.transpose(1, 0, 3, 4, 2, 5, 6)  # (G, channel in group, K, K, S, ...)
-    cols = cols.reshape(groups, per_group * kk, -1)
+    x = x.reshape((per_group, groups) + x.shape[1:]).swapaxes(0, 1)  # (G, channel in group, ...)
+    cols = _im2col(op.prog, x, op.w.dtype).reshape(groups, per_group * kk, -1)
     w = w.reshape(cout, per_group, groups, kk).transpose(2, 0, 1, 3).reshape(groups, cout, -1)
     p = np.empty((cout, groups, cols.shape[2]), dtype=op.w.dtype)
     np.matmul(w, cols, out=p.transpose(1, 0, 2))
@@ -652,9 +634,7 @@ def _mac_runs(op: _MacOperands, x: np.ndarray | _Slab, r0: int, rb: int,
         w, keep = np.multiply(op.w, keep[..., None]), None
     runs, d = x.shape[:2]
     cout, hout, wout = op.prog.out_shape
-    taps = _taps(op.prog, x).transpose(0, 1, 3, 4, 2, 5, 6)  # (runs, d, K, K, S, ...)
-    cols = np.empty(taps.shape, dtype=op.w.dtype)
-    cols[...] = taps
+    cols = _im2col(op.prog, x, op.w.dtype)  # (runs, d, K*K, S, Hout*Wout)
     acc = np.matmul(w.reshape(runs, cout, -1), cols.reshape(runs, d * w.shape[3], -1))
     acc += op.const[r0 : r0 + rb, :, None] if keep is None else _from_partials(op, keep, p, r0)
     return _requantize(op, acc).reshape(runs, cout, -1, hout, wout)

@@ -8,12 +8,18 @@ micro-op the lane slots carry consecutive input channels for one
 used by pulse faults. Trailing lanes are idle when Cin is not a multiple of
 the lane count; padded taps stay active with activation 0.
 
+Each MAC layer's conv geometry (K, stride, pad over the input's H x W) is
+read in one place, its tap index (LayerProgram.taps): which input position
+within a channel tap (i, j) of output (y, x) reads, or the padding. The
+packed rows and both closed forms in macarray are built from it.
+
 relu/maxpool/gavgpool/add do not use MAC lanes and are marked as
 reference-delegated programs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,62 +59,59 @@ class PackedOps:
     dest: np.ndarray  # int32 (n,)
     act_idx: np.ndarray  # int32 (n, lanes)
     w_idx: np.ndarray  # int32 (n, lanes)
-    in_shape: tuple[int, int, int]
-    out_shape: tuple[int, int, int]
-    k: int
 
     @property
     def n_ops(self) -> int:
         return int(self.unit.shape[0])
 
 
-def _pack_mac_layer(
-    layer: LayerSpec, in_shape: tuple[int, int, int], cfg: ArrayConfig
-) -> PackedOps:
+def _tap_index(layer: LayerSpec, in_shape: tuple[int, int, int],
+               out_shape: tuple[int, int, int]) -> np.ndarray:
+    """intp (K*K, Hout*Wout): 1 + the flat iy*W + ix that tap (i, j) of
+    output (y, x) reads within a channel, or 0 where it falls in the padding."""
+    _, h, w = in_shape
+    _, hout, wout = out_shape
+    k, stride, pad = layer.k or 1, layer.stride or 1, layer.pad or 0  # fc: 1, 1, 0
+    i, j, y, x = np.indices((k, k, hout, wout)).reshape(4, k * k, hout * wout)
+    iy = y * stride - pad + i
+    ix = x * stride - pad + j
+    return np.where((iy >= 0) & (iy < h) & (ix >= 0) & (ix < w), iy * w + ix + 1, 0)
+
+
+def _pack_mac_layer(layer: LayerSpec, in_shape: tuple[int, int, int], taps: np.ndarray,
+                    cfg: ArrayConfig) -> PackedOps:
     c_in, h, w = in_shape
-    k = layer.k if layer.kind == "conv" else 1
-    stride = layer.stride if layer.kind == "conv" else 1
-    pad = layer.pad if layer.kind == "conv" else 0
-    cout = layer.cout
-    hout = (h + 2 * pad - k) // stride + 1
-    wout = (w + 2 * pad - k) // stride + 1
+    kk, hw = taps.shape
     groups = -(-c_in // cfg.lanes)  # ceil(Cin / lanes)
 
     # Row-major (o, y, x, channel-group, i, j); one row per micro-op.
-    o, y, x, g, i, j = (
-        a.reshape(-1).astype(np.int64)
-        for a in np.indices((cout, hout, wout, groups, k, k))
-    )
+    o, pos, g, t = (a.reshape(-1) for a in np.indices((layer.cout, hw, groups, kk)))
     n = o.shape[0]
     unit = (o % cfg.units).astype(np.int32)
-    dest = ((o * hout + y) * wout + x).astype(np.int32)
-    iy = y * stride - pad + i
-    ix = x * stride - pad + j
-    in_bounds = (iy >= 0) & (iy < h) & (ix >= 0) & (ix < w)
+    dest = (o * hw + pos).astype(np.int32)
+    tap = taps[t, pos]
 
     act_idx = np.full((n, cfg.lanes), -2, dtype=np.int32)
     w_idx = np.full((n, cfg.lanes), -1, dtype=np.int32)
     for lane in range(cfg.lanes):
         c = g * cfg.lanes + lane
         carried = c < c_in
-        flat_act = (c * h + iy) * w + ix
-        act_idx[:, lane] = np.where(carried, np.where(in_bounds, flat_act, -1), -2)
-        w_idx[:, lane] = np.where(carried, ((o * c_in + c) * k + i) * k + j, -1)
-    return PackedOps(unit, dest, act_idx, w_idx, in_shape, (cout, hout, wout), k)
+        act_idx[:, lane] = np.where(carried, np.where(tap > 0, c * h * w + tap - 1, -1), -2)
+        w_idx[:, lane] = np.where(carried, (o * c_in + c) * kk + t, -1)
+    return PackedOps(unit, dest, act_idx, w_idx)
 
 
-def _check_indices(p: PackedOps, units: int, n_weights: int, layer_id: str):
+def _check_indices(prog: LayerProgram, units: int):
     """One pass over a program's index values, which the compiled kernel
     dereferences unchecked: unit < units, dest < Cout*Hout*Wout,
     act_idx in [-2, Cin*H*W), w_idx in [-1, n_weights)."""
-    c_in, h, w = p.in_shape
-    cout, hout, wout = p.out_shape
+    p = prog.packed
     for name, arr, lo, hi in (("unit", p.unit, 0, units),
-                              ("dest", p.dest, 0, cout * hout * wout),
-                              ("act_idx", p.act_idx, -2, c_in * h * w),
-                              ("w_idx", p.w_idx, -1, n_weights)):
+                              ("dest", p.dest, 0, math.prod(prog.out_shape)),
+                              ("act_idx", p.act_idx, -2, math.prod(prog.in_shape)),
+                              ("w_idx", p.w_idx, -1, prog.weights_flat.size)):
         if arr.size and (int(arr.min()) < lo or int(arr.max()) >= hi):
-            raise ShapeError(f"packed {name} values outside [{lo}, {hi})", layer_id)
+            raise ShapeError(f"packed {name} values outside [{lo}, {hi})", prog.layer.id)
 
 
 @dataclass
@@ -122,6 +125,10 @@ class LayerProgram:
     packed: PackedOps | None = None  # None for delegated layers
     weights_flat: np.ndarray | None = None  # int8, (Cout*Cin*K*K,)
     bias: np.ndarray | None = None  # int32, (Cout,)
+    # intp (K*K, Hout*Wout) from _tap_index, the one record of the layer's
+    # conv geometry: the packed rows, the Emulator's closed form and the
+    # batched im2col are all gathered through it.
+    taps: np.ndarray | None = None
 
     @property
     def is_mac(self) -> bool:
@@ -159,20 +166,19 @@ def plan_model(g: ModelGraph, cfg: ArrayConfig | None = None) -> ExecutionPlan:
         in_shape = env[layer.inputs[0]][0]
         out_shape, out_scale = env[layer.id]
         if layer.kind in MAC_KINDS:
-            packed = _pack_mac_layer(layer, in_shape, cfg)
-            weights_flat = np.ascontiguousarray(layer.weights, dtype=np.int8).reshape(-1)
-            _check_indices(packed, cfg.units, weights_flat.size, layer.id)
-            programs.append(
-                LayerProgram(
-                    layer,
-                    in_shape,
-                    out_shape,
-                    out_scale,
-                    packed=packed,
-                    weights_flat=weights_flat,
-                    bias=np.ascontiguousarray(layer.bias, dtype=np.int32),
-                )
+            taps = _tap_index(layer, in_shape, out_shape)
+            prog = LayerProgram(
+                layer,
+                in_shape,
+                out_shape,
+                out_scale,
+                packed=_pack_mac_layer(layer, in_shape, taps, cfg),
+                weights_flat=np.ascontiguousarray(layer.weights, dtype=np.int8).reshape(-1),
+                bias=np.ascontiguousarray(layer.bias, dtype=np.int32),
+                taps=taps,
             )
+            _check_indices(prog, cfg.units)
+            programs.append(prog)
         else:
             programs.append(LayerProgram(layer, in_shape, out_shape, out_scale))
     return ExecutionPlan(cfg, programs, g.input_shape, g.input_scale, g.output, g.classes)
@@ -212,14 +218,14 @@ def _format_slot(ai, ac, iy, ix, o, c, i, j) -> str:
 def _format_rows(prog: LayerProgram):
     """dump_plan lines of one MAC program, decoded from its packed rows."""
     p = prog.packed
-    c_in, h, w = p.in_shape
-    _, hout, wout = p.out_shape
-    kk = p.k * p.k
+    c_in, h, w = prog.in_shape
+    _, hout, wout = prog.out_shape
+    kk = len(prog.taps)
     o, rem = np.divmod(p.dest, hout * wout)
     y, x = np.divmod(rem, wout)
     wo, rem = np.divmod(p.w_idx, c_in * kk)
     c, rem = np.divmod(rem, kk)
-    i, j = np.divmod(rem, p.k)
+    i, j = np.divmod(rem, math.isqrt(kk))
     ac, rem = np.divmod(p.act_idx, h * w)
     iy, ix = np.divmod(rem, w)
     slots = zip(*(a.tolist() for a in (p.act_idx, ac, iy, ix, wo, c, i, j)))

@@ -91,6 +91,19 @@ class TestInfer:
         assert main(infer_args(desk_bundle, "--faults", str(spec))) == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("start, length, rc", [
+        ("99999999999999999999999", "5", 2),  # past int64 itself
+        ("9223372036854775800", "100", 2),  # start + length past 2^63 - 1
+        ("9223372036854775806", "1", 0),  # ends exactly at 2^63 - 1
+    ])
+    def test_pulse_window_end_past_int64_is_bad_input(self, desk_bundle, tmp_path, capsys,
+                                                      start, length, rc):
+        spec = tmp_path / "pulse.txt"
+        spec.write_text(f"0,0,pulse,1,{start},{length}\n")
+        assert main(infer_args(desk_bundle, "--faults", str(spec), "--sample", "0")) == rc
+        err = capsys.readouterr().err
+        assert ("error: fault spec line 1" in err) == (rc == 2) and "internal" not in err
+
 
 class TestCampaign:
     def test_heatmap_outputs(self, desk_bundle, tmp_path, capsys):

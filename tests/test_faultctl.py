@@ -50,6 +50,15 @@ class TestLaneFault:
         with pytest.raises(OutOfRange):
             LaneFault.pulse(1, -1, 5)
 
+    def test_pulse_end_fits_int64(self):
+        # The kernels compute the window end start + length in int64.
+        end_max = 2 ** 63 - 1
+        assert LaneFault.pulse(1, end_max - 1, 1).start == end_max - 1
+        assert LaneFault.pulse(1, 0, end_max).length == end_max
+        for start, length in ((end_max, 1), (0, end_max + 1), (10 ** 23, 5), (2 ** 62, 2 ** 62)):
+            with pytest.raises(OutOfRange):
+                LaneFault.pulse(1, start, length)
+
     def test_error_value_realization(self):
         assert fault_for_error_value(0).mode is FaultMode.STUCK_ZERO
         assert fault_for_error_value(1) == LaneFault.constant(1)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import macfi.macarray as macarray
@@ -15,11 +15,11 @@ from macfi.macarray import (
     mac_dot,
     mult_lane,
 )
-from macfi.model import reference_forward
+from macfi.model import ModelGraph, reference_forward
 from macfi.planner import plan_model, plan_stats
-from macfi.qtensor import PRODUCT_MAX, PRODUCT_MIN, QTensor
+from macfi.qtensor import PRODUCT_MAX, PRODUCT_MIN, QTensor, conv_out_hw
 
-from helpers import (assert_same_run, make_random_model, oracle_run, random_input,
+from helpers import (assert_same_run, mac_layer, make_random_model, oracle_run, random_input,
                      zero_weight_copy)
 
 int8s = st.integers(-128, 127)
@@ -133,6 +133,27 @@ class TestOracleEquivalence:
     def test_fault_map_dims_must_match(self, desk_plan):
         with pytest.raises(ShapeError):
             Emulator(desk_plan, FaultMap(4, 4))
+
+
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 4), st.integers(1, 3),
+       st.integers(0, 2), st.sampled_from([np.float32, np.float64]), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_im2col_matches_padded_slices(h, w, k, stride, pad, dtype, seed):
+    # The batched closed form's columns, gathered through the plan's tap
+    # index, against slices of np.pad(x) taken the way ref_conv2d takes them.
+    assume(k <= min(h, w) + 2 * pad)
+    rng = np.random.default_rng(seed)
+    c, n = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    hout, wout = conv_out_hw(h, w, k, stride, pad)
+    layer = mac_layer(rng, "c", "conv", "input", c, 1, k, stride, pad)
+    prog = plan_model(ModelGraph([layer], (c, h, w), 1.0, "c", hout * wout)).programs[0]
+    x = rng.integers(-128, 128, (2, c, n, h, w)).astype(np.int8)  # (runs, C, S, H, W)
+    padded = np.pad(x, [(0, 0)] * 3 + [(pad, pad)] * 2)
+    want = np.stack([padded[..., i : i + hout * stride : stride, j : j + wout * stride : stride]
+                     for i in range(k) for j in range(k)], axis=2)
+    got = macarray._im2col(prog, x, dtype)
+    assert got.shape == (2, c, k * k, n, hout * wout) and got.dtype == dtype
+    assert np.array_equal(got.reshape(want.shape), want)
 
 
 def test_layer_program_rejects_wrong_input_dims(backend, desk_plan):
@@ -313,7 +334,7 @@ class TestTrace:
             for prog in macs:
                 events = [ev for ev in trace if ev.layer_id == prog.layer.id]
                 cout, hout, wout = prog.out_shape
-                assert len(events) == cout * hout * wout * prog.packed.k ** 2 * prog.in_shape[0]
+                assert len(events) == cout * hout * wout * len(prog.taps) * prog.in_shape[0]
                 assert all(prog.packed.act_idx[ev.cycle - cycle0, ev.lane] != -2
                            for ev in events)
                 cycle0 += prog.n_ops

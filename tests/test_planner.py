@@ -31,25 +31,26 @@ class TestArrayConfig:
             ArrayConfig(lanes=0)
 
 
-def packed_of(layer: LayerSpec, in_shape):
-    """The packed program plan_model builds for a one-layer model."""
+def program_of(layer: LayerSpec, in_shape):
+    """The program plan_model builds for a one-layer model."""
     c, h, w = in_shape
     hout = (h + 2 * layer.pad - layer.k) // layer.stride + 1
     wout = (w + 2 * layer.pad - layer.k) // layer.stride + 1
     g = ModelGraph([layer], in_shape, 2.0 ** -6, layer.id, layer.cout * hout * wout)
-    return plan_model(g).programs[0].packed
+    return plan_model(g).programs[0]
 
 
-def dest_coords(p):
+def dest_coords(prog):
     """(o, y, x) of each row's destination."""
-    _, hout, wout = p.out_shape
-    o, rem = np.divmod(p.dest, hout * wout)
+    _, hout, wout = prog.out_shape
+    o, rem = np.divmod(prog.packed.dest, hout * wout)
     return o, *np.divmod(rem, wout)
 
 
-def weight_channel(p):
+def weight_channel(prog):
     """Input channel c of each slot's weight ((o*Cin+c)*K+i)*K+j; -1 when idle."""
-    c = (p.w_idx // (p.k * p.k)) % p.in_shape[0]
+    p = prog.packed
+    c = (p.w_idx // len(prog.taps)) % prog.in_shape[0]
     return np.where(p.act_idx == -2, -1, c)
 
 
@@ -57,15 +58,16 @@ class TestPlanLayer:
     def test_counts_cin8(self):
         # Cin=8, Cout=8, K=3, 4x4 input with pad 1 -> Hout=Wout=4
         rng = np.random.default_rng(0)
-        p = packed_of(conv_spec(rng, 8, 8, 3, 1, 1), (8, 4, 4))
+        prog = program_of(conv_spec(rng, 8, 8, 3, 1, 1), (8, 4, 4))
+        p = prog.packed
         assert p.n_ops == 1152  # Cout*Hout*Wout*K^2*ceil(Cin/8) = 8*4*4*9*1
-        o, _, _ = dest_coords(p)
+        o, _, _ = dest_coords(prog)
         assert int((o == 0).sum()) == 144  # 4*4*9
         assert int((p.act_idx != -2).sum()) == 9216  # Cout*Hout*Wout*K^2*Cin
 
     def test_counts_cin4_idle_lanes(self):
         rng = np.random.default_rng(0)
-        p = packed_of(conv_spec(rng, 4, 8, 3, 1, 1), (4, 4, 4))
+        p = program_of(conv_spec(rng, 4, 8, 3, 1, 1), (4, 4, 4)).packed
         assert p.n_ops == 1152
         assert np.all(p.act_idx[:, 4:] == -2)
         assert np.all(p.w_idx[:, 4:] == -1)
@@ -74,22 +76,22 @@ class TestPlanLayer:
     def test_fc_single_micro_op(self):
         rng = np.random.default_rng(0)
         layer = mac_layer(rng, "f", "fc", "input", 8, 1, 1, m=2.0 ** -7)
-        p = packed_of(layer, (8, 1, 1))
-        assert p.n_ops == 1
-        assert int(p.unit[0]) == 0
-        assert [int(a[0]) for a in dest_coords(p)] == [0, 0, 0]
+        prog = program_of(layer, (8, 1, 1))
+        assert prog.packed.n_ops == 1
+        assert int(prog.packed.unit[0]) == 0
+        assert [int(a[0]) for a in dest_coords(prog)] == [0, 0, 0]
 
     def test_unit_assignment_is_output_channel_mod_units(self):
         rng = np.random.default_rng(1)
-        p = packed_of(conv_spec(rng, 3, 11, 2), (3, 5, 5))
-        o, _, _ = dest_coords(p)
-        assert np.array_equal(p.unit, o % 8)
+        prog = program_of(conv_spec(rng, 3, 11, 2), (3, 5, 5))
+        o, _, _ = dest_coords(prog)
+        assert np.array_equal(prog.packed.unit, o % 8)
 
     def test_lanes_carry_consecutive_input_channels(self):
         rng = np.random.default_rng(2)
-        p = packed_of(conv_spec(rng, 11, 2, 1), (11, 2, 2))
+        prog = program_of(conv_spec(rng, 11, 2, 1), (11, 2, 2))
         # groups of ceil(11/8)=2: first group channels 0..7, second 8..10 + idle
-        for row in weight_channel(p).tolist():
+        for row in weight_channel(prog).tolist():
             carried = [c for c in row if c >= 0]
             base = carried[0]
             assert carried == list(range(base, base + len(carried)))
@@ -97,7 +99,7 @@ class TestPlanLayer:
 
     def test_padding_taps_are_marked_not_idle(self):
         rng = np.random.default_rng(3)
-        p = packed_of(conv_spec(rng, 1, 1, 3, 1, 1), (1, 3, 3))
+        p = program_of(conv_spec(rng, 1, 1, 3, 1, 1), (1, 3, 3)).packed
         corner = p.dest == 0  # output (0, 0, 0)
         assert int((p.act_idx[corner] == -1).sum()) == 5  # 5 of the 3x3 corner taps are out of bounds
         assert np.all(p.w_idx[corner][:, 0] >= 0)
@@ -114,12 +116,13 @@ class TestPlanLayer:
             stride = int(rng.integers(1, 3))
             layer = conv_spec(rng, cin, cout, k, stride, pad)
             layer.weights = rng.integers(-8, 9, (cout, cin, k, k)).astype(np.int8)
-            p = packed_of(layer, (cin, h, w))
+            prog = program_of(layer, (cin, h, w))
+            p = prog.packed
             hout = (h + 2 * pad - k) // stride + 1
             wout = (w + 2 * pad - k) // stride + 1
             # every output element is exactly one accumulate-group of
             # ceil(Cin/8)*K*K rows
-            o, y, x = dest_coords(p)
+            o, y, x = dest_coords(prog)
             assert set(zip(o.tolist(), y.tolist(), x.tolist())) == {
                 (oo, yy, xx) for oo in range(cout) for yy in range(hout) for xx in range(wout)}
             assert np.array_equal(np.bincount(p.dest, minlength=cout * hout * wout),
@@ -185,8 +188,8 @@ class TestPlanModel:
         # conv2 of the desk model: (8, 4, 4) in, (8, 4, 4) out, 3x3 weights
         real = planner._pack_mac_layer
 
-        def corrupted(layer, in_shape, cfg):
-            p = real(layer, in_shape, cfg)
+        def corrupted(layer, in_shape, taps, cfg):
+            p = real(layer, in_shape, taps, cfg)
             if layer.id == "conv2":
                 p = dataclasses.replace(p, **{field: getattr(p, field).copy()})
                 getattr(p, field)[row] = value
@@ -202,6 +205,22 @@ class TestPlanModel:
         # `macfi plan` output on the bundled model, byte for byte
         digest = hashlib.sha256(dump_plan(desk_plan).encode()).hexdigest()
         assert digest == "8bc7396f1224c5e11cd51b56054b688a34d90cefb519178d52f6af2c56902576"
+
+    def test_strided_padded_dump_is_pinned(self):
+        # Stride 2 and pad 1 over a non-square 7x5 input: the last row and
+        # column of outputs read the far padding. Cin = 11 spans two lane
+        # groups, the second with idle lanes; Cout = 10 wraps the units.
+        rng = np.random.default_rng(15)
+        layers = [mac_layer(rng, "conv", "conv", "input", 11, 10, 3, 2, 1, m=2.0 ** -7),
+                  LayerSpec(id="relu", kind="relu", inputs=["conv"]),
+                  LayerSpec(id="gap", kind="gavgpool", inputs=["relu"]),
+                  mac_layer(rng, "fc", "fc", "gap", 10, 6, 1, m=2.0 ** -7)]
+        plan = plan_model(ModelGraph(layers, (11, 7, 5), 2.0 ** -6, "fc", 6))
+        assert plan.by_id["conv"].out_shape == (10, 4, 3)
+        text = dump_plan(plan)
+        assert len(text.splitlines()) == 10 * 4 * 3 * 2 * 9 + 6 * 2
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "04dc5b643ebbd30814c24ef0de7545e5a3191a5b6c93175fb33b43b4e0f175af"
 
 
 class TestPlanStats:
