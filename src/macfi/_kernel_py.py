@@ -4,8 +4,9 @@ Fallback for the C extension in ``_kernel.c``, used when that extension is
 not built; both implement the exact same semantics and the test suite asserts
 they agree bit for bit. ``engaged`` is the one Python definition of the fault
 mux; the emulator's trace events are read from it as well.
-Lane products are vectorized with numpy; the saturating accumulate runs as
-a plain loop only when an intermediate 32-bit overflow is actually possible.
+Lane products are vectorized with numpy over every row. The accumulate is
+one saturating route, stepped over the rows of each output element and
+vectorized over the elements.
 """
 
 from __future__ import annotations
@@ -57,22 +58,17 @@ def run_program(unit, dest, act_idx, w_idx, act_flat, w_flat, acc,
 
     mac = np.clip(prod.sum(axis=1, dtype=np.int64), ACC_MIN, ACC_MAX)
 
-    # If no prefix sum can leave the 32-bit range, a bulk scatter-add equals
-    # the per-step saturating accumulate; otherwise do it step by step.
-    rows_per_dest = int(np.bincount(dest).max())
-    bound = int(np.abs(acc).max(initial=0)) + rows_per_dest * int(np.abs(mac).max(initial=0))
-    if bound <= ACC_MAX:
-        acc64 = acc.astype(np.int64)
-        np.add.at(acc64, dest, mac)
-        acc[:] = acc64
-    else:
-        acc_list = acc.tolist()
-        for d, m in zip(dest.tolist(), mac.tolist()):
-            s = acc_list[d] + m
-            if s > ACC_MAX:
-                s = ACC_MAX
-            elif s < ACC_MIN:
-                s = ACC_MIN
-            acc_list[d] = s
-        acc[:] = acc_list
+    # Step k of an accumulator is its k-th row in program order. A stable
+    # sort by dest lays the rows out as (step, dest); each step then
+    # saturate-adds into every accumulator at once, padding steps adding 0.
+    order = np.argsort(dest, kind="stable")
+    counts = np.bincount(dest, minlength=acc.size)
+    d = dest[order]
+    steps = np.zeros((counts.max(), acc.size), dtype=np.int64)
+    steps[np.arange(n) - (np.cumsum(counts) - counts)[d], d] = mac[order]
+    acc64 = acc.astype(np.int64)
+    for step in steps:
+        acc64 += step
+        np.clip(acc64, ACC_MIN, ACC_MAX, out=acc64)
+    acc[:] = acc64
     return cycle0 + n

@@ -10,10 +10,8 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import campaign as camp
-from .errors import MacfiError, OutOfRange, SchemaError
+from .errors import EmptyDataset, MacfiError, OutOfRange, SchemaError
 from .faultctl import parse_fault_spec
 from .macarray import Emulator, classify_argmax
 from .model import load_dataset, load_model
@@ -95,14 +93,13 @@ def cmd_infer(args) -> int:
         try:
             with open(args.faults, "r", encoding="utf-8") as fh:
                 faults = parse_fault_spec(fh.read(), plan.cfg.units, plan.cfg.lanes)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise SchemaError(f"cannot read fault spec {args.faults}: {exc}") from exc
-    if args.sample is not None:
-        if not 0 <= args.sample < len(ds):
-            raise OutOfRange(f"--sample {args.sample} outside dataset of {len(ds)}")
-        indices = [args.sample]
-    else:
-        indices = list(range(len(ds)))
+    if args.sample is not None and not 0 <= args.sample < len(ds):
+        raise OutOfRange(f"--sample {args.sample} outside dataset of {len(ds)}")
+    indices = list(range(len(ds))) if args.sample is None else [args.sample]
+    if not indices:
+        raise EmptyDataset(f"dataset {args.dataset} has no samples")
 
     emu = Emulator(plan, faults)
     if args.verbose:

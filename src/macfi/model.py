@@ -426,7 +426,7 @@ def load_model(manifest_path, weights_path) -> ModelGraph:
             doc = json.load(fh)
     except OSError as exc:
         raise MissingBlob(f"cannot read manifest {manifest_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise SchemaError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
     g, refs = _parse_manifest(doc)
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .model import LayerSpec, ModelGraph, propagate_shapes, topo_order
+from .qtensor import LANES
 
 MAC_KINDS = ("conv", "fc")
 
@@ -35,7 +36,7 @@ class ArrayConfig:
     """Geometry of the emulated multiplier grid."""
 
     units: int = 8
-    lanes: int = 8
+    lanes: int = LANES
 
     def __post_init__(self):
         if self.units < 1 or self.lanes < 1:
@@ -192,20 +193,19 @@ class PlanStats:
 
 
 def plan_stats(plan: ExecutionPlan) -> PlanStats:
+    """Counted from layer shapes: output channel o runs on unit o mod units,
+    input channel c on lane c mod lanes, ceil(Cin/lanes) micro-ops per tap."""
     units, lanes = plan.cfg.units, plan.cfg.lanes
     per_unit = np.zeros(units, dtype=np.int64)
     activity = np.zeros((units, lanes), dtype=np.int64)
-    idle = 0
     for prog in plan.programs:
-        if not prog.is_mac:
-            continue
-        packed = prog.packed
-        per_unit += np.bincount(packed.unit, minlength=units)
-        for lane in range(lanes):
-            carried = packed.act_idx[:, lane] != -2
-            activity[:, lane] += np.bincount(packed.unit[carried], minlength=units)
-            idle += int((~carried).sum())
-    return PlanStats(per_unit, activity, idle)
+        if prog.is_mac:
+            cin, cout = prog.in_shape[0], prog.out_shape[0]
+            n_o = np.bincount(np.arange(cout) % units, minlength=units)
+            n_c = np.bincount(np.arange(cin) % lanes, minlength=lanes)
+            activity += np.outer(n_o, n_c) * prog.taps.size  # taps: K*K x Hout*Wout
+            per_unit += n_o * prog.taps.size * -(-cin // lanes)
+    return PlanStats(per_unit, activity, int(per_unit.sum()) * lanes - int(activity.sum()))
 
 
 def _format_slot(ai, ac, iy, ix, o, c, i, j) -> str:

@@ -1,9 +1,9 @@
 """Quantized tensors and the golden software reference for every layer kind.
 
 All activations and weights are symmetric per-tensor int8 (zero point 0,
-``value = scale * q``). Accumulators are signed 32-bit with saturation.
-Rounding is round-half-to-even everywhere. The functions here define the
-bit-exact semantics the MAC-array emulator must reproduce.
+``value = scale * q``). Accumulators are signed 32-bit and saturate after
+every micro-op. Rounding is round-half-to-even everywhere. The functions
+here define the bit-exact semantics the MAC-array emulator must reproduce.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ INT8_MIN, INT8_MAX = -128, 127
 ACC_MIN, ACC_MAX = -(1 << 31), (1 << 31) - 1
 # Extremes of a genuine signed 8x8 multiplier output: (-128)*(-128) and (-128)*127.
 PRODUCT_MIN, PRODUCT_MAX = -16256, 16384
+LANES = 8  # multipliers per MAC unit: one micro-op sums this many input channels
 
 
 def _check_scale(scale: float) -> float:
@@ -143,11 +144,13 @@ def ref_conv2d(
     stride: int,
     pad: int,
 ) -> AccTensor:
-    """Direct zero-padded convolution in exact integer arithmetic.
+    """Direct zero-padded convolution, accumulated as the MAC array does.
 
     ``weights`` is int8 with shape (Cout, Cin, K, K); ``bias`` is one int32
-    per output channel, added once per output element. The exact int64 sum
-    is saturated to int32 at the end.
+    per output channel. Each accumulator starts at its bias, then adds one
+    micro-op at a time and saturates to int32: per group of LANES input
+    channels, per tap (i, j), that group's dot product. The result is the
+    exact sum unless one of its prefix sums leaves int32.
     """
     weights = np.asarray(weights, dtype=np.int8)
     bias = np.asarray(bias, dtype=np.int32)
@@ -168,15 +171,17 @@ def ref_conv2d(
 
     hout, wout = conv_out_hw(h, w, k, stride, pad)
     padded = np.pad(input.data.astype(np.int64), ((0, 0), (pad, pad), (pad, pad)))
-    acc = np.zeros((cout, hout, wout), dtype=np.int64)
+    acc = np.empty((cout, hout, wout), dtype=np.int64)
+    acc[:] = bias[:, None, None]
     w64 = weights.astype(np.int64)
-    for i in range(k):
-        for j in range(k):
-            window = padded[:, i : i + hout * stride : stride, j : j + wout * stride : stride]
-            # (Cout, Cin) x (Cin, Hout, Wout) -> (Cout, Hout, Wout)
-            acc += np.tensordot(w64[:, :, i, j], window, axes=([1], [0]))
-    acc += bias.astype(np.int64)[:, None, None]
-    return AccTensor(np.clip(acc, ACC_MIN, ACC_MAX).astype(np.int32))
+    for c0 in range(0, cin, LANES):
+        for i, j in np.ndindex(k, k):
+            window = padded[c0 : c0 + LANES, i : i + hout * stride : stride,
+                            j : j + wout * stride : stride]
+            # (Cout, LANES) x (LANES, Hout, Wout) -> (Cout, Hout, Wout)
+            acc += np.tensordot(w64[:, c0 : c0 + LANES, i, j], window, axes=([1], [0]))
+            np.clip(acc, ACC_MIN, ACC_MAX, out=acc)
+    return AccTensor(acc.astype(np.int32))
 
 
 # Non-MAC layers on int8 arrays whose trailing axes are (H, W): they act on

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -14,10 +15,14 @@ import macfi.macarray
 from macfi.campaign import parse_results_csv, parse_summary_csv
 from macfi.cli import main
 from macfi.errors import SchemaError
-from macfi.model import load_model, save_dataset, save_model
+from macfi.model import Dataset, load_dataset, load_model, save_dataset, save_model
 
 from helpers import bias_only_accuracy
 
+# `python -m macfi` in a subprocess imports the macfi this process imported.
+_PKG_ROOT = str(Path(macfi.campaign.__file__).parents[1])
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [_PKG_ROOT, os.environ.get("PYTHONPATH")]))}
 SAMPLE_RE = re.compile(r"^sample=(\d+) pred=(\d+) label=(\d+)$")
 FOOTER_RE = re.compile(r"^accuracy=([0-9.e+-]+) throughput_ips=\d+\.\d$")
 
@@ -90,6 +95,22 @@ class TestInfer:
         spec.write_text("0,0,zero\n1,1,const\n")  # const missing its value
         assert main(infer_args(desk_bundle, "--faults", str(spec))) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_empty_dataset_is_bad_input(self, desk_bundle, tmp_path, capsys):
+        ds = load_dataset(desk_bundle["dataset"])
+        empty = tmp_path / "empty.qds"
+        save_dataset(Dataset(ds.samples[:0], ds.labels[:0], ds.scale), empty)
+        rc = main(["infer", "--model", desk_bundle["manifest"], "--weights",
+                   desk_bundle["weights"], "--dataset", str(empty)])
+        err = capsys.readouterr().err
+        assert rc == 2 and "error:" in err and "internal" not in err
+
+    def test_non_utf8_fault_spec_is_bad_input(self, desk_bundle, tmp_path, capsys):
+        spec = tmp_path / "latin1.txt"
+        spec.write_bytes(b"# caf\xe9\n0,0,zero\n")
+        rc = main(infer_args(desk_bundle, "--faults", str(spec)))
+        err = capsys.readouterr().err
+        assert rc == 2 and "error:" in err and "internal" not in err
 
     @pytest.mark.parametrize("start, length, rc", [
         ("99999999999999999999999", "5", 2),  # past int64 itself
@@ -283,7 +304,7 @@ class TestPlan:
         cmd = (f"{sys.executable} -m macfi plan --model {desk_bundle['manifest']} "
                f"--weights {desk_bundle['weights']} | head -2")
         proc = subprocess.run(["sh", "-c", cmd], capture_output=True, text=True,
-                              timeout=120)
+                              timeout=120, env=SUBPROCESS_ENV)
         assert proc.returncode == 0, proc.stderr
         assert "internal error" not in proc.stderr
         assert len(proc.stdout.splitlines()) == 2
@@ -294,6 +315,13 @@ class TestPlan:
         rc = main(["plan", "--model", str(bad), "--weights", desk_bundle["weights"]])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_non_utf8_manifest(self, desk_bundle, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(Path(desk_bundle["manifest"]).read_bytes() + b" \xff")
+        rc = main(["plan", "--model", str(bad), "--weights", desk_bundle["weights"]])
+        err = capsys.readouterr().err
+        assert rc == 2 and "error:" in err and "internal" not in err
 
 
 # Manifest fields that must be numbers, set to something that is not one:
@@ -334,7 +362,7 @@ def test_module_entrypoint(desk_bundle, cin4_graph, cin4_dataset, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "macfi", "infer", "--model", man, "--weights", blob,
          "--dataset", ds, "--sample", "0"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=SUBPROCESS_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("sample=0 ")

@@ -2,10 +2,10 @@
 the scalar oracle in helpers.py, and the argument checks the compiled kernel
 makes before it runs.
 
-The python kernel has two internal routes (a vectorized bulk path when a
-conservative bound proves saturation cannot occur, and a sequential
-saturating loop otherwise); the wide-accumulation cases below force the
-sequential route on purpose.
+The python kernel has one accumulate route: it sorts the rows stably by
+output element, then saturate-adds step k of every element at once. The
+wide-accumulation cases below drive 2100 steps into one element, through
+the rail and, from a deep negative bias, up to just below it.
 """
 
 from __future__ import annotations
@@ -135,8 +135,8 @@ def test_accumulator_saturates_low(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_wide_accumulation_exact_when_no_overflow(backend):
     # bias starts deep negative, constants climb back up: the running sum
-    # stays inside 32 bits the whole way, so the result must be exact even
-    # though the conservative bound forces the sequential route
+    # stays inside 32 bits the whole way, so the stepped saturating
+    # accumulate must equal the exact sum
     groups = 2100
     bias0 = -2_100_000_000
     plan = plan_model(_wide_graph(groups, bias0=bias0))

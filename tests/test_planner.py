@@ -253,3 +253,25 @@ class TestPlanStats:
         assert stats.micro_ops_per_unit.sum() == 0
         assert stats.lane_activity.sum() == 0
         assert stats.idle_slots == 0
+
+
+@pytest.mark.parametrize("cfg", [ArrayConfig(), ArrayConfig(3, 5), ArrayConfig(8, 2)])
+def test_plan_stats_equal_row_counts(cfg):
+    # plan_stats counts from layer shapes; the packed rows give the same
+    # counts one row and one slot at a time.
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        plan = plan_model(make_random_model(rng), cfg)
+        per_unit = np.zeros(cfg.units, dtype=np.int64)
+        activity = np.zeros((cfg.units, cfg.lanes), dtype=np.int64)
+        idle = 0
+        for prog in plan.programs:
+            if prog.is_mac:
+                carried = prog.packed.act_idx != -2
+                np.add.at(per_unit, prog.packed.unit, 1)
+                np.add.at(activity, prog.packed.unit, carried)
+                idle += int((~carried).sum())
+        stats = plan_stats(plan)
+        assert np.array_equal(stats.micro_ops_per_unit, per_unit)
+        assert np.array_equal(stats.lane_activity, activity)
+        assert stats.idle_slots == idle
