@@ -1,11 +1,16 @@
 """Seeded fault-injection campaigns and their aggregate statistics.
 
 Reproducibility contract: every run's fault map comes from a seed derived as
-derive_seed(master, k, value, rep). A campaign builds all of its maps in job
-order and evaluates them in one evaluate_accuracy call (batched in
-macarray.batch_logits); accuracies come back in job order and records are
-sorted deterministically before serialization, so results never depend on
-block size, and the accepted workers argument changes neither results nor
+derive_seed(master, k, value, rep), for a sweep's whole job grid in one
+uint64 pass. A campaign builds all of its maps in job order and evaluates them
+in one evaluate_accuracy call (batched in macarray.batch_logits). In a sweep,
+equal maps (the same bytes in all four kernel arrays) form one class: the
+class's first map is evaluated and digested once, in order of first
+appearance, and its accuracy, drop and digest are scattered back to every job
+of the class, so records equal those of evaluating every map alone. A
+campaign's k values and error values must be distinct. Records are sorted
+deterministically before serialization, so results never depend on block
+size, and the accepted workers argument changes neither results nor
 scheduling. Quantiles are linear interpolation between order statistics
 (position (n-1)*q), matching numpy's default method.
 """
@@ -15,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -42,6 +48,13 @@ SUMMARY_HEADER = ["k", "value", "min", "q1", "median", "q3", "max"]
 _KIND_ORDER = {"baseline": 0, "heatmap": 1, "sweep": 2}
 
 
+def _check_distinct(name: str, values) -> None:
+    """Bad input if an entry repeats: its runs would be made, and written, twice."""
+    repeated = [v for v, n in Counter(values).items() if n > 1]
+    if repeated:
+        raise OutOfRange(f"{name} {repeated[0]} given more than once")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One random-sampling campaign: k lanes faulted per run, swept over
@@ -65,6 +78,8 @@ class SweepSpec:
         for v in self.error_values:
             if not (LANE_VALUE_MIN <= v <= LANE_VALUE_MAX):
                 raise OutOfRange(f"error value {v} outside 18-bit signed range")
+        _check_distinct("k value", self.k_values)
+        _check_distinct("error value", self.error_values)
         if self.slice_offset < 0:
             raise OutOfRange(f"slice offset must be >= 0, got {self.slice_offset}")
         if self.slice_count is not None and self.slice_count < 1:
@@ -192,16 +207,25 @@ def run_fault_sweep(spec: SweepSpec, plan: ExecutionPlan, dataset: Dataset,
     _check_workers(workers)
     cfg = plan.cfg
     idx = _slice_indices(dataset, spec.slice_offset, spec.slice_count)
-    keys = [(k, v, r, derive_seed(spec.master_seed, k, v, r))
-            for k in spec.k_values for v in spec.error_values for r in range(spec.reps)]
+    jobs = [(k, v, r) for k in spec.k_values for v in spec.error_values for r in range(spec.reps)]
+    seeds = derive_seed(spec.master_seed, *np.array(jobs, dtype=object).reshape(-1, 3).T).tolist()
     templates = {v: fault_for_error_value(v) for v in spec.error_values}
-    maps = sample_random_fault_maps([k for k, _, _, _ in keys],
-                                    [templates[v] for _, v, _, _ in keys],
-                                    [seed for _, _, _, seed in keys], cfg.units, cfg.lanes)
+    maps = sample_random_fault_maps([k for k, _, _ in jobs], [templates[v] for _, v, _ in jobs],
+                                    seeds, cfg.units, cfg.lanes)
+    # Equal maps form one class: its first map is evaluated and digested once.
+    classes: dict[bytes, int] = {}
+    job_class, distinct = [], []
+    for fmap in maps:
+        key = b"".join(a.tobytes() for a in fmap.to_arrays())
+        if key not in classes:
+            classes[key] = len(distinct)
+            distinct.append(fmap)
+        job_class.append(classes[key])
     baseline = evaluate_accuracy(plan, dataset, idx)
-    accs = evaluate_accuracy(plan, dataset, idx, maps)
-    records = [RunRecord("sweep", k, v, -1, -1, r, seed, acc, baseline - acc, fmap.digest())
-               for (k, v, r, seed), fmap, acc in zip(keys, maps, accs)]
+    accs = evaluate_accuracy(plan, dataset, idx, distinct)
+    digests = [fmap.digest() for fmap in distinct]
+    records = [RunRecord("sweep", k, v, -1, -1, r, seed, accs[c], baseline - accs[c], digests[c])
+               for (k, v, r), seed, c in zip(jobs, seeds, job_class)]
     records.append(RunRecord("baseline", 0, 0, -1, -1, 0, 0, baseline, 0.0,
                              FaultMap(cfg.units, cfg.lanes).digest()))
     records.sort(key=RunRecord.sort_key)
@@ -220,6 +244,7 @@ def run_heatmap(values, plan: ExecutionPlan, dataset: Dataset,
     for v in values:
         if not (LANE_VALUE_MIN <= v <= LANE_VALUE_MAX):
             raise OutOfRange(f"error value {v} outside 18-bit signed range")
+    _check_distinct("error value", values)
     cfg = plan.cfg
     idx = _slice_indices(dataset, slice_offset, slice_count)
     baseline = evaluate_accuracy(plan, dataset, idx)

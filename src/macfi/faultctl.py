@@ -357,11 +357,21 @@ class SplitMix64:
                 return r % n
 
 
-def derive_seed(master: int, *parts: int) -> int:
-    """Per-job seed from (master, fields...); independent of scheduling order."""
+def derive_seed(master: int, *parts):
+    """Per-job seed from (master, fields...); independent of scheduling order.
+
+    Each part is an integer or an integer array. With array parts the seeds
+    of a whole job grid come back as one uint64 array (the parts broadcast
+    together), element i equal to the int form on element i of every part;
+    a negative part wraps modulo 2^64 in both forms, as does the master.
+    """
     s = master & MASK64
     for p in parts:
-        s = _mix64(((s + _GOLDEN) & MASK64) ^ (p & MASK64))
+        if isinstance(p, (int, np.integer)):
+            p = int(p) & MASK64
+        else:  # masked as Python ints, so no element goes through float64
+            p = (np.asarray(p, dtype=object) & MASK64).astype(np.uint64)
+        s = _mix64(((s + _GOLDEN) & MASK64) ^ p)
     return s
 
 

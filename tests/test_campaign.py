@@ -42,6 +42,8 @@ class TestSweepSpec:
         dict(k_values=(1,), error_values=(-131073,), reps=1, master_seed=0),
         dict(k_values=(1,), error_values=(0,), reps=1, master_seed=0, slice_offset=-1),
         dict(k_values=(1,), error_values=(0,), reps=1, master_seed=0, slice_count=0),
+        dict(k_values=(1, 4, 1.0), error_values=(0,), reps=1, master_seed=0),
+        dict(k_values=(1,), error_values=(0, -1, 0), reps=1, master_seed=0),
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(OutOfRange):
@@ -181,6 +183,32 @@ class TestSweep:
         with pytest.raises(EmptyDataset):
             run_fault_sweep(spec, cin4_plan, cin4_dataset)
 
+    def test_equal_maps_match_evaluating_each_job_alone(self, desk_plan, desk_dataset):
+        # k = 64 draws the full map in every rep; at seed 1, k = 1 reps collide too.
+        spec = SweepSpec(k_values=(1, 64), error_values=(0, -1), reps=12,
+                         master_seed=1, slice_count=8)
+        res = run_fault_sweep(spec, desk_plan, desk_dataset)
+        idx = range(8)
+        baseline = evaluate_accuracy(desk_plan, desk_dataset, idx)
+        records = [RunRecord("baseline", 0, 0, -1, -1, 0, 0, baseline, 0.0, FaultMap().digest())]
+        for k in spec.k_values:
+            for v in spec.error_values:
+                for r in range(spec.reps):
+                    seed = derive_seed(1, k, v, r)
+                    fmap = sample_random_fault_map(k, fault_for_error_value(v), seed)
+                    acc = evaluate_accuracy(desk_plan, desk_dataset, idx, fmap)
+                    records.append(RunRecord("sweep", k, v, -1, -1, r, seed, acc,
+                                             baseline - acc, fmap.digest()))
+        records.sort(key=RunRecord.sort_key)
+        want = CampaignResult(baseline, records, summarize_boxplot(records))
+        assert results_to_csv(res) == results_to_csv(want)
+        assert summary_to_csv(res.groups) == summary_to_csv(want.groups)
+        assert res.records == records
+        distinct = {(k, v): len({r.digest for r in records if (r.k, r.value) == (k, v)})
+                    for k in spec.k_values for v in spec.error_values}
+        assert distinct == {(1, 0): 11, (1, -1): 10, (64, 0): 1, (64, -1): 1}
+        assert len({r.accuracy for r in records}) > 1  # the maps are told apart
+
 
 class TestHeatmap:
     def test_exhaustive_counts_and_grid_consistency(self, cin4_plan, cin4_dataset):
@@ -249,6 +277,14 @@ class TestHeatmap:
             run_heatmap([], cin4_plan, cin4_dataset)
         with pytest.raises(OutOfRange):
             run_heatmap([1 << 17], cin4_plan, cin4_dataset)
+
+    def test_repeated_value_fails_before_baseline(self, cin4_plan, cin4_dataset, monkeypatch):
+        calls = []
+        monkeypatch.setattr(macfi.campaign, "evaluate_accuracy",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(OutOfRange, match="error value 1 given more than once"):
+            run_heatmap([1, 0, 1], cin4_plan, cin4_dataset)
+        assert calls == []
 
     def test_worker_count_invariance(self, cin4_plan, cin4_dataset):
         a = run_heatmap([0], cin4_plan, cin4_dataset, workers=1, slice_count=2)
@@ -323,7 +359,8 @@ class TestEvaluateAccuracy:
 class TestEvaluateAccuracySeam:
     """Campaigns call evaluate_accuracy through the module: once with three
     positional arguments for the baseline, then once with four (plan,
-    dataset, indices, maps) holding every run's fault map in job order,
+    dataset, indices, maps) holding each distinct map once, in order of
+    first appearance (every run's map in job order when none repeat),
     whatever the workers argument. Instrumentation that wraps
     macfi.campaign.evaluate_accuracy, such as perfbench's traced run, relies
     on that."""
@@ -366,6 +403,18 @@ class TestEvaluateAccuracySeam:
         for workers in (1, 3, 20):
             run_fault_sweep(spec, cin4_plan, cin4_dataset, workers=workers)
             self.check(calls, cin4_plan, cin4_dataset, maps)
+
+    def test_sweep_with_repeats(self, cin4_plan, cin4_dataset, calls):
+        spec = SweepSpec((1, 64), (0, -1), 12, master_seed=1, slice_count=4)
+        jobs = [sample_random_fault_map(k, fault_for_error_value(v), derive_seed(1, k, v, r), 8, 8)
+                for k in spec.k_values for v in spec.error_values for r in range(spec.reps)]
+        maps = []
+        for fmap in jobs:
+            if fmap not in maps:
+                maps.append(fmap)
+        res = run_fault_sweep(spec, cin4_plan, cin4_dataset)
+        assert len(maps) == len({r.digest for r in res.records if r.kind == "sweep"}) < len(jobs)
+        self.check(calls, cin4_plan, cin4_dataset, maps)
 
 
 def test_map_sequence_gives_one_accuracy_per_map(cin4_plan, cin4_dataset):

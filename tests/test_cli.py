@@ -187,6 +187,24 @@ class TestCampaign:
         assert "k=65" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("flags,repeated", [
+        (("--mode", "heatmap", "--values", "1,1"), "error value 1"),
+        (("--mode", "sweep", "--k", "4,1,4", "--values", "0"), "k value 4"),
+        (("--mode", "sweep", "--k", "1", "--values", "0,-1,-1"), "error value -1"),
+    ], ids=["heatmap_value", "sweep_k", "sweep_value"])
+    def test_repeated_coordinate_fails_before_any_run(self, desk_bundle, tmp_path, capsys,
+                                                      monkeypatch, flags, repeated):
+        calls = []
+        monkeypatch.setattr(macfi.campaign, "evaluate_accuracy",
+                            lambda *args, **kwargs: calls.append(args))
+        rc = main(campaign_args(desk_bundle, tmp_path / "x", *flags, "--slice", "0,1"))
+        assert rc == 2
+        assert calls == []
+        captured = capsys.readouterr()
+        assert f"error: {repeated} given more than once" in captured.err
+        assert "wrote" not in captured.out
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("mode", [("sweep", "--k", "1"), ("heatmap",)], ids=lambda m: m[0])
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_nonpositive_workers_is_bad_input(self, desk_bundle, tmp_path, capsys, mode, workers):
@@ -206,7 +224,11 @@ class TestCampaign:
         ("--mode", "heatmap", "--workers", "0"),
         ("--mode", "sweep"),
         ("--mode", "heatmap", "--values", "999999"),
-    ], ids=["workers_0", "sweep_without_k", "value_out_of_range"])
+        ("--mode", "heatmap", "--values", "1,1"),
+        ("--mode", "sweep", "--k", "1,4,1"),
+        ("--mode", "sweep", "--k", "1", "--values", "0,-1,0"),
+    ], ids=["workers_0", "sweep_without_k", "value_out_of_range", "repeated_heatmap_value",
+            "repeated_k", "repeated_sweep_value"])
     def test_bad_input_creates_no_out_dir(self, desk_bundle, tmp_path, capsys, flags):
         out = tmp_path / "new" / "out"
         rc = main(campaign_args(desk_bundle, out, *flags, "--slice", "0,1"))

@@ -406,6 +406,20 @@ class TestPrng:
         assert derive_seed(1, 2, -1, 4) != derive_seed(1, 2, 1, 4)
         assert 0 <= base < 2**64
 
+    @given(st.integers(-2**70, 2**70),
+           st.lists(st.tuples(st.integers(-2**70, 2**70), st.integers(-2**63, 2**63 - 1)),
+                    max_size=12))
+    @settings(max_examples=80, deadline=None)
+    def test_derive_seed_array_form_is_scalar_form_per_element(self, master, parts):
+        # One part a list of any ints, one an int64 array, one a plain int.
+        xs = [x for x, _ in parts]
+        ys = np.array([y for _, y in parts], dtype=np.int64)
+        got = derive_seed(master, xs, -5, ys)
+        assert got.dtype == np.uint64 and got.shape == (len(parts),)
+        assert got.tolist() == [derive_seed(master, x, -5, y) for x, y in parts]
+        grid = derive_seed(master, ys[:, None], xs)  # parts broadcast together
+        assert grid.tolist() == [[derive_seed(master, y, x) for x in xs] for _, y in parts]
+
 
 def test_single_lane_map_helper():
     fmap = single_lane_map(2, 5, LaneFault.constant(3))
