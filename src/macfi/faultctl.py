@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -360,15 +361,16 @@ class SplitMix64:
 def derive_seed(master: int, *parts):
     """Per-job seed from (master, fields...); independent of scheduling order.
 
-    Each part is an integer or an integer array. With array parts the seeds
-    of a whole job grid come back as one uint64 array (the parts broadcast
-    together), element i equal to the int form on element i of every part;
-    a negative part wraps modulo 2^64 in both forms, as does the master.
+    Each part is an integer (a 0-d array counts as one) or an integer array
+    of any other shape. With array parts the seeds of a whole job grid come
+    back as one uint64 array (the parts broadcast together), element i
+    equal to the int form on element i of every part; a negative part wraps
+    modulo 2^64 in both forms, as does the master.
     """
     s = master & MASK64
     for p in parts:
-        if isinstance(p, (int, np.integer)):
-            p = int(p) & MASK64
+        if isinstance(p, int) or np.ndim(p) == 0:
+            p = operator.index(p) & MASK64
         else:  # masked as Python ints, so no element goes through float64
             p = (np.asarray(p, dtype=object) & MASK64).astype(np.uint64)
         s = _mix64(((s + _GOLDEN) & MASK64) ^ p)

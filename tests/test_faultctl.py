@@ -420,6 +420,15 @@ class TestPrng:
         grid = derive_seed(master, ys[:, None], xs)  # parts broadcast together
         assert grid.tolist() == [[derive_seed(master, y, x) for x in xs] for _, y in parts]
 
+    def test_derive_seed_scalar_parts_of_any_integer_type(self):
+        want = derive_seed(2**64 + 3, -4, 5)
+        assert derive_seed(2**64 + 3, np.int8(-4), np.array(5)) == want
+        assert derive_seed(2**64 + 3, np.array(-4), [5]).tolist() == [want]
+        with pytest.raises(TypeError):
+            derive_seed(1, 2.5)
+        with pytest.raises(TypeError):
+            derive_seed(1, [2.5])
+
 
 def test_single_lane_map_helper():
     fmap = single_lane_map(2, 5, LaneFault.constant(3))
