@@ -9,6 +9,8 @@ Two interchangeable kernels execute the packed layer programs one micro-op
 at a time: a hand-written C extension (macfi._kernel) and a pure-Python twin
 (macfi._kernel_py). The extension is used whenever it is built; an install
 without it falls back to the Python kernel, which gives bit-identical results.
+A layer's packed rows are built and index-checked on its first per-step run
+(LayerProgram.packed), before either kernel reads an index.
 ``_kernel_py.engaged`` defines the mux over a whole program at once (the C
 kernel is its twin); traced runs take their events from that mask after the
 kernel has run, so tracing adds no execution path.
@@ -22,7 +24,8 @@ Emulator whose map has the closed form runs each MAC layer as one float64
 matmul over im2col columns; a traced one, or one whose map has a pulse or
 could saturate, runs the per-step kernel. Both closed forms gather their
 im2col columns through the plan's tap index (LayerProgram.taps), the one
-record of each layer's conv geometry that the packed rows are built from too.
+record of each layer's conv geometry that the packed rows are built from too;
+they never build the rows.
 
 batch_logits evaluates R fault maps over S samples at once (Emulator.run_batch
 is its one-map case); a run without the closed form takes the per-step

@@ -13,6 +13,11 @@ read in one place, its tap index (LayerProgram.taps): which input position
 within a channel tap (i, j) of output (y, x) reads, or the padding. The
 packed rows and both closed forms in macarray are built from it.
 
+plan_model builds no packed rows: a program counts its micro-ops from its
+shapes, and packs and index-checks its rows the first time they are read
+(LayerProgram.packed), at most once. Only per-step runs (traced, pulse or
+over the saturation bound) and dump_plan read them.
+
 relu/maxpool/gavgpool/add do not use MAC lanes and are marked as
 reference-delegated programs.
 """
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -102,12 +108,11 @@ def _pack_mac_layer(layer: LayerSpec, in_shape: tuple[int, int, int], taps: np.n
     return PackedOps(unit, dest, act_idx, w_idx)
 
 
-def _check_indices(prog: LayerProgram, units: int):
+def _check_indices(prog: LayerProgram, p: PackedOps):
     """One pass over a program's index values, which the compiled kernel
     dereferences unchecked: unit < units, dest < Cout*Hout*Wout,
     act_idx in [-2, Cin*H*W), w_idx in [-1, n_weights)."""
-    p = prog.packed
-    for name, arr, lo, hi in (("unit", p.unit, 0, units),
+    for name, arr, lo, hi in (("unit", p.unit, 0, prog.cfg.units),
                               ("dest", p.dest, 0, math.prod(prog.out_shape)),
                               ("act_idx", p.act_idx, -2, math.prod(prog.in_shape)),
                               ("w_idx", p.w_idx, -1, prog.weights_flat.size)):
@@ -123,21 +128,34 @@ class LayerProgram:
     in_shape: tuple[int, int, int]
     out_shape: tuple[int, int, int]
     out_scale: float
-    packed: PackedOps | None = None  # None for delegated layers
+    cfg: ArrayConfig | None = None  # the plan's; None for delegated layers
     weights_flat: np.ndarray | None = None  # int8, (Cout*Cin*K*K,)
     bias: np.ndarray | None = None  # int32, (Cout,)
     # intp (K*K, Hout*Wout) from _tap_index, the one record of the layer's
     # conv geometry: the packed rows, the Emulator's closed form and the
-    # batched im2col are all gathered through it.
+    # batched im2col are all gathered through it. None for delegated layers.
     taps: np.ndarray | None = None
 
     @property
     def is_mac(self) -> bool:
-        return self.packed is not None
+        return self.taps is not None
 
     @property
     def n_ops(self) -> int:
-        return self.packed.n_ops if self.packed is not None else 0
+        """Cout*Hout*Wout*ceil(Cin/lanes)*K*K micro-ops, counted from shapes."""
+        if self.taps is None:
+            return 0
+        return self.out_shape[0] * self.taps.size * -(-self.in_shape[0] // self.cfg.lanes)
+
+    @cached_property
+    def packed(self) -> PackedOps | None:
+        """The layer's micro-op rows (None for delegated layers), packed and
+        index-checked on first read, before any kernel reads an index."""
+        if self.taps is None:
+            return None
+        p = _pack_mac_layer(self.layer, self.in_shape, self.taps, self.cfg)
+        _check_indices(self, p)
+        return p
 
 
 @dataclass
@@ -167,19 +185,21 @@ def plan_model(g: ModelGraph, cfg: ArrayConfig | None = None) -> ExecutionPlan:
         in_shape = env[layer.inputs[0]][0]
         out_shape, out_scale = env[layer.id]
         if layer.kind in MAC_KINDS:
-            taps = _tap_index(layer, in_shape, out_shape)
-            prog = LayerProgram(
+            try:
+                taps = _tap_index(layer, in_shape, out_shape)
+            except (MemoryError, ValueError) as exc:  # numpy: cannot allocate, or too big
+                raise ShapeError(f"layer {layer.id!r} ({in_shape} in, {out_shape} out) is "
+                                 "too large to plan", layer.id) from exc
+            programs.append(LayerProgram(
                 layer,
                 in_shape,
                 out_shape,
                 out_scale,
-                packed=_pack_mac_layer(layer, in_shape, taps, cfg),
+                cfg=cfg,
                 weights_flat=np.ascontiguousarray(layer.weights, dtype=np.int8).reshape(-1),
                 bias=np.ascontiguousarray(layer.bias, dtype=np.int32),
                 taps=taps,
-            )
-            _check_indices(prog, cfg.units)
-            programs.append(prog)
+            ))
         else:
             programs.append(LayerProgram(layer, in_shape, out_shape, out_scale))
     return ExecutionPlan(cfg, programs, g.input_shape, g.input_scale, g.output, g.classes)

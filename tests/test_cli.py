@@ -338,6 +338,21 @@ class TestPlan:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("h, w", [(10 ** 12, 4), (4, 10 ** 12), (10 ** 6, 10 ** 6),
+                                      (10 ** 12, 10 ** 12)])
+    @pytest.mark.parametrize("cmd", ["plan", "infer"])
+    def test_model_too_large_to_plan_is_bad_input(self, desk_bundle, tmp_path, capsys,
+                                                  cmd, h, w):
+        # Sizes so absurd that the tap index's allocation fails at once.
+        doc = json.loads(Path(desk_bundle["manifest"]).read_text())
+        doc["input"]["h"], doc["input"]["w"] = h, w
+        man = tmp_path / "model.json"
+        man.write_text(json.dumps(doc))
+        args = [cmd, "--model", str(man), "--weights", desk_bundle["weights"]]
+        rc = main(args + (["--dataset", desk_bundle["dataset"]] if cmd == "infer" else []))
+        err = capsys.readouterr().err
+        assert rc == 2 and "'conv1'" in err and "too large to plan" in err, err
+
     def test_non_utf8_manifest(self, desk_bundle, tmp_path, capsys):
         bad = tmp_path / "latin1.json"
         bad.write_bytes(Path(desk_bundle["manifest"]).read_bytes() + b" \xff")

@@ -6,7 +6,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from macfi.campaign import SweepSpec, run_fault_sweep, run_heatmap
 from macfi.errors import ShapeError
+from macfi.faultctl import FaultMap, LaneFault, single_lane_map
+from macfi.macarray import Emulator, batch_logits
 from macfi.model import LayerSpec, ModelGraph
 import macfi.planner as planner
 from macfi.planner import ArrayConfig, dump_plan, plan_model, plan_stats
@@ -183,8 +186,8 @@ class TestPlanModel:
         ("act_idx", 7, 8 * 4 * 4), ("act_idx", 2, -3),
         ("w_idx", 1, 8 * 8 * 9), ("w_idx", 4, -2),
     ])
-    def test_corrupted_program_indices_rejected(self, desk_graph, monkeypatch, field, row,
-                                                value):
+    def test_corrupted_program_indices_rejected(self, desk_graph, desk_dataset, monkeypatch,
+                                                field, row, value):
         # conv2 of the desk model: (8, 4, 4) in, (8, 4, 4) out, 3x3 weights
         real = planner._pack_mac_layer
 
@@ -195,11 +198,15 @@ class TestPlanModel:
                 getattr(p, field)[row] = value
             return p
 
-        plan_model(desk_graph)
         monkeypatch.setattr(planner, "_pack_mac_layer", corrupted)
-        with pytest.raises(ShapeError) as err:
-            plan_model(desk_graph)
-        assert err.value.layer == "conv2" and field in str(err.value)
+        x = desk_dataset.sample(0)
+        # Planning builds no rows; they are checked on first use, before
+        # either kernel reads an index.
+        for first_use in (lambda plan: plan.by_id["conv2"].packed,
+                          lambda plan: Emulator(plan, trace=True).run(x)):
+            with pytest.raises(ShapeError) as err:
+                first_use(plan_model(desk_graph))
+            assert err.value.layer == "conv2" and field in str(err.value)
 
     def test_desk_dump_is_pinned(self, desk_plan):
         # `macfi plan` output on the bundled model, byte for byte
@@ -255,10 +262,11 @@ class TestPlanStats:
         assert stats.idle_slots == 0
 
 
-@pytest.mark.parametrize("cfg", [ArrayConfig(), ArrayConfig(3, 5), ArrayConfig(8, 2)])
+@pytest.mark.parametrize("cfg", [ArrayConfig(), ArrayConfig(3, 5), ArrayConfig(5, 3),
+                                 ArrayConfig(8, 2)])
 def test_plan_stats_equal_row_counts(cfg):
-    # plan_stats counts from layer shapes; the packed rows give the same
-    # counts one row and one slot at a time.
+    # plan_stats and n_ops count from layer shapes; the packed rows give the
+    # same counts one row and one slot at a time.
     rng = np.random.default_rng(41)
     for _ in range(30):
         plan = plan_model(make_random_model(rng), cfg)
@@ -266,6 +274,7 @@ def test_plan_stats_equal_row_counts(cfg):
         activity = np.zeros((cfg.units, cfg.lanes), dtype=np.int64)
         idle = 0
         for prog in plan.programs:
+            assert prog.n_ops == (len(prog.packed.unit) if prog.is_mac else 0)
             if prog.is_mac:
                 carried = prog.packed.act_idx != -2
                 np.add.at(per_unit, prog.packed.unit, 1)
@@ -275,3 +284,41 @@ def test_plan_stats_equal_row_counts(cfg):
         assert np.array_equal(stats.micro_ops_per_unit, per_unit)
         assert np.array_equal(stats.lane_activity, activity)
         assert stats.idle_slots == idle
+
+
+def test_desk_micro_ops(desk_graph):
+    assert plan_model(desk_graph).total_micro_ops == 5768
+
+
+def test_rows_built_only_by_per_step_runs(desk_graph, desk_dataset, monkeypatch):
+    real, calls = planner._pack_mac_layer, []
+
+    def spy(layer, *args):
+        calls.append(layer.id)
+        return real(layer, *args)
+
+    monkeypatch.setattr(planner, "_pack_mac_layer", spy)
+    plan = plan_model(desk_graph)
+    x, samples = desk_dataset.sample(0), desk_dataset.samples[:4]
+    fmap = single_lane_map(2, 3, LaneFault.constant(-131072))
+    Emulator(plan).run(x)
+    Emulator(plan, fmap).run(x)
+    batch_logits(plan, samples, [FaultMap(), fmap])
+    run_heatmap([0, 7], plan, desk_dataset, slice_count=4)
+    run_fault_sweep(SweepSpec((1, 64), (0, -131072), 2, 9, 0, 4), plan, desk_dataset)
+    assert calls == []
+
+    mac_ids = [p.layer.id for p in plan.programs if p.is_mac]
+    pulse = FaultMap()
+    pulse.set(1, 2, LaneFault.pulse(131071, start=5, length=40))
+    Emulator(plan, fmap, trace=True).run(x)
+    assert calls == mac_ids
+    Emulator(plan, fmap, trace=True).run(x)
+    Emulator(plan, pulse).run(x)
+    batch_logits(plan, samples, [pulse])
+    assert calls == mac_ids
+    # A pulse run on a new plan builds them once too.
+    calls.clear()
+    plan = plan_model(desk_graph)
+    Emulator(plan, pulse).run(x)
+    assert calls == mac_ids
