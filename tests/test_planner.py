@@ -204,8 +204,9 @@ class TestPlanModel:
         # either kernel reads an index.
         for first_use in (lambda plan: plan.by_id["conv2"].packed,
                           lambda plan: Emulator(plan, trace=True).run(x)):
+            plan = plan_model(desk_graph)
             with pytest.raises(ShapeError) as err:
-                first_use(plan_model(desk_graph))
+                first_use(plan)
             assert err.value.layer == "conv2" and field in str(err.value)
 
     def test_desk_dump_is_pinned(self, desk_plan):
@@ -262,8 +263,8 @@ class TestPlanStats:
         assert stats.idle_slots == 0
 
 
-@pytest.mark.parametrize("cfg", [ArrayConfig(), ArrayConfig(3, 5), ArrayConfig(5, 3),
-                                 ArrayConfig(8, 2)])
+@pytest.mark.parametrize("cfg", [ArrayConfig(), ArrayConfig(3, 5), ArrayConfig(8, 2),
+                                 ArrayConfig(5, 3)])
 def test_plan_stats_equal_row_counts(cfg):
     # plan_stats and n_ops count from layer shapes; the packed rows give the
     # same counts one row and one slot at a time.
