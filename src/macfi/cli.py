@@ -148,6 +148,8 @@ def _check_out_dir(out: str):
 
 
 def cmd_campaign(args) -> int:
+    if args.mode == "heatmap" and args.k is not None:
+        raise SchemaError("--k applies to sweep mode only")
     plan, ds = _load(args, with_dataset=True)
     values = _int_list(args.values)
     off, count = _slice_pair(args.slice) if args.slice else (0, None)

@@ -21,10 +21,13 @@ faulted lane drops the products of its (o, c) weights and adds its forced
 value once per carried slot. Each MAC layer is then a matmul, exact
 whenever no partial sum can saturate (_fast_runs decides both). An untraced
 Emulator whose map has the closed form runs each MAC layer as one float64
-matmul over im2col columns; a traced one, or one whose map has a pulse or
-could saturate, runs the per-step kernel. Both closed forms gather their
-im2col columns through the plan's tap index (LayerProgram.taps), the one
-record of each layer's conv geometry that the packed rows are built from too;
+matmul over im2col columns, gathered from the layer input joined to a
+stored zero column by one concatenate; a traced one, or one whose map has a
+pulse or could saturate, runs the per-step kernel. Either way the non-MAC
+layers and requantization are qtensor's int8 kernels, shared with the
+reference and batch_logits. Both closed forms gather their im2col columns
+through the plan's tap index (LayerProgram.taps), the one record of each
+layer's conv geometry that the packed rows are built from too;
 they never build the rows.
 
 batch_logits evaluates R fault maps over S samples at once (Emulator.run_batch
@@ -59,7 +62,7 @@ from .faultctl import MODE_CODE, NO_FAULT, FaultMap, FaultMode, LaneFault
 from .model import INPUT_ID
 from .planner import ExecutionPlan, LayerProgram
 from .qtensor import (ACC_MAX, PRODUCT_MAX, QTensor, array_layer, ref_execute_layer,
-                      requantize_array, sat32)
+                      requantize_array, sat32, to_int8)
 
 try:
     from . import _kernel
@@ -186,14 +189,17 @@ class Emulator:
         self._farr = self.faults.to_arrays()
         self.cycle = 0
         # Per MAC layer, its closed form under this map, (w, const) of
-        # _layer_form: None when traced, or when the map has a pulse or
+        # _layer_form, beside an int8 (Cin, 1) zero column that stands for
+        # every padded tap: None when traced, or when the map has a pulse or
         # could saturate a partial sum.
-        self._closed: dict[str, tuple[np.ndarray, np.ndarray]] | None = None
+        self._closed: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
         if not trace:
             keep, forced, fast = _fast_runs(plan, [self.faults])
             if fast[0]:
-                self._closed = {prog.layer.id: _layer_form(prog, cfg, keep, forced)
-                                for prog in plan.programs if prog.is_mac}
+                self._closed = {
+                    prog.layer.id: (*_layer_form(prog, cfg, keep, forced),
+                                    np.zeros((prog.in_shape[0], 1), dtype=np.int8))
+                    for prog in plan.programs if prog.is_mac}
 
     @property
     def backend(self) -> str:
@@ -243,9 +249,10 @@ class Emulator:
         if x.dims != prog.in_shape:
             raise ShapeError(f"input dims {x.dims} do not match {prog.in_shape}", prog.layer.id)
         if events is None and self._closed is not None:
-            (w, const), cin = self._closed[prog.layer.id], prog.in_shape[0]
-            x_pad = np.zeros((cin, x.data[0].size + 1))  # column 0 is every padded tap
-            x_pad[:, 1:] = x.data.reshape(cin, -1)
+            w, const, zero = self._closed[prog.layer.id]
+            # Column 0 is every padded tap.
+            x_pad = np.concatenate((zero, x.data.reshape(len(zero), -1)), axis=1,
+                                   dtype=np.float64)
             cols = np.take(x_pad, prog.taps, axis=1)  # (Cin, K*K, Hout*Wout)
             acc = w @ cols.reshape(w.shape[1], -1)
             acc += const
@@ -283,7 +290,7 @@ class Emulator:
 
 
 def _check_samples(plan: ExecutionPlan, samples) -> np.ndarray:
-    samples = np.asarray(samples, dtype=np.int8)
+    samples = to_int8(samples, "samples")
     if samples.shape[1:] != plan.input_shape:
         raise ShapeError(f"sample dims {samples.shape[1:]} do not match plan {plan.input_shape}")
     return samples

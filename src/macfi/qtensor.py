@@ -4,6 +4,15 @@ All activations and weights are symmetric per-tensor int8 (zero point 0,
 ``value = scale * q``). Accumulators are signed 32-bit and saturate after
 every micro-op. Rounding is round-half-to-even everywhere. The functions
 here define the bit-exact semantics the MAC-array emulator must reproduce.
+
+The int8 layer kernels (requantize_array, relu_array, maxpool_array,
+gavgpool_array, add_array) are shared by the reference, Emulator.run and the
+batched closed form, so each has one form, written in few numpy calls.
+gavgpool divides in float64 and is still exact: with n = H*W input values,
+|sum| <= 128*n, so sum / n lies in [-128, 128]. A half-integer quotient is
+representable, so rint still breaks the tie to even; any other quotient is
+at least 1/(2n) from the nearest half-integer, and the division errs by at
+most 2^-46, so rint rounds it to the same side whenever n < 2^45.
 """
 
 from __future__ import annotations
@@ -13,13 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidScale, ScaleMismatch, ShapeError, UnsupportedLayer
+from .errors import InvalidScale, OutOfRange, ScaleMismatch, ShapeError, UnsupportedLayer
 
 INT8_MIN, INT8_MAX = -128, 127
 ACC_MIN, ACC_MAX = -(1 << 31), (1 << 31) - 1
 # Extremes of a genuine signed 8x8 multiplier output: (-128)*(-128) and (-128)*127.
 PRODUCT_MIN, PRODUCT_MAX = -16256, 16384
 LANES = 8  # multipliers per MAC unit: one micro-op sums this many input channels
+# The int8 rails in the dtypes the kernels clamp in.
+_F64_MIN, _F64_MAX = float(INT8_MIN), float(INT8_MAX)
+_I16_MIN, _I16_MAX = np.int16(INT8_MIN), np.int16(INT8_MAX)
 
 
 def _check_scale(scale: float) -> float:
@@ -27,6 +39,24 @@ def _check_scale(scale: float) -> float:
     if not (scale > 0.0 and math.isfinite(scale)):
         raise InvalidScale(f"scale must be positive and finite, got {scale!r}")
     return scale
+
+
+def to_int8(values, what: str = "values") -> np.ndarray:
+    """``values`` as an int8 array; an int8 array is returned as it is.
+    Anything else must hold only integers in [INT8_MIN, INT8_MAX] (raises
+    OutOfRange), so a cast never wraps or truncates."""
+    arr = np.asarray(values)
+    if arr.dtype == np.int8:
+        return arr
+    if arr.dtype.kind not in "biuf":
+        raise OutOfRange(f"{what} must be int8 integers, got dtype {arr.dtype}")
+    ok = (arr >= INT8_MIN) & (arr <= INT8_MAX)
+    if arr.dtype.kind == "f":
+        ok &= arr == np.rint(arr)
+    if not ok.all():
+        raise OutOfRange(f"{what} must be integers in [{INT8_MIN}, {INT8_MAX}], "
+                         f"got {arr[~ok].flat[0]!r}")
+    return arr.astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -37,13 +67,20 @@ class QTensor:
     scale: float
 
     def __post_init__(self):
-        data = np.ascontiguousarray(self.data, dtype=np.int8)
+        # Fields that are already a C-contiguous int8 array and a float are
+        # kept as they are; anything else is converted (and range-checked).
+        data = self.data
+        if not (isinstance(data, np.ndarray) and data.dtype == np.int8
+                and data.flags.c_contiguous):
+            data = np.ascontiguousarray(to_int8(data, "QTensor data"))
+            object.__setattr__(self, "data", data)
         if data.ndim != 3:
             raise ShapeError(f"QTensor data must be (C, H, W), got shape {data.shape}")
         if min(data.shape) < 1:
             raise ShapeError(f"QTensor dims must be positive, got {data.shape}")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "scale", _check_scale(self.scale))
+        scale = _check_scale(self.scale)
+        if type(self.scale) is not float:
+            object.__setattr__(self, "scale", scale)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -117,20 +154,8 @@ def requantize_array(acc: np.ndarray, m: float, out: np.ndarray | None = None) -
     m = _check_scale(m)
     out = np.multiply(acc, m, dtype=np.float64, out=out)
     np.rint(out, out=out)
-    return np.clip(out, INT8_MIN, INT8_MAX, out=out).astype(np.int8)
-
-
-def round_half_even_div(numer: np.ndarray, denom: int) -> np.ndarray:
-    """Exact round-half-to-even of the rationals ``numer / denom`` (denom > 0).
-
-    Works on integers only, so quotients like 1/3 never go through a lossy
-    float representation.
-    """
-    numer = np.asarray(numer, dtype=np.int64)
-    q, r = np.divmod(numer, denom)  # floor division, 0 <= r < denom
-    two_r = 2 * r
-    round_up = (two_r > denom) | ((two_r == denom) & (q % 2 != 0))
-    return q + round_up.astype(np.int64)
+    # The method with float bounds skips np.clip's bound checks.
+    return out.clip(_F64_MIN, _F64_MAX, out=out).astype(np.int8)
 
 
 def conv_out_hw(h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, int]:
@@ -201,25 +226,35 @@ def maxpool_array(data: np.ndarray, k: int, stride: int) -> np.ndarray:
     if k > h or k > w:
         raise ShapeError(f"pool window {k} exceeds input {h}x{w}")
     hout, wout = conv_out_hw(h, w, k, stride, 0)
-    out = np.full(data.shape[:-2] + (hout, wout), INT8_MIN, dtype=np.int8)
-    for i in range(k):
-        for j in range(k):
-            window = data[..., i : i + hout * stride : stride, j : j + wout * stride : stride]
-            np.maximum(out, window, out=out)
+    rows, cols = hout * stride, wout * stride
+    windows = [data[..., i : i + rows : stride, j : j + cols : stride]
+               for i in range(k) for j in range(k)]
+    if k == 1:
+        return windows[0].copy()  # never a view of the input
+    out = np.maximum(windows[0], windows[1])
+    for window in windows[2:]:
+        np.maximum(out, window, out=out)
     return out
 
 
 def gavgpool_array(data: np.ndarray) -> np.ndarray:
-    h, w = data.shape[-2:]
-    sums = data.astype(np.int64).sum(axis=(-2, -1))
-    return round_half_even_div(sums, h * w).astype(np.int8)[..., None, None]
+    """Round-half-even mean over (H, W). The float64 quotient is exact
+    enough for rint to round it as the rational would be (see the module
+    docstring): |sum| <= 128*n for n = H*W, so sum / n lies in [-128, 128];
+    a half-integer quotient is representable, and any other one is at least
+    1/(2n) from a half-integer while the division errs by at most 2^-46,
+    so the result is exact whenever n < 2^45."""
+    n = data.shape[-2] * data.shape[-1]
+    sums = data.reshape(data.shape[:-2] + (n,)).sum(axis=-1, dtype=np.int64)
+    return np.rint(sums / n).astype(np.int8)[..., None, None]
 
 
 def add_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != b.shape:
         raise ShapeError(f"add operand dims differ: {a.shape} vs {b.shape}")
-    s = a.astype(np.int16) + b
-    return np.clip(s, INT8_MIN, INT8_MAX).astype(np.int8)
+    s = a.astype(np.int16)
+    s += b
+    return s.clip(_I16_MIN, _I16_MAX, out=s).astype(np.int8)
 
 
 def array_layer(layer, arrays: list[np.ndarray]) -> np.ndarray:

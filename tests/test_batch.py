@@ -20,7 +20,7 @@ import macfi.macarray as macarray
 from macfi import _kernel_py
 from macfi.campaign import (SweepSpec, evaluate_accuracy, results_to_csv, run_fault_sweep,
                             run_heatmap)
-from macfi.errors import ShapeError
+from macfi.errors import OutOfRange, ShapeError
 from macfi.faultctl import (FaultMap, LaneFault, fault_for_error_value, sample_random_fault_map,
                             single_lane_map)
 from macfi.macarray import Emulator, batch_logits
@@ -158,6 +158,27 @@ def test_wrong_sample_dims(desk_plan):
     c, h, w = desk_plan.input_shape
     with pytest.raises(ShapeError):
         Emulator(desk_plan).run_batch(np.zeros((2, c, h + 1, w), dtype=np.int8))
+
+
+@pytest.mark.parametrize("bad", [300, -129, 1.5, float("nan")])
+@pytest.mark.parametrize("entry", ["run_batch", "batch_logits"])
+def test_samples_outside_int8_are_rejected(desk_plan, desk_dataset, entry, bad):
+    # Casting to int8 would wrap 300 to 44 and truncate 1.5 to 1.
+    samples = desk_dataset.samples[:2].astype(np.float64)
+    samples[1, 0, 0, 0] = bad
+    with pytest.raises(OutOfRange, match="samples must be integers"):
+        if entry == "run_batch":
+            Emulator(desk_plan).run_batch(samples)
+        else:
+            batch_logits(desk_plan, samples, [FaultMap()])
+
+
+def test_integer_valued_samples_of_any_dtype_are_accepted(desk_plan, desk_dataset):
+    samples = desk_dataset.samples[:2]
+    want = Emulator(desk_plan).run_batch(samples)
+    for dtype in (np.int64, np.float32, np.float64):
+        assert np.array_equal(Emulator(desk_plan).run_batch(samples.astype(dtype)), want)
+    assert np.array_equal(batch_logits(desk_plan, samples.tolist(), [FaultMap()])[0], want)
 
 
 def test_fault_map_must_match_array(desk_plan, desk_dataset):

@@ -169,6 +169,16 @@ class TestCampaign:
         assert rc == 2
         assert "--k" in capsys.readouterr().err
 
+    def test_heatmap_rejects_k(self, desk_bundle, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(macfi.campaign, "evaluate_accuracy",
+                            lambda *args, **kwargs: calls.append(args))
+        rc = main(campaign_args(desk_bundle, tmp_path / "x", "--mode", "heatmap",
+                                "--values", "1", "--k", "3"))
+        assert rc == 2 and calls == []
+        assert "error: --k applies to sweep mode only" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_k_over_grid_size(self, desk_bundle, tmp_path, capsys):
         rc = main(campaign_args(desk_bundle, tmp_path / "x", "--mode", "sweep",
                                 "--k", "65", "--values", "0", "--reps", "1",

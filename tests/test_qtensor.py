@@ -1,18 +1,25 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macfi.errors import InvalidScale, ScaleMismatch, ShapeError
+from macfi.errors import InvalidScale, OutOfRange, ScaleMismatch, ShapeError
 from macfi.qtensor import (
     ACC_MAX,
     ACC_MIN,
+    INT8_MAX,
+    INT8_MIN,
     AccTensor,
     QTensor,
     array_layer,
+    add_array,
     dequantize,
+    gavgpool_array,
+    maxpool_array,
     quantize,
     ref_add,
     ref_conv2d,
@@ -22,7 +29,6 @@ from macfi.qtensor import (
     ref_relu,
     requantize,
     requantize_array,
-    round_half_even_div,
     sat32,
 )
 from macfi.model import LayerSpec
@@ -92,19 +98,135 @@ def test_sat32_bounds():
     assert sat32(5) == 5
 
 
-def test_round_half_even_div_matches_fraction_oracle():
-    from fractions import Fraction
-    rng = np.random.default_rng(3)
-    numer = rng.integers(-10**6, 10**6, size=200)
-    for denom in (1, 2, 3, 4, 7, 9, 16):
-        got = round_half_even_div(numer, denom)
-        for n, g in zip(numer.tolist(), got.tolist()):
-            # round-half-even of the exact rational
-            f = Fraction(n, denom)
-            q_, r = divmod(f.numerator, f.denominator)
-            frac = Fraction(r, f.denominator)
-            expect = q_ + (1 if frac > Fraction(1, 2) or (frac == Fraction(1, 2) and q_ % 2) else 0)
-            assert g == expect
+class TestQTensorValues:
+    @pytest.mark.parametrize("data", [
+        np.array([[[300, -129, 1.7]]]),  # a cast would give [44, 127, 1]
+        [[[128]]],
+        [[[-129]]],
+        np.array([[[0.5]]]),
+        np.array([[[np.nan]]]),
+        np.array([[[-np.inf]]]),
+        np.array([[[256]]], dtype=np.uint16),
+        np.array([[[1 + 1j]]]),
+    ], ids=["wraps", "128", "-129", "fraction", "nan", "inf", "uint16", "complex"])
+    def test_values_outside_int8_are_rejected(self, data):
+        with pytest.raises(OutOfRange, match="QTensor data"):
+            QTensor(data, 1.0)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64, np.float32, np.float64])
+    def test_integer_values_of_any_dtype_are_cast(self, dtype):
+        t = QTensor(np.array([[[-128, -1, 0, 127]]], dtype=dtype), 1.0)
+        assert t.data.dtype == np.int8 and t.data.tolist() == [[[-128, -1, 0, 127]]]
+        assert QTensor([[[-128, 127]]], 1.0).data.tolist() == [[[-128, 127]]]
+
+    def test_valid_fields_are_kept(self):
+        data = np.zeros((1, 2, 2), dtype=np.int8)
+        t = QTensor(data, 0.5)
+        assert t.data is data and t.scale == 0.5
+        strided = np.arange(8, dtype=np.int8).reshape(1, 2, 4)[..., ::2]
+        t = QTensor(strided, np.float64(0.25))
+        assert t.data.flags.c_contiguous and t.data.tolist() == [[[0, 2], [4, 6]]]
+        assert type(t.scale) is float and type(QTensor(data, 1).scale) is float
+
+
+# The int8 layer kernels against independent scalar oracles.
+
+@given(st.lists(st.integers(1, 3), max_size=2), st.integers(1, 9), st.integers(1, 9),
+       st.sampled_from(["random", "min", "max", "tie"]), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_gavgpool_array_matches_fraction_oracle(batch, h, w, fill, seed):
+    rng = np.random.default_rng(seed)
+    batch, n = tuple(batch), h * w
+    if fill == "random":
+        data = rng.integers(-128, 128, (*batch, n))
+    elif fill in ("min", "max"):
+        data = np.full((*batch, n), INT8_MIN if fill == "min" else INT8_MAX)
+    else:
+        # n // 2 values of each slice are t + 1, the rest t: an exact tie
+        # t + 1/2 for even n, the nearest miss of one for odd n.
+        ups = np.arange(n) < n // 2
+        data = rng.integers(-128, 127, (*batch, 1)) + rng.permuted(
+            np.broadcast_to(ups, (*batch, n)), axis=-1)
+    data = data.astype(np.int8).reshape(*batch, h, w)
+    got = gavgpool_array(data)
+    assert got.shape == (*batch, 1, 1) and got.dtype == np.int8
+    sums = data.reshape(-1, n).astype(np.int64).sum(axis=1)
+    # Fraction rounds half to even, exactly.
+    assert got.reshape(-1).tolist() == [round(Fraction(int(v), n)) for v in sums]
+
+
+def test_gavgpool_array_exact_ties_round_to_even():
+    t = np.arange(-128, 127)
+    for h, w in ((1, 2), (2, 2), (2, 3), (5, 2), (6, 6), (8, 8)):
+        n = h * w
+        data = np.repeat(t[:, None], n, axis=1) + (np.arange(n) < n // 2)
+        got = gavgpool_array(data.astype(np.int8).reshape(len(t), h, w)).reshape(-1)
+        assert got.tolist() == [v + (v % 2) for v in t.tolist()], (h, w)
+
+
+def test_gavgpool_array_large_window_near_ties():
+    # n = 511 * 511: every quotient t + 1/2 -+ 1/(2n) must still round by its
+    # side of the tie (a float32 division gets 63 of these wrong).
+    h = w = 511
+    n = h * w
+    data = np.empty(n, dtype=np.int8)
+    for t in range(INT8_MIN, INT8_MAX):
+        for ups in (n // 2, n // 2 + 1):
+            data[:ups], data[ups:] = t + 1, t
+            assert int(gavgpool_array(data.reshape(h, w))[0, 0]) == round(
+                Fraction(t * n + ups, n)), (t, ups)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_maxpool_array_matches_loop_oracle(k, stride):
+    rng = np.random.default_rng(10 * k + stride)
+    for shape in ((3, 3), (1, 5, 7), (2, 3, 9, 5), (4, 3)):
+        data = rng.integers(-128, 128, shape).astype(np.int8)
+        batch, (h, w) = shape[:-2], shape[-2:]
+        hout, wout = (h - k) // stride + 1, (w - k) // stride + 1
+        got = maxpool_array(data, k, stride)
+        assert got.shape == (*batch, hout, wout) and got.dtype == np.int8
+        assert not np.shares_memory(got, data)
+        for idx in np.ndindex(*batch, hout, wout):
+            *b, y, x = idx
+            window = data[tuple(b)][y * stride : y * stride + k, x * stride : x * stride + k]
+            assert got[idx] == max(window.reshape(-1).tolist()), (shape, idx)
+
+
+# Accumulators on and around both rails: +-2^30 far past them, and ties at
+# +-126.5, +-127.5 and -128.5 under m = 1/2.
+_RAIL_ACCS = [2 ** 30, -(2 ** 30), 2 ** 24, -(2 ** 24), 253, -253, 255, -255, 257, -257,
+              256, -256, 254, -254, 0, 1, -1]
+
+
+@pytest.mark.parametrize("shape", [(8, 64), (16, 24, 128)], ids=["desk", "campaign"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_requantize_array_at_the_rails(shape, dtype):
+    rng = np.random.default_rng(5)
+    acc = rng.integers(-(2 ** 24), 2 ** 24, shape)
+    acc.reshape(-1)[: len(_RAIL_ACCS)] = _RAIL_ACCS
+    for m in (0.5, 2.0 ** -7, 2.0 ** -23):
+        got = requantize_array(acc.astype(dtype), m)
+        assert got.dtype == np.int8 and got.shape == shape
+        assert got.reshape(-1).tolist() == [requantize(v, m) for v in acc.reshape(-1).tolist()]
+    assert requantize_array(np.array(_RAIL_ACCS[:10], dtype=dtype), 0.5).tolist() == [
+        127, -128, 127, -128, 126, -126, 127, -128, 127, -128]
+
+
+@pytest.mark.parametrize("shape", [(8, 4, 4), (16, 24, 2, 8, 8)], ids=["desk", "campaign"])
+def test_add_array_at_the_rails(shape):
+    rng = np.random.default_rng(6)
+    a = rng.integers(-128, 128, shape).astype(np.int8)
+    b = rng.integers(-128, 128, shape).astype(np.int8)
+    pairs = [(127, 127), (-128, -128), (127, -128), (-128, 127), (127, 1), (-128, -1), (1, -1)]
+    a.reshape(-1)[: len(pairs)], b.reshape(-1)[: len(pairs)] = zip(*pairs)
+    got = add_array(a, b)
+    assert got.dtype == np.int8 and got.shape == shape
+    want = [max(INT8_MIN, min(INT8_MAX, x + y))
+            for x, y in zip(a.reshape(-1).tolist(), b.reshape(-1).tolist())]
+    assert got.reshape(-1).tolist() == want
+    assert got.reshape(-1)[: len(pairs)].tolist() == [127, -128, -1, -1, 127, -128, 0]
 
 
 class TestRefConv2d:
