@@ -41,7 +41,7 @@ def _check_scale(scale: float) -> float:
     return scale
 
 
-def to_int8(values, what: str = "values") -> np.ndarray:
+def to_int8(values, what: str) -> np.ndarray:
     """``values`` as an int8 array; an int8 array is returned as it is.
     Anything else must hold only integers in [INT8_MIN, INT8_MAX] (raises
     OutOfRange), so a cast never wraps or truncates."""
@@ -67,8 +67,7 @@ class QTensor:
     scale: float
 
     def __post_init__(self):
-        # Fields that are already a C-contiguous int8 array and a float are
-        # kept as they are; anything else is converted (and range-checked).
+        # Valid fields are kept: no copy of a C-contiguous int8 array.
         data = self.data
         if not (isinstance(data, np.ndarray) and data.dtype == np.int8
                 and data.flags.c_contiguous):
@@ -238,12 +237,11 @@ def maxpool_array(data: np.ndarray, k: int, stride: int) -> np.ndarray:
 
 
 def gavgpool_array(data: np.ndarray) -> np.ndarray:
-    """Round-half-even mean over (H, W). The float64 quotient is exact
-    enough for rint to round it as the rational would be (see the module
-    docstring): |sum| <= 128*n for n = H*W, so sum / n lies in [-128, 128];
-    a half-integer quotient is representable, and any other one is at least
-    1/(2n) from a half-integer while the division errs by at most 2^-46,
-    so the result is exact whenever n < 2^45."""
+    """Round-half-even mean over (H, W). rint rounds the float64 quotient
+    as it would the rational: |sum| <= 128*n for n = H*W, so sum / n lies
+    in [-128, 128]; a half-integer quotient is representable, and any other
+    one is at least 1/(2n) from a half-integer while the division errs by
+    at most 2^-46, so the result is exact whenever n < 2^45."""
     n = data.shape[-2] * data.shape[-1]
     sums = data.reshape(data.shape[:-2] + (n,)).sum(axis=-1, dtype=np.int64)
     return np.rint(sums / n).astype(np.int8)[..., None, None]
