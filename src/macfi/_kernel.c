@@ -7,8 +7,9 @@
  * buffer protocol and are checked for C contiguity, dimensionality, integer
  * kind and item size before the loop runs; act_idx/w_idx must be
  * (n, lanes) because rows are indexed flat. Index values are not checked
- * here: plan_model range-checks every program's unit, dest, act_idx and
- * w_idx once when it builds it. The hot loop releases the GIL.
+ * here: LayerProgram.packed range-checks a program's unit, dest, act_idx
+ * and w_idx once, when it first builds the rows, before any kernel reads
+ * them. The hot loop releases the GIL.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>

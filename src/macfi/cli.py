@@ -11,9 +11,9 @@ import sys
 import time
 
 from . import campaign as camp
-from .errors import EmptyDataset, MacfiError, OutOfRange, SchemaError
-from .faultctl import parse_fault_spec
-from .macarray import Emulator, classify_argmax
+from .errors import EmptyDataset, MacfiError, OutOfRange, SchemaError, ShapeError
+from .faultctl import FaultMap, parse_fault_spec
+from .macarray import batch_logits, default_backend
 from .model import load_dataset, load_model
 from .planner import dump_plan, plan_model, plan_stats
 from .report import boxplot_svg, heatmap_svg
@@ -63,8 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("sweep", "heatmap"), required=True)
     sp.add_argument("--k", help="comma list of fault counts (sweep mode)")
     sp.add_argument("--values", default="0,1,-1", help="comma list of injected values")
-    sp.add_argument("--reps", type=int, default=10, help="repetitions per (k, value)")
-    sp.add_argument("--seed", type=int, default=0, help="master seed")
+    sp.add_argument("--reps", type=int, help="repetitions per (k, value) (sweep mode; default 10)")
+    sp.add_argument("--seed", type=int, help="master seed (sweep mode; default 0)")
     sp.add_argument("--workers", type=int, default=None,
                     help="accepted for compatibility (must be >= 1); affects neither "
                          "results nor scheduling")
@@ -88,7 +88,7 @@ def _load(args, with_dataset: bool):
 
 def cmd_infer(args) -> int:
     plan, ds = _load(args, with_dataset=True)
-    faults = None
+    faults = FaultMap(plan.cfg.units, plan.cfg.lanes)
     if args.faults:
         try:
             with open(args.faults, "r", encoding="utf-8") as fh:
@@ -97,26 +97,22 @@ def cmd_infer(args) -> int:
             raise SchemaError(f"cannot read fault spec {args.faults}: {exc}") from exc
     if args.sample is not None and not 0 <= args.sample < len(ds):
         raise OutOfRange(f"--sample {args.sample} outside dataset of {len(ds)}")
-    indices = list(range(len(ds))) if args.sample is None else [args.sample]
+    indices = range(len(ds)) if args.sample is None else [args.sample]
     if not indices:
         raise EmptyDataset(f"dataset {args.dataset} has no samples")
+    if ds.scale != plan.input_scale:
+        raise ShapeError(f"input scale {ds.scale!r} does not match plan {plan.input_scale!r}")
 
-    emu = Emulator(plan, faults)
     if args.verbose:
-        print(f"# backend={emu.backend} micro_ops_per_inference={plan.total_micro_ops}")
-    correct = 0
-    elapsed = 0.0  # emulator time only, so the footer does not measure stdout
-    for i in indices:
-        x = ds.sample(i)
-        t0 = time.perf_counter()
-        res = emu.run(x)
-        elapsed += time.perf_counter() - t0
-        pred = classify_argmax(res.logits)
-        label = int(ds.labels[i])
-        correct += pred == label
+        print(f"# backend={default_backend()} micro_ops_per_inference={plan.total_micro_ops}")
+    t0 = time.perf_counter()  # the one batch_logits call only, not stdout
+    logits = batch_logits(plan, ds.samples[indices], [faults])[0]
+    elapsed = max(time.perf_counter() - t0, 1e-9)
+    # argmax picks the smallest index attaining the maximum, as classify_argmax does.
+    preds, labels = logits.argmax(axis=1), ds.labels[indices]
+    for i, pred, label in zip(indices, preds.tolist(), labels.tolist()):
         print(f"sample={i} pred={pred} label={label}")
-    elapsed = max(elapsed, 1e-9)
-    accuracy = correct / len(indices)
+    accuracy = int((preds == labels).sum()) / len(indices)
     print(f"accuracy={accuracy!r} throughput_ips={len(indices) / elapsed:.1f}")
     return 0
 
@@ -148,8 +144,10 @@ def _check_out_dir(out: str):
 
 
 def cmd_campaign(args) -> int:
-    if args.mode == "heatmap" and args.k is not None:
-        raise SchemaError("--k applies to sweep mode only")
+    if args.mode == "heatmap":
+        for flag, value in (("--k", args.k), ("--reps", args.reps), ("--seed", args.seed)):
+            if value is not None:
+                raise SchemaError(f"{flag} applies to sweep mode only")
     plan, ds = _load(args, with_dataset=True)
     values = _int_list(args.values)
     off, count = _slice_pair(args.slice) if args.slice else (0, None)
@@ -157,8 +155,9 @@ def cmd_campaign(args) -> int:
     if args.mode == "sweep":
         if not args.k:
             raise SchemaError("sweep mode requires --k")
-        spec = camp.SweepSpec(tuple(_int_list(args.k)), tuple(values), args.reps,
-                              args.seed, off, count)
+        spec = camp.SweepSpec(tuple(_int_list(args.k)), tuple(values),
+                              10 if args.reps is None else args.reps,
+                              0 if args.seed is None else args.seed, off, count)
         result = camp.run_fault_sweep(spec, plan, ds, workers=args.workers)
     else:
         result = camp.run_heatmap(values, plan, ds, workers=args.workers,

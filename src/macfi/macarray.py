@@ -30,9 +30,10 @@ through the plan's tap index (LayerProgram.taps), the one record of each
 layer's conv geometry that the packed rows are built from too;
 they never build the rows.
 
-batch_logits evaluates R fault maps over S samples at once (Emulator.run_batch
-is its one-map case); a run without the closed form takes the per-step
-kernel sample by sample.
+Emulator runs one sample at a time. batch_logits is the one multi-sample
+path, for macfi infer, campaigns and API callers alike: it evaluates R fault
+maps over S samples at once, and a run without the closed form takes the
+per-step kernel sample by sample, through Emulator.run.
 The matmul runs in float32 when 128 * max_o sum |W[o]| + max |const| <= 2^24
 and in float64 otherwise: every partial sum is an integer subset sum of
 int8 x int8 products (|w * x| <= 128 |w|) plus perhaps const, so it never
@@ -162,8 +163,8 @@ class ExecResult:
 
 
 class Emulator:
-    """Executes one inference at a time (run) or a stack of samples at once
-    (run_batch); owns the cycle counter and accumulators.
+    """Executes one inference at a time (run); owns the cycle counter and
+    accumulators. Many samples, or many fault maps, go to batch_logits.
 
     Untraced, with a map that has no pulse and passes the no-saturation
     bound, run evaluates each MAC layer in closed form, from masked weights,
@@ -201,10 +202,6 @@ class Emulator:
                                     np.zeros((prog.in_shape[0], 1), dtype=np.int8))
                     for prog in plan.programs if prog.is_mac}
 
-    @property
-    def backend(self) -> str:
-        return self._kernel.BACKEND
-
     def run(self, x: QTensor) -> ExecResult:
         plan = self.plan
         if x.dims != plan.input_shape:
@@ -224,17 +221,6 @@ class Emulator:
             outputs[prog.layer.id] = out
         logits = outputs[plan.output].data.reshape(-1)
         return ExecResult(outputs, logits, self.cycle, events)
-
-    def run_batch(self, samples) -> np.ndarray:
-        """int8 logits (S, classes) for int8 samples (S, C, H, W) in the
-        plan's input scale; row s equals ``run`` on sample s bit for bit.
-        A traced emulator runs sample by sample."""
-        if not self.trace:
-            return batch_logits(self.plan, samples, [self.faults])[0]
-        samples = _check_samples(self.plan, samples)
-        out = np.empty((len(samples), self.plan.classes), dtype=np.int8)
-        _run_each(self, samples, out)
-        return out
 
     def run_layer_program(self, prog: LayerProgram, x: QTensor,
                           events: list[TraceEvent] | None = None) -> QTensor:
@@ -289,19 +275,6 @@ class Emulator:
         return QTensor(requantize_array(acc3, prog.layer.m), prog.out_scale)
 
 
-def _check_samples(plan: ExecutionPlan, samples) -> np.ndarray:
-    samples = to_int8(samples, "samples")
-    if samples.shape[1:] != plan.input_shape:
-        raise ShapeError(f"sample dims {samples.shape[1:]} do not match plan {plan.input_shape}")
-    return samples
-
-
-def _run_each(emu: Emulator, samples: np.ndarray, out: np.ndarray):
-    """The per-step fallback: out[s] = emu.run(sample s).logits."""
-    for s, x in enumerate(samples):
-        out[s] = emu.run(QTensor(x, emu.plan.input_scale)).logits
-
-
 def batch_logits(plan: ExecutionPlan, samples, fault_maps) -> np.ndarray:
     """int8 logits (R, S, classes) of R fault maps over int8 samples
     (S, C, H, W) in the plan's input scale; [r, s] equals
@@ -309,9 +282,12 @@ def batch_logits(plan: ExecutionPlan, samples, fault_maps) -> np.ndarray:
 
     Runs with a pulse, or whose closed form could saturate a partial sum,
     take the per-step kernel sample by sample; the others are evaluated
-    together in (sample block, run block) tiles under BATCH_BYTES.
+    together in (sample block, run block) tiles under BATCH_BYTES. The
+    samples' scale is not checked: the caller vouches that it is the plan's.
     """
-    samples = _check_samples(plan, samples)
+    samples = to_int8(samples, "samples")
+    if samples.shape[1:] != plan.input_shape:
+        raise ShapeError(f"sample dims {samples.shape[1:]} do not match plan {plan.input_shape}")
     cfg = plan.cfg
     out = np.empty((len(fault_maps), len(samples), plan.classes), dtype=np.int8)
     if not len(fault_maps):
@@ -321,8 +297,10 @@ def batch_logits(plan: ExecutionPlan, samples, fault_maps) -> np.ndarray:
             raise ShapeError(f"fault map is {fmap.units}x{fmap.lanes}, "
                              f"array is {cfg.units}x{cfg.lanes}")
     keep, forced, fast = _fast_runs(plan, fault_maps)
-    for r in np.flatnonzero(~fast):
-        _run_each(Emulator(plan, fault_maps[r]), samples, out[r])
+    for r in np.flatnonzero(~fast):  # the per-step fallback, one sample at a time
+        emu = Emulator(plan, fault_maps[r])
+        for s, x in enumerate(samples):
+            out[r, s] = emu.run(QTensor(x, plan.input_scale)).logits
     if fast.any() and len(samples):
         out[fast] = _closed_form(plan, samples, keep[fast], forced[fast])
     return out

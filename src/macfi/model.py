@@ -343,6 +343,8 @@ def _parse_manifest(doc: dict) -> tuple[ModelGraph, dict[str, tuple[int, int, in
     _require(isinstance(inp, dict), "manifest input must be an object")
     for key in ("c", "h", "w", "scale"):
         _require(key in inp, f"manifest input missing {key!r}")
+    _require(isinstance(doc["output"], str),
+             f"manifest output must be a layer id (a string), got {doc['output']!r}")
     layers = []
     refs = {}
     _require(isinstance(doc["layers"], list), "manifest layers must be a list")
@@ -352,6 +354,8 @@ def _parse_manifest(doc: dict) -> tuple[ModelGraph, dict[str, tuple[int, int, in
         _require(isinstance(lid, str) and lid != "", "layer entry missing id", None)
         _require("kind" in entry, f"layer {lid!r} missing kind", lid)
         _require(isinstance(entry.get("inputs"), list), f"layer {lid!r} missing inputs[]", lid)
+        _require(all(isinstance(src, str) for src in entry["inputs"]),
+                 f"layer {lid!r}: inputs must be layer ids (strings)", lid)
         spec = LayerSpec(
             id=lid,
             kind=entry["kind"],

@@ -108,6 +108,12 @@ def _pack_mac_layer(layer: LayerSpec, in_shape: tuple[int, int, int], taps: np.n
     return PackedOps(unit, dest, act_idx, w_idx)
 
 
+def _too_large(layer: LayerSpec, in_shape: tuple[int, int, int],
+               out_shape: tuple[int, int, int]) -> ShapeError:
+    return ShapeError(f"layer {layer.id!r} ({in_shape} in, {out_shape} out) is "
+                      "too large to plan", layer.id)
+
+
 def _check_indices(prog: LayerProgram, p: PackedOps):
     """One pass over a program's index values, which the compiled kernel
     dereferences unchecked: unit < units, dest < Cout*Hout*Wout,
@@ -150,10 +156,14 @@ class LayerProgram:
     @cached_property
     def packed(self) -> PackedOps | None:
         """The layer's micro-op rows (None for delegated layers), packed and
-        index-checked on first read, before any kernel reads an index."""
+        index-checked on first read, before any kernel reads an index.
+        Rows that cannot be allocated are a ShapeError naming the layer."""
         if self.taps is None:
             return None
-        p = _pack_mac_layer(self.layer, self.in_shape, self.taps, self.cfg)
+        try:
+            p = _pack_mac_layer(self.layer, self.in_shape, self.taps, self.cfg)
+        except (MemoryError, ValueError) as exc:  # numpy: cannot allocate, or too big
+            raise _too_large(self.layer, self.in_shape, self.out_shape) from exc
         _check_indices(self, p)
         return p
 
@@ -188,8 +198,7 @@ def plan_model(g: ModelGraph, cfg: ArrayConfig | None = None) -> ExecutionPlan:
             try:
                 taps = _tap_index(layer, in_shape, out_shape)
             except (MemoryError, ValueError) as exc:  # numpy: cannot allocate, or too big
-                raise ShapeError(f"layer {layer.id!r} ({in_shape} in, {out_shape} out) is "
-                                 "too large to plan", layer.id) from exc
+                raise _too_large(layer, in_shape, out_shape) from exc
             programs.append(LayerProgram(
                 layer,
                 in_shape,

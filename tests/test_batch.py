@@ -1,5 +1,5 @@
-"""macarray.batch_logits, Emulator.run_batch and Emulator.run against the
-per-step datapath, bit for bit.
+"""macarray.batch_logits and Emulator.run against the per-step datapath, bit
+for bit.
 
 The batched path replaces every permanent lane fault by its closed form
 (masked weights plus a constant per output channel), evaluates many runs at
@@ -69,7 +69,8 @@ def _per_sample(plan, faults, samples) -> np.ndarray:
 
 @pytest.fixture
 def run_calls(monkeypatch):
-    """Counts Emulator.run calls; run_batch's fallback goes through it."""
+    """Counts Emulator.run calls; batch_logits' per-step fallback goes
+    through it."""
     calls = []
     real = Emulator.run
 
@@ -93,7 +94,7 @@ def test_run_batch_matches_run_bit_for_bit(backend, run_calls):
                                                plan.cfg.units, plan.cfg.lanes)
                 expected = _per_sample(plan, fmap, samples)
                 run_calls.clear()
-                got = Emulator(plan, fmap).run_batch(samples)
+                got = batch_logits(plan, samples, [fmap])[0]
                 assert run_calls == [], "took the per-sample path"
                 assert got.dtype == np.int8 and got.shape == (SAMPLES, g.classes)
                 assert np.array_equal(got, expected), (mi, k, value)
@@ -107,17 +108,7 @@ def test_pulse_map_falls_back(desk_plan, desk_dataset, run_calls):
     samples = desk_dataset.samples[:4]
     expected = _per_sample(desk_plan, fmap, samples)
     run_calls.clear()
-    got = Emulator(desk_plan, fmap).run_batch(samples)
-    assert len(run_calls) == len(samples)
-    assert np.array_equal(got, expected)
-
-
-def test_trace_falls_back(desk_plan, desk_dataset, run_calls):
-    fmap = sample_random_fault_map(4, fault_for_error_value(-131072), 11, 8, 8)
-    samples = desk_dataset.samples[:4]
-    expected = _per_sample(desk_plan, fmap, samples)
-    run_calls.clear()
-    got = Emulator(desk_plan, fmap, trace=True).run_batch(samples)
+    got = batch_logits(desk_plan, samples, [fmap])[0]
     assert len(run_calls) == len(samples)
     assert np.array_equal(got, expected)
 
@@ -135,7 +126,7 @@ def test_bias_near_rail_with_constant_fault_falls_back(run_calls):
     samples = rng.integers(-128, 128, size=(5, 16, 1, 1)).astype(np.int8)
     expected = _per_sample(plan, fmap, samples)
     run_calls.clear()
-    got = Emulator(plan, fmap).run_batch(samples)
+    got = batch_logits(plan, samples, [fmap])[0]
     assert len(run_calls) == len(samples)
     assert np.array_equal(got, expected)
     assert (expected[:, 0] == 127).all()  # the saturated channel
@@ -150,34 +141,37 @@ def test_sweep_unchanged_by_block_size(cin4_plan, cin4_dataset, monkeypatch):
 
 
 def test_empty_batch(desk_plan):
-    out = Emulator(desk_plan).run_batch(np.zeros((0, *desk_plan.input_shape), dtype=np.int8))
+    out = batch_logits(desk_plan, np.zeros((0, *desk_plan.input_shape), dtype=np.int8),
+                       [FaultMap()])[0]
     assert out.shape == (0, desk_plan.classes) and out.dtype == np.int8
 
 
 def test_wrong_sample_dims(desk_plan):
     c, h, w = desk_plan.input_shape
     with pytest.raises(ShapeError):
-        Emulator(desk_plan).run_batch(np.zeros((2, c, h + 1, w), dtype=np.int8))
+        batch_logits(desk_plan, np.zeros((2, c, h + 1, w), dtype=np.int8), [FaultMap()])
 
 
 @pytest.mark.parametrize("bad", [300, -129, 1.5, float("nan")])
-@pytest.mark.parametrize("entry", ["run_batch", "batch_logits"])
+@pytest.mark.parametrize("entry", ["evaluate_accuracy", "batch_logits"])
 def test_samples_outside_int8_are_rejected(desk_plan, desk_dataset, entry, bad):
     # Casting to int8 would wrap 300 to 44 and truncate 1.5 to 1.
     samples = desk_dataset.samples[:2].astype(np.float64)
     samples[1, 0, 0, 0] = bad
     with pytest.raises(OutOfRange, match="samples must be integers"):
-        if entry == "run_batch":
-            Emulator(desk_plan).run_batch(samples)
+        if entry == "evaluate_accuracy":
+            evaluate_accuracy(desk_plan, Dataset(samples, desk_dataset.labels[:2],
+                                                 desk_dataset.scale), range(2))
         else:
             batch_logits(desk_plan, samples, [FaultMap()])
 
 
 def test_integer_valued_samples_of_any_dtype_are_accepted(desk_plan, desk_dataset):
     samples = desk_dataset.samples[:2]
-    want = Emulator(desk_plan).run_batch(samples)
+    want = batch_logits(desk_plan, samples, [FaultMap()])[0]
     for dtype in (np.int64, np.float32, np.float64):
-        assert np.array_equal(Emulator(desk_plan).run_batch(samples.astype(dtype)), want)
+        assert np.array_equal(batch_logits(desk_plan, samples.astype(dtype), [FaultMap()])[0],
+                              want)
     assert np.array_equal(batch_logits(desk_plan, samples.tolist(), [FaultMap()])[0], want)
 
 

@@ -11,11 +11,17 @@ from pathlib import Path
 import pytest
 
 import macfi.campaign
+import macfi.cli
 import macfi.macarray
+import macfi.planner
 from macfi.campaign import parse_results_csv, parse_summary_csv
 from macfi.cli import main
 from macfi.errors import SchemaError
+from macfi.faultctl import parse_fault_spec
+from macfi.macarray import Emulator, classify_argmax
 from macfi.model import Dataset, load_dataset, load_model, save_dataset, save_model
+from macfi.planner import plan_model
+from macfi.qtensor import ACC_MAX
 
 from helpers import bias_only_accuracy
 
@@ -126,6 +132,78 @@ class TestInfer:
         assert ("error: fault spec line 1" in err) == (rc == 2) and "internal" not in err
 
 
+    def test_dataset_scale_differs_from_model_is_bad_input(self, desk_bundle, tmp_path, capsys):
+        ds = load_dataset(desk_bundle["dataset"])
+        other = tmp_path / "scaled.qds"
+        save_dataset(Dataset(ds.samples, ds.labels, ds.scale * 2), other)
+        rc = main(["infer", "--model", desk_bundle["manifest"], "--weights",
+                   desk_bundle["weights"], "--dataset", str(other), "--sample", "0"])
+        err = capsys.readouterr().err
+        assert rc == 2 and "error: input scale" in err and "internal" not in err
+
+    @pytest.mark.parametrize("spec, rail, per_step", [
+        ([f"{u},{l},zero" for u in range(8) for l in range(8)], False, False),
+        (["0,0,const,131071", "3,5,const,-131072", "7,2,const,1"], False, False),
+        (["2,3,pulse,131071,100,400"], False, True),
+        (["0,0,const,131071"], True, True),
+    ], ids=["stuck_zero", "constant", "pulse", "over_bound"])
+    def test_output_matches_per_sample_run(self, desk_bundle, desk_graph, tmp_path, capsys,
+                                           monkeypatch, spec, rail, per_step):
+        # "over_bound" runs a desk model whose conv1 channel-0 bias leaves
+        # room for fault-free lanes only, so a forced 131071 takes the
+        # per-step fallback, as a pulse does.
+        model, weights = desk_bundle["manifest"], desk_bundle["weights"]
+        if rail:
+            g = load_model(model, weights)
+            conv1 = g.by_id["conv1"]
+            conv1.bias[0] = ACC_MAX - 9 * 8 * 16384  # 9 taps of 8 lanes at the largest product
+            model, weights = str(tmp_path / "rail.json"), str(tmp_path / "rail.bin")
+            save_model(g, model, weights)
+        spec_path = tmp_path / "spec.txt"
+        spec_path.write_text("\n".join(spec) + "\n")
+        plan = plan_model(load_model(model, weights))
+        ds = load_dataset(desk_bundle["dataset"])
+        emu = Emulator(plan, parse_fault_spec(spec_path.read_text()))
+        preds = [classify_argmax(emu.run(ds.sample(i)).logits) for i in range(len(ds))]
+        want = [f"sample={i} pred={p} label={int(ds.labels[i])}" for i, p in enumerate(preds)]
+        accuracy = sum(p == int(label) for p, label in zip(preds, ds.labels)) / len(ds)
+        runs = []
+        real_run = Emulator.run
+
+        def run(self, x):
+            runs.append(x)
+            return real_run(self, x)
+
+        monkeypatch.setattr(Emulator, "run", run)
+        rc = main(["infer", "--model", model, "--weights", weights, "--dataset",
+                   desk_bundle["dataset"], "--faults", str(spec_path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0 and lines[:-1] == want
+        assert lines[-1].startswith(f"accuracy={accuracy!r} throughput_ips=")
+        assert len(runs) == (len(ds) if per_step else 0)
+
+    @pytest.mark.parametrize("extra", [(), ("--sample", "3")], ids=["all", "one"])
+    def test_one_batch_logits_call(self, desk_bundle, capsys, monkeypatch, extra):
+        calls, built = [], []
+        real_batch, real_init = macfi.cli.batch_logits, Emulator.__init__
+
+        def batch(*args):
+            calls.append(args)
+            return real_batch(*args)
+
+        def init(self, *args, **kwargs):
+            built.append(args)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(macfi.cli, "batch_logits", batch)
+        monkeypatch.setattr(Emulator, "__init__", init)
+        assert main(infer_args(desk_bundle, *extra)) == 0
+        assert len(calls) == 1 and built == []  # no per-step fallback on a fault-free map
+        _, samples, maps = calls[0]
+        assert len(samples) == (1 if extra else 32) and len(maps) == 1
+        assert len(capsys.readouterr().out.splitlines()) == len(samples) + 1
+
+
 class TestCampaign:
     def test_heatmap_outputs(self, desk_bundle, tmp_path, capsys):
         out = tmp_path / "heat"
@@ -178,6 +256,27 @@ class TestCampaign:
         assert rc == 2 and calls == []
         assert "error: --k applies to sweep mode only" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--reps", "3"), ("--seed", "5")])
+    def test_heatmap_rejects_reps_and_seed(self, desk_bundle, tmp_path, capsys, monkeypatch,
+                                           flag, value):
+        calls = []
+        monkeypatch.setattr(macfi.campaign, "evaluate_accuracy",
+                            lambda *args, **kwargs: calls.append(args))
+        rc = main(campaign_args(desk_bundle, tmp_path / "x", "--mode", "heatmap",
+                                "--values", "1", flag, value, "--slice", "0,2"))
+        assert rc == 2 and calls == []
+        assert f"error: {flag} applies to sweep mode only" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_sweep_defaults_to_10_reps_and_seed_0(self, desk_bundle, tmp_path, capsys):
+        flags = ("--mode", "sweep", "--k", "1,4", "--values", "0,-1", "--slice", "0,2")
+        assert main(campaign_args(desk_bundle, tmp_path / "a", *flags)) == 0
+        assert main(campaign_args(desk_bundle, tmp_path / "b", *flags,
+                                  "--reps", "10", "--seed", "0")) == 0
+        got = (tmp_path / "a" / "results.csv").read_bytes()
+        assert got == (tmp_path / "b" / "results.csv").read_bytes()
+        assert sum(r.kind == "sweep" for r in parse_results_csv(got.decode()).records) == 40
 
     def test_k_over_grid_size(self, desk_bundle, tmp_path, capsys):
         rc = main(campaign_args(desk_bundle, tmp_path / "x", "--mode", "sweep",
@@ -362,6 +461,48 @@ class TestPlan:
         rc = main(args + (["--dataset", desk_bundle["dataset"]] if cmd == "infer" else []))
         err = capsys.readouterr().err
         assert rc == 2 and "'conv1'" in err and "too large to plan" in err, err
+
+    @pytest.mark.parametrize("field, value, layer", [
+        ("inputs", [["conv1"]], "relu1"),
+        ("inputs", [{"id": "conv1"}], "relu1"),
+        ("output", ["fc"], None),
+        ("output", {}, None),
+    ], ids=["inputs_list", "inputs_object", "output_list", "output_object"])
+    def test_non_string_layer_name_is_bad_input(self, desk_bundle, tmp_path, capsys,
+                                                field, value, layer):
+        doc = json.loads(Path(desk_bundle["manifest"]).read_text())
+        if field == "inputs":
+            doc["layers"][1]["inputs"] = value
+        else:
+            doc["output"] = value
+        man = tmp_path / "model.json"
+        man.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as exc:
+            load_model(man, desk_bundle["weights"])
+        assert exc.value.layer == layer
+        rc = main(["plan", "--model", str(man), "--weights", desk_bundle["weights"]])
+        err = capsys.readouterr().err
+        assert rc == 2 and "error:" in err and "internal" not in err, err
+        assert layer is None or repr(layer) in err
+
+    @pytest.mark.parametrize("cmd", ["plan", "infer_pulse"])
+    def test_rows_too_large_to_allocate_are_bad_input(self, desk_bundle, tmp_path, capsys,
+                                                      monkeypatch, cmd):
+        # Stands in for a model that plans but whose packed rows do not fit.
+        def no_memory(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(macfi.planner, "_pack_mac_layer", no_memory)
+        if cmd == "plan":
+            rc = main(["plan", "--model", desk_bundle["manifest"],
+                       "--weights", desk_bundle["weights"], "--out", str(tmp_path / "p.txt")])
+        else:
+            spec = tmp_path / "pulse.txt"
+            spec.write_text("2,3,pulse,131071,100,400\n")
+            rc = main(infer_args(desk_bundle, "--faults", str(spec), "--sample", "0"))
+        err = capsys.readouterr().err
+        assert rc == 2 and "error: layer 'conv1'" in err and "too large" in err, err
+        assert not (tmp_path / "p.txt").exists()
 
     def test_non_utf8_manifest(self, desk_bundle, tmp_path, capsys):
         bad = tmp_path / "latin1.json"
