@@ -231,6 +231,58 @@ class TestPlanModel:
         assert digest == "04dc5b643ebbd30814c24ef0de7545e5a3191a5b6c93175fb33b43b4e0f175af"
 
 
+# sha256 of dump_plan for make_random_model(default_rng(seed)), seeds 0..9,
+# per array geometry: known answers that pin the dump's text byte for byte
+# over random strides, pads, kernel sizes, lane groups and unit wraps.
+RANDOM_DUMP_DIGESTS = {
+    (8, 8): [
+        "99815a8fc26465c77f8c127d08360348f29e861cdb22e7f09220f93a140bd7aa",
+        "1d12c3b385141198d5060da4e4fb888ffb904766ce9e40c7477445b8658467b3",
+        "a566307bfced14f39aa32134c48d37174e5b8f3eed814053c159a135e1a2eb0f",
+        "3a74ec4f7b03eef269a9e4e6db074d28cd51873c2da49808c778f92d90fc45e1",
+        "62576024b465e507fda5d1d8947fef96a8efed464e31c2fc5b9993f3332f00e0",
+        "96c219ab0ae4dc76e7f1986bad036adf01b2bd46f6c9be85d451783466193faf",
+        "09276b1957ea422f3f87ed3e52709e633462f82aa8d674fe7203178a715af8d6",
+        "90b58d378e7baffb98922ede3e46ac827e8d1f6d9317ca0b7c42977f780ba3f8",
+        "81c93f69e475253f893a226e0927ab92ea6208121760e441c742db5ae842aff1",
+        "978ced4e89ae8cae6338a55eb91a9ad45f1d3c77282731f447e618526b039bf4",
+    ],
+    (3, 5): [
+        "ed43870b57c1cc1d6f9772d3c10719e88dde8e55c7429311ca165747df599624",
+        "fc79ae4786aa1fa92edb617ff9d6c4d54463e9a519523c290bc15e25ec1a65c7",
+        "6e7921df4544136285c95cf3bf28da9537df8e350abc16c7ff6983156ce7c06d",
+        "2c71ed9de7ddba8d1938c4697e84ea952779014087dc35810be72fabac6b543a",
+        "6bacdce27c9d6281a7509ea93b55f4889389a84f3793b0c168dacf262fd432b8",
+        "8ea9f062b82001c1c51db16193bbdc6d32be7c684516f6a55d28db2fc6d3a030",
+        "282ff7f772dd0d69cbb8528d6a32cab0d60e8191c3cf19313b5c841fbf9d87fb",
+        "1ae6ff5d55e9a865bdb9aded97b91ab7d1f6c876be5145bbf295ef537ab6471f",
+        "b8b67038f982b24438af0538d0eeaad732f3e49101f49f433d0eb15da4abe82a",
+        "57ab8f6b06b21056055be18b456d8dbf3989062cb308eac364b31a4a7f7994a9",
+    ],
+    (8, 2): [
+        "49f5f275b53ce8c62a3bec5def5d761bac7a2178455bec62541aa0f67a7b2483",
+        "f09dfdedf9688096a638dd667e8bef31641821ee4763dc2f934b35e15bf6fdbf",
+        "3e80d56c22f773f365d5f58f34a91a6db8024e707501626d014f70e9bce3839c",
+        "38a11411df1cc1376c4d2aecb48bde9983a232f437152ace823fb2ba1a6cd2fb",
+        "275cadc973c3fd640ce4fb43ee7c41eb3fa59afdf3b49da8cb6a07da0a558277",
+        "a11623f1cfb5f133f224ce191e6a8ebf9ba94c08f3c691ca87352a687f4dcc3d",
+        "a087975b449010c2428b3cdf7d1f108129ddf57c97472811d2abe69efb1c2d6b",
+        "23c01be7e44772ce7b419e0498c5bd691d85b7bf0653e93f629cc20d94aee0d8",
+        "29e36ae05cb1a667f0b57a6c52238d7001fa2f957e41d7c38d3b7d1c14ea7cf8",
+        "ea68133a174721a1a9d646bc4220e8ebca729d0a819379c86d8958762022f910",
+    ],
+}
+
+
+@pytest.mark.parametrize("geometry", RANDOM_DUMP_DIGESTS, ids=lambda g: f"{g[0]}x{g[1]}")
+def test_random_model_dumps_are_pinned(geometry):
+    cfg = ArrayConfig(*geometry)
+    got = [hashlib.sha256(dump_plan(plan_model(make_random_model(np.random.default_rng(seed)),
+                                                cfg)).encode()).hexdigest()
+           for seed in range(10)]
+    assert got == RANDOM_DUMP_DIGESTS[geometry]
+
+
 class TestPlanStats:
     def test_uniform_lane_activity(self):
         rng = np.random.default_rng(0)
