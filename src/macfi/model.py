@@ -180,17 +180,10 @@ def _structural_issues(g: ModelGraph) -> list[MacfiError]:
 
         if layer.kind in ("conv", "fc"):
             issues += _positive_int(layer.cout, "cout", lid)
-            if layer.m is None or not (
-                isinstance(layer.m, (int, float)) and layer.m > 0 and math.isfinite(layer.m)
-            ):
-                issues.append(
-                    InvalidScale(f"layer {lid!r}: m must be positive, got {layer.m!r}", lid)
-                )
-            ws = layer.weight_scale
-            if ws is None or not (ws > 0 and math.isfinite(ws)):
-                issues.append(
-                    InvalidScale(f"layer {lid!r}: weight scale must be positive, got {ws!r}", lid)
-                )
+            for name, v in (("m", layer.m), ("weight scale", layer.weight_scale)):
+                if not (isinstance(v, (int, float)) and v > 0 and math.isfinite(v)):
+                    issues.append(
+                        InvalidScale(f"layer {lid!r}: {name} must be positive, got {v!r}", lid))
         if layer.kind == "conv":
             issues += _positive_int(layer.k, "k", lid)
             issues += _positive_int(layer.stride, "stride", lid)
@@ -325,12 +318,16 @@ def _require(cond: bool, message: str, layer: str | None = None):
 
 
 def _number(kind, value, what: str, layer: str | None = None):
-    """``kind(value)`` for kind int or float; anything that is not a number
-    is a SchemaError."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"{what} must be a number, got {value!r}", layer) from exc
+    """A manifest number as ``kind``: an int field takes a JSON integer, a
+    float field a JSON integer or float, and neither a bool. Nothing is
+    truncated or parsed from a string; anything else is a SchemaError."""
+    if isinstance(value, (int,) if kind is int else (int, float)) and not isinstance(value, bool):
+        try:
+            return kind(value)
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise SchemaError(f"{what} must be {'an integer' if kind is int else 'a number'}, "
+                      f"got {value!r}", layer)
 
 
 def _parse_manifest(doc: dict) -> tuple[ModelGraph, dict[str, tuple[int, int, int, int]]]:
@@ -381,6 +378,7 @@ def _parse_manifest(doc: dict) -> tuple[ModelGraph, dict[str, tuple[int, int, in
                 for key in ("offset", "len")
             )
             spec.weight_scale = _number(float, wref["scale"], f"layer {lid!r} weights scale", lid)
+            spec.m = _number(float, entry.get("m"), f"layer {lid!r} m", lid)
             if spec.kind == "fc":
                 spec.k, spec.stride, spec.pad = 1, 1, 0
         layers.append(spec)

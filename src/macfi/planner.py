@@ -11,12 +11,12 @@ the lane count; padded taps stay active with activation 0.
 Each MAC layer's conv geometry (K, stride, pad over the input's H x W) is
 read in one place, its tap index (LayerProgram.taps): which input position
 within a channel tap (i, j) of output (y, x) reads, or the padding. The
-packed rows and both closed forms in macarray are built from it.
+packed rows, both closed forms in macarray and dump_plan are built from it.
 
 plan_model builds no packed rows: a program counts its micro-ops from its
 shapes, and packs and index-checks its rows the first time they are read
 (LayerProgram.packed), at most once. Only per-step runs (traced, pulse or
-over the saturation bound) and dump_plan read them.
+over the saturation bound) read them.
 
 relu/maxpool/gavgpool/add do not use MAC lanes and are marked as
 reference-delegated programs.
@@ -55,7 +55,7 @@ class ArrayConfig:
 
 @dataclass
 class PackedOps:
-    """A layer's MAC program: one row per micro-op, in cycle order.
+    """A layer's per-step program: one row per micro-op, in cycle order.
 
     unit: the MAC unit of the row; dest: flat (o*Hout+y)*Wout+x output index.
     act_idx: -2 = idle lane, -1 = padded zero tap, else flat (c*H+iy)*W+ix.
@@ -109,9 +109,9 @@ def _pack_mac_layer(layer: LayerSpec, in_shape: tuple[int, int, int], taps: np.n
 
 
 def _too_large(layer: LayerSpec, in_shape: tuple[int, int, int],
-               out_shape: tuple[int, int, int]) -> ShapeError:
+               out_shape: tuple[int, int, int], action: str = "plan") -> ShapeError:
     return ShapeError(f"layer {layer.id!r} ({in_shape} in, {out_shape} out) is "
-                      "too large to plan", layer.id)
+                      f"too large to {action}", layer.id)
 
 
 def _check_indices(prog: LayerProgram, p: PackedOps):
@@ -138,8 +138,8 @@ class LayerProgram:
     weights_flat: np.ndarray | None = None  # int8, (Cout*Cin*K*K,)
     bias: np.ndarray | None = None  # int32, (Cout,)
     # intp (K*K, Hout*Wout) from _tap_index, the one record of the layer's
-    # conv geometry: the packed rows, the Emulator's closed form and the
-    # batched im2col are all gathered through it. None for delegated layers.
+    # conv geometry: the packed rows, the Emulator's closed form, the
+    # batched im2col and dump_plan all read it. None for delegated layers.
     taps: np.ndarray | None = None
 
     @property
@@ -155,7 +155,7 @@ class LayerProgram:
 
     @cached_property
     def packed(self) -> PackedOps | None:
-        """The layer's micro-op rows (None for delegated layers), packed and
+        """A per-step run's rows (None for delegated layers), packed and
         index-checked on first read, before any kernel reads an index.
         Rows that cannot be allocated are a ShapeError naming the layer."""
         if self.taps is None:
@@ -237,35 +237,35 @@ def plan_stats(plan: ExecutionPlan) -> PlanStats:
     return PlanStats(per_unit, activity, int(per_unit.sum()) * lanes - int(activity.sum()))
 
 
-def _format_slot(ai, ac, iy, ix, o, c, i, j) -> str:
-    if ai == -2:
-        return "idle"
-    act = "pad" if ai == -1 else f"a[{ac},{iy},{ix}]"
-    return f"{act}*w[{o},{c},{i},{j}]"
-
-
 def _format_rows(prog: LayerProgram):
-    """dump_plan lines of one MAC program, decoded from its packed rows."""
-    p = prog.packed
-    c_in, h, w = prog.in_shape
-    _, hout, wout = prog.out_shape
-    kk = len(prog.taps)
-    o, rem = np.divmod(p.dest, hout * wout)
-    y, x = np.divmod(rem, wout)
-    wo, rem = np.divmod(p.w_idx, c_in * kk)
-    c, rem = np.divmod(rem, kk)
-    i, j = np.divmod(rem, math.isqrt(kk))
-    ac, rem = np.divmod(p.act_idx, h * w)
-    iy, ix = np.divmod(rem, w)
-    slots = zip(*(a.tolist() for a in (p.act_idx, ac, iy, ix, wo, c, i, j)))
-    lid = prog.layer.id
-    for u, d, oo, yy, xx, row in zip(p.unit.tolist(), p.dest.tolist(), o.tolist(),
-                                     y.tolist(), x.tolist(), slots):
-        lanes = ",".join(_format_slot(*slot) for slot in zip(*row))
-        yield f"unit={u} dest={lid}:{oo},{yy},{xx} group={d} lanes=[{lanes}]"
+    """dump_plan lines of one MAC program, straight from the loop indices
+    (o, y, x, group, i, j) and the layer's tap index; no packed rows."""
+    (c_in, h, w), wout = prog.in_shape, prog.out_shape[2]
+    units, lanes, k = prog.cfg.units, prog.cfg.lanes, math.isqrt(len(prog.taps))
+    # act[c][v]: channel c's operand at tap value v (0 = padding)
+    act = [["pad"] + [f"a[{c},{iy},{ix}]" for iy in range(h) for ix in range(w)]
+           for c in range(c_in)]
+    # per lane group: its input channels, then one ",idle" per lane past Cin
+    groups = [(range(c0, min(c0 + lanes, c_in)), ",idle" * max(0, c0 + lanes - c_in))
+              for c0 in range(0, c_in, lanes)]
+    taps, lid = prog.taps.T.tolist(), prog.layer.id
+    for o in range(prog.out_shape[0]):
+        wt = [[f"*w[{o},{c},{i},{j}]" for i in range(k) for j in range(k)] for c in range(c_in)]
+        for pos, tap in enumerate(taps):
+            y, x = divmod(pos, wout)
+            head = f"unit={o % units} dest={lid}:{o},{y},{x} group={o * len(taps) + pos} lanes=["
+            for cs, tail in groups:
+                for t, v in enumerate(tap):
+                    yield head + ",".join(act[c][v] + wt[c][t] for c in cs) + tail + "]"
 
 
 def dump_plan(plan: ExecutionPlan) -> str:
-    """One micro-op per line; byte-stable for golden-file comparisons."""
-    lines = [line for prog in plan.programs if prog.is_mac for line in _format_rows(prog)]
+    """One micro-op per line; byte-stable for golden-file comparisons. A
+    layer whose lines do not fit in memory is a ShapeError naming it."""
+    lines = []
+    for prog in (p for p in plan.programs if p.is_mac):
+        try:
+            lines.extend(_format_rows(prog))
+        except MemoryError as exc:
+            raise _too_large(prog.layer, prog.in_shape, prog.out_shape, "dump") from exc
     return "\n".join(lines) + ("\n" if lines else "")

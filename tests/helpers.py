@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 from macfi.faultctl import FaultMap, FaultMode, LaneFault, SplitMix64
@@ -153,41 +155,48 @@ def _mux_fires(fault: LaneFault, cycle: int) -> bool:
     return fault.mode is not FaultMode.NONE
 
 
-def oracle_run(plan: ExecutionPlan, x: QTensor, faults: FaultMap) -> ExecResult:
+def oracle_run(plan: ExecutionPlan, sample: QTensor, faults: FaultMap) -> ExecResult:
     """Independent scalar oracle for a traced Emulator.run.
 
-    Walks every packed row, one cycle per row, through mac_dot/mult_lane with
-    the FaultMap's own LaneFaults; it shares no code with the kernels,
-    ``_kernel_py.engaged`` or ``FaultMap.to_arrays``. Non-MAC layers run on
-    the reference pipeline. Returns logits, per-layer outputs, cycles and one
-    TraceEvent per carried slot whose fault mux fired.
+    Each MAC layer runs as one scalar loop over (o, y, x, group, i, j), one
+    cycle per micro-op: output channel o on unit o mod units, lane l of group
+    g carrying input channel g*lanes + l, and input position (y*stride - pad
+    + i, x*stride - pad + j) derived here from the layer's K, stride and pad.
+    Each micro-op goes through mac_dot/mult_lane with the FaultMap's own
+    LaneFaults. It shares no code with the planner's tap index or packed rows,
+    the kernels, ``_kernel_py.engaged`` or ``FaultMap.to_arrays``. Non-MAC
+    layers run on the reference pipeline. Returns logits, per-layer outputs,
+    cycles and one TraceEvent per carried slot whose fault mux fired.
     """
-    env = {INPUT_ID: x}
+    units, lanes = plan.cfg.units, plan.cfg.lanes
+    env = {INPUT_ID: sample}
     cycle, events = 0, []
     for prog in plan.programs:
         layer = prog.layer
-        if not prog.is_mac:
+        if layer.kind not in ("conv", "fc"):
             env[layer.id] = ref_execute_layer(layer, [env[i] for i in layer.inputs])
             continue
-        p = prog.packed
-        _, hout, wout = prog.out_shape
-        acts = env[layer.inputs[0]].data.reshape(-1).tolist()
-        weights = prog.weights_flat.tolist()
-        acc = [int(b) for b in prog.bias for _ in range(hout * wout)]
-        for u, d, act_row, w_row in zip(p.unit.tolist(), p.dest.tolist(),
-                                        p.act_idx.tolist(), p.w_idx.tolist()):
-            pairs = [None if ai == -2 else (0 if ai == -1 else acts[ai], weights[wi])
-                     for ai, wi in zip(act_row, w_row)]
-            o, rem = divmod(d, hout * wout)
+        k, stride, pad = (layer.k, layer.stride, layer.pad) if layer.kind == "conv" else (1, 1, 0)
+        c_in, h, w = env[layer.inputs[0]].dims
+        hout, wout = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+        acts, weights = env[layer.inputs[0]].data.tolist(), layer.weights.tolist()
+        acc = {(o, y, x): int(layer.bias[o])
+               for o, y, x in product(range(layer.cout), range(hout), range(wout))}
+        for o, y, x, c0, i, j in product(range(layer.cout), range(hout), range(wout),
+                                         range(0, c_in, lanes), range(k), range(k)):
+            u, iy, ix = o % units, y * stride - pad + i, x * stride - pad + j
+            inside = 0 <= iy < h and 0 <= ix < w
+            pairs = [None if c >= c_in else (acts[c][iy][ix] if inside else 0, weights[o][c][i][j])
+                     for c in range(c0, c0 + lanes)]
             for lane, pair in enumerate(pairs):
                 fault = faults.get(u, lane)
                 if pair is not None and _mux_fires(fault, cycle):
-                    events.append(TraceEvent(cycle, layer.id, u, lane, (o, *divmod(rem, wout)),
+                    events.append(TraceEvent(cycle, layer.id, u, lane, (o, y, x),
                                              fault.mode.value, mult_lane(*pair, fault, cycle)))
-            acc[d] = sat32(acc[d] + mac_dot(pairs, u, faults, cycle))
+            acc[o, y, x] = sat32(acc[o, y, x] + mac_dot(pairs, u, faults, cycle))
             cycle += 1
-        out = np.array([requantize(a, layer.m) for a in acc], dtype=np.int8)
-        env[layer.id] = QTensor(out.reshape(prog.out_shape), prog.out_scale)
+        out = np.array([requantize(a, layer.m) for a in acc.values()], dtype=np.int8)
+        env[layer.id] = QTensor(out.reshape(layer.cout, hout, wout), prog.out_scale)
     del env[INPUT_ID]
     return ExecResult(env, env[plan.output].data.reshape(-1), cycle, events)
 

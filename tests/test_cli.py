@@ -485,18 +485,27 @@ class TestPlan:
         assert rc == 2 and "error:" in err and "internal" not in err, err
         assert layer is None or repr(layer) in err
 
+    def test_plan_builds_no_rows(self, desk_bundle, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(macfi.planner, "_pack_mac_layer", lambda *args: calls.append(args))
+        rc = main(["plan", "--model", desk_bundle["manifest"], "--weights", desk_bundle["weights"]])
+        assert rc == 0 and calls == []
+        assert capsys.readouterr().out.count(" lanes=[") == 5768
+
     @pytest.mark.parametrize("cmd", ["plan", "infer_pulse"])
     def test_rows_too_large_to_allocate_are_bad_input(self, desk_bundle, tmp_path, capsys,
                                                       monkeypatch, cmd):
-        # Stands in for a model that plans but whose packed rows do not fit.
+        # Stands in for a model that plans but whose packed rows (infer) or
+        # dump text (plan, which builds no rows) do not fit.
         def no_memory(*args):
             raise MemoryError()
 
-        monkeypatch.setattr(macfi.planner, "_pack_mac_layer", no_memory)
         if cmd == "plan":
+            monkeypatch.setattr(macfi.planner, "_format_rows", no_memory)
             rc = main(["plan", "--model", desk_bundle["manifest"],
                        "--weights", desk_bundle["weights"], "--out", str(tmp_path / "p.txt")])
         else:
+            monkeypatch.setattr(macfi.planner, "_pack_mac_layer", no_memory)
             spec = tmp_path / "pulse.txt"
             spec.write_text("2,3,pulse,131071,100,400\n")
             rc = main(infer_args(desk_bundle, "--faults", str(spec), "--sample", "0"))
@@ -512,14 +521,29 @@ class TestPlan:
         assert rc == 2 and "error:" in err and "internal" not in err
 
 
-# Manifest fields that must be numbers, set to something that is not one:
-# (path into the manifest, value, layer id the error must carry).
+# Manifest fields that must be numbers, set to something that is not one, or
+# to a number of the wrong kind that int() or float() would coerce: an integer
+# field takes only a JSON integer, a real field a JSON integer or float, and
+# neither a bool. (path into the manifest, value, layer id the error must carry).
 NON_NUMERIC_FIELDS = {
     "weights_offset_x": (["layers", 0, "weights", "offset"], "x", "conv1"),
     "classes_eight": (["classes"], "eight", None),
     "bias_len_null": (["layers", 0, "bias", "len"], None, "conv1"),
     "weights_scale_abc": (["layers", 0, "weights", "scale"], "abc", "conv1"),
     "input_c_8x": (["input", "c"], "8x", None),
+    "input_c_float": (["input", "c"], 8.9, None),
+    "input_c_string": (["input", "c"], "8", None),
+    "input_c_integral_float": (["input", "c"], 8.0, None),
+    "classes_float": (["classes"], 8.2, None),
+    "classes_string": (["classes"], "8", None),
+    "classes_bool": (["classes"], True, None),
+    "input_scale_string": (["input", "scale"], "0.015625", None),
+    "weights_offset_float": (["layers", 0, "weights", "offset"], 0.7, "conv1"),
+    "weights_scale_string": (["layers", 0, "weights", "scale"], "0.0078125", "conv1"),
+    "bias_len_bool": (["layers", 0, "bias", "len"], False, "conv1"),
+    "m_bool": (["layers", 0, "m"], True, "conv1"),
+    "m_string": (["layers", 0, "m"], "0.0078125", "conv1"),
+    "m_beyond_float": (["layers", 0, "m"], 10 ** 400, "conv1"),
 }
 
 

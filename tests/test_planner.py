@@ -359,6 +359,7 @@ def test_rows_built_only_by_per_step_runs(desk_graph, desk_dataset, monkeypatch)
     batch_logits(plan, samples, [FaultMap(), fmap])
     run_heatmap([0, 7], plan, desk_dataset, slice_count=4)
     run_fault_sweep(SweepSpec((1, 64), (0, -131072), 2, 9, 0, 4), plan, desk_dataset)
+    dump_plan(plan)
     assert calls == []
 
     mac_ids = [p.layer.id for p in plan.programs if p.is_mac]
