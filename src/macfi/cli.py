@@ -194,8 +194,7 @@ def cmd_campaign(args) -> int:
 def cmd_plan(args) -> int:
     plan, _ = _load(args, with_dataset=False)
     stats = plan_stats(plan)
-    lines = [dump_plan(plan)]
-    lines.append("micro-ops per unit:")
+    lines = ["micro-ops per unit:"]
     for unit, n in enumerate(stats.micro_ops_per_unit):
         lines.append(f"  unit {unit}: {int(n)}")
     lines.append("lane activity (operand-carrying slots, rows = units):")
@@ -203,7 +202,7 @@ def cmd_plan(args) -> int:
         row = " ".join(f"{int(v):8d}" for v in stats.lane_activity[unit])
         lines.append(f"  unit {unit}: {row}")
     lines.append(f"idle lane slots: {stats.idle_slots}")
-    text = "\n".join(lines) + "\n"
+    text = "\n".join([dump_plan(plan), *lines, ""])  # no reference to the dump outlives the join
     if args.out:
         _write(args.out, text, [])
         print(f"wrote {args.out}")

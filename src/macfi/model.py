@@ -361,7 +361,6 @@ def _parse_manifest(doc: dict) -> tuple[ModelGraph, dict[str, tuple[int, int, in
             stride=entry.get("stride"),
             pad=entry.get("pad"),
             cout=entry.get("cout"),
-            m=entry.get("m"),
         )
         if spec.kind in ("conv", "fc"):
             for key in ("weights", "bias"):

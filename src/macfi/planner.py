@@ -25,6 +25,8 @@ reference-delegated programs.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -238,15 +240,15 @@ def plan_stats(plan: ExecutionPlan) -> PlanStats:
 
 
 def _format_rows(prog: LayerProgram):
-    """dump_plan lines of one MAC program, straight from the loop indices
-    (o, y, x, group, i, j) and the layer's tap index; no packed rows."""
+    """dump_plan lines of one MAC program, each ending in a newline, straight
+    from the loop indices (o, y, x, group, i, j) and the layer's tap index."""
     (c_in, h, w), wout = prog.in_shape, prog.out_shape[2]
     units, lanes, k = prog.cfg.units, prog.cfg.lanes, math.isqrt(len(prog.taps))
     # act[c][v]: channel c's operand at tap value v (0 = padding)
     act = [["pad"] + [f"a[{c},{iy},{ix}]" for iy in range(h) for ix in range(w)]
            for c in range(c_in)]
     # per lane group: its input channels, then one ",idle" per lane past Cin
-    groups = [(range(c0, min(c0 + lanes, c_in)), ",idle" * max(0, c0 + lanes - c_in))
+    groups = [(range(c0, min(c0 + lanes, c_in)), ",idle" * max(0, c0 + lanes - c_in) + "]\n")
               for c0 in range(0, c_in, lanes)]
     taps, lid = prog.taps.T.tolist(), prog.layer.id
     for o in range(prog.out_shape[0]):
@@ -256,16 +258,33 @@ def _format_rows(prog: LayerProgram):
             head = f"unit={o % units} dest={lid}:{o},{y},{x} group={o * len(taps) + pos} lanes=["
             for cs, tail in groups:
                 for t, v in enumerate(tap):
-                    yield head + ",".join(act[c][v] + wt[c][t] for c in cs) + tail + "]"
+                    yield head + ",".join(act[c][v] + wt[c][t] for c in cs) + tail
+
+
+def _dump_bytes(prog: LayerProgram) -> int:
+    """Most bytes dump_plan holds at once for a MAC program's lines, counted
+    from its shapes: each line as a str in a list, then their join. Every
+    field is printed at the width of a value no index of it reaches."""
+    (c_in, h, w), (c_out, hout, wout) = prog.in_shape, prog.out_shape
+    k = math.isqrt(len(prog.taps))
+    head = (f"unit={prog.cfg.units} dest={prog.layer.id}:{c_out},{hout},{wout} "
+            f"group={c_out * hout * wout} lanes=[]\n")
+    lane = f"a[{c_in},{h},{w}]*w[{c_out},{c_in},{k},{k}],"
+    return prog.n_ops * (2 * (len(head) + prog.cfg.lanes * len(lane)) + sys.getsizeof("") + 8)
 
 
 def dump_plan(plan: ExecutionPlan) -> str:
-    """One micro-op per line; byte-stable for golden-file comparisons. A
-    layer whose lines do not fit in memory is a ShapeError naming it."""
-    lines = []
-    for prog in (p for p in plan.programs if p.is_mac):
-        try:
-            lines.extend(_format_rows(prog))
-        except MemoryError as exc:
-            raise _too_large(prog.layer, prog.in_shape, prog.out_shape, "dump") from exc
-    return "\n".join(lines) + ("\n" if lines else "")
+    """One micro-op per line; byte-stable for golden-file comparisons. A dump
+    that cannot fit in the host's physical memory (by _dump_bytes, before any
+    line is made) or that runs out of memory while built is a ShapeError
+    naming the layer with the most micro-ops."""
+    progs = [p for p in plan.programs if p.is_mac]
+    big = max(progs, key=lambda p: p.n_ops, default=None)
+    memory = (os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+              if hasattr(os, "sysconf") else sys.maxsize)
+    try:
+        if sum(map(_dump_bytes, progs)) > memory:
+            raise MemoryError
+        return "".join([line for p in progs for line in _format_rows(p)])
+    except MemoryError as exc:
+        raise _too_large(big.layer, big.in_shape, big.out_shape, "dump") from exc

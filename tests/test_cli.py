@@ -5,9 +5,11 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import macfi.campaign
@@ -19,11 +21,12 @@ from macfi.cli import main
 from macfi.errors import SchemaError
 from macfi.faultctl import parse_fault_spec
 from macfi.macarray import Emulator, classify_argmax
-from macfi.model import Dataset, load_dataset, load_model, save_dataset, save_model
+from macfi.model import (Dataset, LayerSpec, ModelGraph, load_dataset, load_model, save_dataset,
+                         save_model)
 from macfi.planner import plan_model
 from macfi.qtensor import ACC_MAX
 
-from helpers import bias_only_accuracy
+from helpers import bias_only_accuracy, mac_layer
 
 # `python -m macfi` in a subprocess imports the macfi this process imported.
 _PKG_ROOT = str(Path(macfi.campaign.__file__).parents[1])
@@ -485,12 +488,25 @@ class TestPlan:
         assert rc == 2 and "error:" in err and "internal" not in err, err
         assert layer is None or repr(layer) in err
 
-    def test_plan_builds_no_rows(self, desk_bundle, monkeypatch, capsys):
-        calls = []
-        monkeypatch.setattr(macfi.planner, "_pack_mac_layer", lambda *args: calls.append(args))
-        rc = main(["plan", "--model", desk_bundle["manifest"], "--weights", desk_bundle["weights"]])
-        assert rc == 0 and calls == []
-        assert capsys.readouterr().out.count(" lanes=[") == 5768
+    def test_dump_too_large_for_any_host_is_bad_input(self, tmp_path, capsys):
+        # A 1x1 conv with 2048 channels each way over a 1000x1000 input plans
+        # in under 100 MB but would dump 5 * 10^11 lines, some 380 TB held in
+        # memory: refused from its shapes before any line is made.
+        rng = np.random.default_rng(0)
+        layers = [mac_layer(rng, "conv", "conv", "input", 2048, 2048, 1),
+                  LayerSpec(id="gap", kind="gavgpool", inputs=["conv"]),
+                  mac_layer(rng, "fc", "fc", "gap", 2048, 2, 1)]
+        man, wts, out = tmp_path / "m.json", tmp_path / "w.bin", tmp_path / "p.txt"
+        save_model(ModelGraph(layers, (2048, 1000, 1000), 2.0 ** -6, "fc", 2), man, wts)
+        tracemalloc.start()
+        try:
+            rc = main(["plan", "--model", str(man), "--weights", str(wts), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert rc == 2 and "error: layer 'conv'" in err and "too large to dump" in err, err
+        assert peak < 2 ** 28 and not out.exists(), peak
 
     @pytest.mark.parametrize("cmd", ["plan", "infer_pulse"])
     def test_rows_too_large_to_allocate_are_bad_input(self, desk_bundle, tmp_path, capsys,
