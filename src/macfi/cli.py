@@ -12,7 +12,7 @@ import time
 
 from . import campaign as camp
 from .errors import EmptyDataset, MacfiError, OutOfRange, SchemaError, ShapeError
-from .faultctl import FaultMap, parse_fault_spec
+from .faultctl import FaultMap, ascii_int, parse_fault_spec
 from .macarray import batch_logits, default_backend
 from .model import load_dataset, load_model
 from .planner import dump_plan, plan_model, plan_stats
@@ -21,7 +21,7 @@ from .report import boxplot_svg, heatmap_svg
 
 def _int_list(text: str) -> list[int]:
     try:
-        vals = [int(t) for t in text.split(",") if t.strip() != ""]
+        vals = [ascii_int(t) for t in text.split(",") if t.strip() != ""]
     except ValueError as exc:
         raise SchemaError(f"expected a comma-separated int list, got {text!r}") from exc
     if not vals:
@@ -30,13 +30,11 @@ def _int_list(text: str) -> list[int]:
 
 
 def _slice_pair(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise SchemaError(f"--slice wants off,count, got {text!r}")
-    try:
-        return int(parts[0]), int(parts[1])
+    try:  # a field count other than two is a ValueError too
+        off, count = (ascii_int(t) for t in text.split(","))
     except ValueError as exc:
         raise SchemaError(f"--slice wants off,count, got {text!r}") from exc
+    return off, count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("infer", help="run inference, print per-sample predictions")
     add_model_flags(sp, dataset=True)
     sp.add_argument("--faults", help="fault-spec file: unit,lane,mode[,value[,start,len]]")
-    sp.add_argument("--sample", type=int, help="run a single sample index instead of all")
+    sp.add_argument("--sample", type=ascii_int, help="run a single sample index instead of all")
     sp.add_argument("--verbose", action="store_true")
 
     sp = sub.add_parser("campaign", help="run a fault-injection campaign")
@@ -63,19 +61,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("sweep", "heatmap"), required=True)
     sp.add_argument("--k", help="comma list of fault counts (sweep mode)")
     sp.add_argument("--values", default="0,1,-1", help="comma list of injected values")
-    sp.add_argument("--reps", type=int, help="repetitions per (k, value) (sweep mode; default 10)")
-    sp.add_argument("--seed", type=int, help="master seed (sweep mode; default 0)")
-    sp.add_argument("--workers", type=int, default=None,
+    sp.add_argument("--reps", type=ascii_int,
+                    help="repetitions per (k, value) (sweep mode; default 10)")
+    sp.add_argument("--seed", type=ascii_int, help="master seed (sweep mode; default 0)")
+    sp.add_argument("--workers", type=ascii_int, default=None,
                     help="accepted for compatibility (must be >= 1); affects neither "
                          "results nor scheduling")
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--slice", help="dataset slice off,count")
-    sp.add_argument("--verbose", action="store_true")
 
     sp = sub.add_parser("plan", help="dump the execution plan and its statistics")
     add_model_flags(sp, dataset=False)
     sp.add_argument("--out", help="write to this file instead of stdout")
-    sp.add_argument("--verbose", action="store_true")
     return p
 
 

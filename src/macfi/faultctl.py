@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import operator
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -189,20 +190,29 @@ def single_lane_map(unit: int, lane: int, fault: LaneFault, units: int = 8, lane
     return fmap
 
 
+def ascii_int(text: str) -> int:
+    """The integer rule of fault specs and CLI values: an optionally signed
+    run of ASCII digits, whitespace around it stripped; else ValueError."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def parse_fault_spec(text: str, units: int = 8, lanes: int = 8) -> FaultMap:
     """Parse the CLI fault-spec format: ``unit,lane,mode[,value[,start,len]]``.
 
     ``mode`` is one of zero/const/pulse; blank lines and ``#`` comments are
-    skipped.
+    skipped. Each lane takes at most one line; integers follow ascii_int.
     """
     fmap = FaultMap(units, lanes)
+    seen: dict[tuple[int, int], int] = {}  # (unit, lane) -> its line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         fields = [f.strip() for f in line.split(",")]
         try:
-            unit, lane = int(fields[0]), int(fields[1])
+            unit, lane = ascii_int(fields[0]), ascii_int(fields[1])
             mode = fields[2]
             if mode == "zero":
                 if len(fields) != 3:
@@ -211,14 +221,16 @@ def parse_fault_spec(text: str, units: int = 8, lanes: int = 8) -> FaultMap:
             elif mode == "const":
                 if len(fields) != 4:
                     raise ValueError("const needs a value")
-                fault = LaneFault.constant(int(fields[3]))
+                fault = LaneFault.constant(ascii_int(fields[3]))
             elif mode == "pulse":
                 if len(fields) != 6:
                     raise ValueError("pulse needs value,start,len")
-                fault = LaneFault.pulse(int(fields[3]), int(fields[4]), int(fields[5]))
+                fault = LaneFault.pulse(*(ascii_int(f) for f in fields[3:]))
             else:
                 raise ValueError(f"unknown mode {mode!r}")
             fmap.set(unit, lane, fault)
+            if seen.setdefault((unit, lane), lineno) != lineno:
+                raise ValueError(f"unit {unit} lane {lane} already set on line {seen[unit, lane]}")
         except (IndexError, ValueError, OutOfRange) as exc:
             raise SchemaError(f"fault spec line {lineno}: {exc}") from exc
     return fmap

@@ -39,16 +39,16 @@ and in float64 otherwise: every partial sum is an integer subset sum of
 int8 x int8 products (|w * x| <= 128 |w|) plus perhaps const, so it never
 exceeds that bound, and float32 holds every integer up to 2^24 exactly.
 Values no fault can reach (the input and the layers fed only by it) carry
-no run axis and are computed once per sample block, and a MAC layer reading
-them shares per-lane partials between all runs. Its output, and relu,
-maxpool and gavgpool of it, differ from the golden run only on the channels
-of the faulted units: each run carries those channels as a slab beside the
-golden tensor (when they are fewer than Cout). Every value is laid out
-channel-major, a dense one as a slab holding all channels, so one reader
-serves a MAC layer reading either: it recomputes a slab's channels over
-per-channel partials of the golden input, and all channels of a dense
-value. Samples and runs are tiled so that one tile's floating-point
-temporaries stay within BATCH_BYTES.
+no run axis and are computed once per sample block; a MAC layer reading
+them gets every run's accumulators by one GEMM over their lane partials.
+Its output, and relu, maxpool and gavgpool of it, differ from golden only
+on the faulted units' channels, which each run carries as a slab beside
+the golden tensor, unless a run of its block faults every channel (then
+the block is dense). Every value is channel-major, a dense one laid out as
+a slab holding all channels, so one reader serves a MAC layer reading
+either: it recomputes a slab's channels over per-channel partials of the
+golden input, and all channels of a dense value. Samples and runs are
+tiled so that one tile's floating-point temporaries stay in BATCH_BYTES.
 """
 
 from __future__ import annotations
@@ -180,11 +180,7 @@ class Emulator:
         cfg = plan.cfg
         self.plan = plan
         self.faults = faults if faults is not None else FaultMap(cfg.units, cfg.lanes)
-        if (self.faults.units, self.faults.lanes) != (cfg.units, cfg.lanes):
-            raise ShapeError(
-                f"fault map is {self.faults.units}x{self.faults.lanes}, "
-                f"array is {cfg.units}x{cfg.lanes}"
-            )
+        _check_geometry(self.faults, cfg)
         self._kernel = get_kernel()
         self.trace = trace
         self._farr = self.faults.to_arrays()
@@ -288,14 +284,11 @@ def batch_logits(plan: ExecutionPlan, samples, fault_maps) -> np.ndarray:
     samples = to_int8(samples, "samples")
     if samples.shape[1:] != plan.input_shape:
         raise ShapeError(f"sample dims {samples.shape[1:]} do not match plan {plan.input_shape}")
-    cfg = plan.cfg
     out = np.empty((len(fault_maps), len(samples), plan.classes), dtype=np.int8)
     if not len(fault_maps):
         return out
     for fmap in fault_maps:
-        if (fmap.units, fmap.lanes) != (cfg.units, cfg.lanes):
-            raise ShapeError(f"fault map is {fmap.units}x{fmap.lanes}, "
-                             f"array is {cfg.units}x{cfg.lanes}")
+        _check_geometry(fmap, plan.cfg)
     keep, forced, fast = _fast_runs(plan, fault_maps)
     for r in np.flatnonzero(~fast):  # the per-step fallback, one sample at a time
         emu = Emulator(plan, fault_maps[r])
@@ -304,6 +297,12 @@ def batch_logits(plan: ExecutionPlan, samples, fault_maps) -> np.ndarray:
     if fast.any() and len(samples):
         out[fast] = _closed_form(plan, samples, keep[fast], forced[fast])
     return out
+
+
+def _check_geometry(fmap: FaultMap, cfg) -> None:
+    if (fmap.units, fmap.lanes) != (cfg.units, cfg.lanes):
+        raise ShapeError(f"fault map is {fmap.units}x{fmap.lanes}, "
+                         f"array is {cfg.units}x{cfg.lanes}")
 
 
 def _fast_runs(plan: ExecutionPlan, fault_maps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -419,9 +418,10 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
     A MAC layer reading a free value or a slab builds the partials
     P[o, g] = W[o, c in g] @ im2col(x)[c in g] of its (golden) input once
     per sample block, grouped by lane for a free value and by channel for a
-    slab. Reading a free value, golden is sum_g P + bias, and a run's
-    faulted channel o is keep_r[o] @ P[o] + const_r (every channel when d
-    is Cout). Reading a slab or a dense value, one reader (_mac_runs) takes
+    slab. Reading a free value, golden is sum_g P + bias, and one GEMM per
+    run block gives keep_r @ P + const_r on every channel, of which a slab
+    keeps ch_r; a block whose d is Cout keeps all, dense. Reading a slab or
+    a dense value (whichever its block holds), one reader (_mac_runs) takes
     (keep_r with ch_r zeroed) @ P + (W * keep_r)[:, ch_r] @ im2col(x_r) +
     const_r over the channels ch_r the value holds: all Cin, with no P
     term, for a dense value. Each MAC layer takes float32 when its bound
@@ -430,7 +430,7 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
     cfg = plan.cfg
     runs, n = len(keep), len(samples)
     kind_of = {INPUT_ID: "free"}
-    widths = {}  # slab (or first MAC layer) -> smallest and largest d of a run block
+    widths = {}  # slab -> the largest d of any run block
     ops: dict[str, _MacOperands] = {}
     shared_bytes, cols_bytes, pair_bytes, run_bytes = 0, 0, [0], [0]
     for prog in plan.programs:
@@ -458,10 +458,9 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
         groups = min(cin, cfg.lanes) if src == "free" else cin
         op_keep = layer_keep[..., :groups]  # (R, Cout, G)
         if src == "free":  # d counts its own faulted channels, else its input's
-            d = np.maximum(1, (~op_keep.all(axis=2)).sum(axis=1))
-            widths[layer.id] = int(d.min()), int(d.max())
-        d_lo, d_hi = widths.get(layer.id if src == "free" else layer.inputs[0], (cin, cin))
-        kind_of[layer.id] = "slab" if src == "free" and d_lo < cout else "dense"
+            widths[layer.id] = max(1, int((~op_keep.all(axis=2)).sum(axis=1).max()))
+        d = widths.get(layer.id if src == "free" else layer.inputs[0], cin)
+        kind_of[layer.id] = "slab" if src == "free" else "dense"
         ops[layer.id] = _MacOperands(prog, w.astype(dtype), op_keep, const.astype(dtype))
         # Bytes per sample (shared: kept through the block's runs; cols: im2col
         # columns of a partials build, Cin padded to a multiple of G), per
@@ -469,15 +468,15 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
         if src != "dense":
             shared_bytes += isz * cout * groups * hw
             cols_bytes = max(cols_bytes, isz * -(-cin // groups) * groups * kk * hw)
-        if src == "free":  # golden accumulators and their float64 copy; slab or dense ones
-            shared_bytes += (isz + 8) * cout * hw * (d_lo < cout)
-            pair_bytes.append((acc_isz + isz) * d_hi * hw)
+        if src == "free":  # golden and its float64 copy; all Cout, then d gathered and copy
+            shared_bytes += (isz + 8) * cout * hw
+            pair_bytes.append((isz * cout + acc_isz * d) * hw)
             run_bytes.append(isz * cout * groups)  # keep
             continue
         # Columns at d channels (d = Cin for a dense input), keep @ P and
         # the GEMM output; keep and the masked weights at d.
-        pair_bytes.append((isz * (d_hi * kk + cout) + acc_isz * cout) * hw)
-        run_bytes.append(isz * cout * (cin + d_hi * kk))
+        pair_bytes.append((isz * (d * kk + cout) + acc_isz * cout) * hw)
+        run_bytes.append(isz * cout * (cin + d * kk))
     pair_bytes, run_bytes = max(pair_bytes), max(run_bytes)
     # Per sample, the partials stay alive through the block's runs; the
     # im2col columns they are built from do not.
@@ -489,7 +488,7 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
     for s0 in range(0, n, sb):
         # Free values, and the golden tensors of slabs, as (C, S, H, W).
         env = {INPUT_ID: samples[s0 : s0 + sb].transpose(1, 0, 2, 3)}
-        partials, golden_acc = {}, {}
+        partials = {}
         for prog in plan.programs:
             layer, op = prog.layer, ops.get(prog.layer.id)
             if op is not None and kind_of[layer.inputs[0]] != "dense":
@@ -497,7 +496,7 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
             if op is None and kind_of[layer.id] != "dense":
                 env[layer.id] = array_layer(layer, [env[i] for i in layer.inputs])
             elif kind_of[layer.id] == "slab":
-                g = golden_acc[layer.id] = partials[layer.id].sum(axis=1)
+                g = partials[layer.id].sum(axis=1)
                 g += prog.bias[:, None]
                 env[layer.id] = requantize_array(g, layer.m).reshape(
                     (len(g), -1) + prog.out_shape[1:])
@@ -516,8 +515,7 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
                         xs = [_dense(run_env[i]) for i in layer.inputs]
                         y = array_layer(layer, _broadcast_runs(xs))
                 elif kind_of[layer.inputs[0]] == "free":
-                    y = _mac_slab(op, partials[layer.id], golden_acc.get(layer.id),
-                                  env.get(layer.id), cfg.units, r0, rb)
+                    y = _mac_slab(op, partials[layer.id], env[layer.id], r0, rb)
                 else:
                     y = _mac_runs(op, x, r0, rb, partials.get(layer.id))
                 run_env[layer.id] = y
@@ -575,29 +573,21 @@ def _from_partials(op: _MacOperands, keep: np.ndarray, p: np.ndarray, r0: int) -
     return acc
 
 
-def _mac_slab(op: _MacOperands, p: np.ndarray, g: np.ndarray | None,
-              golden: np.ndarray | None, units: int, r0: int, rb: int):
+def _mac_slab(op: _MacOperands, p: np.ndarray, golden: np.ndarray, r0: int, rb: int):
     """Runs [r0, r0 + rb) of a MAC layer reading a free value, from its lane
-    partials p and golden accumulators g (Cout, S*Hout*Wout): a _Slab over
-    each run's faulted channels, or dense int8 when d is Cout."""
+    partials p and golden output: every channel's accumulators by one GEMM,
+    dense int8 when a run faults every channel, else a _Slab over each run's
+    faulted channels, padded with clean ones (exact integer sums, so golden)."""
     keep = op.keep[r0 : r0 + rb]
     dirty = ~keep.all(axis=2)
-    keep = keep.astype(op.w.dtype)
-    cout, hout, wout = op.prog.out_shape
+    acc = _from_partials(op, keep.astype(op.w.dtype), p, r0)
+    (runs, cout), (hout, wout) = dirty.shape, op.prog.out_shape[1:]
     d = max(1, int(dirty.sum(axis=1).max()))
     if d == cout:
-        acc = _from_partials(op, keep, p, r0)
-        return _requantize(op, acc).reshape(len(keep), cout, -1, hout, wout)
+        return _requantize(op, acc).reshape(runs, cout, -1, hout, wout)
     ch = np.argsort(~dirty, axis=1, kind="stable")[:, :d]  # faulted channels first
-    slot = np.cumsum(dirty, axis=1) - 1  # a faulted channel's slot in ch
-    acc = g[ch]  # (runs, d, S*Hout*Wout); clean padding keeps its golden value
-    for u in range(min(units, cout)):  # channel u runs on unit u, as do u + units, ...
-        rs = np.flatnonzero(dirty[:, u])
-        if len(rs):
-            unit_acc = np.matmul(keep[rs, u], p[u::units])
-            unit_acc += op.const[r0 + rs, u::units].T[:, :, None]
-            acc[rs[:, None], slot[rs, u::units]] = unit_acc.transpose(1, 0, 2)
-    return _Slab(golden, _requantize(op, acc).reshape(len(ch), d, -1, hout, wout), ch)
+    acc = acc[np.arange(runs)[:, None], ch]
+    return _Slab(golden, _requantize(op, acc).reshape(runs, d, -1, hout, wout), ch)
 
 
 def _mac_runs(op: _MacOperands, x: np.ndarray | _Slab, r0: int, rb: int,

@@ -712,3 +712,24 @@ def test_dense_maps_take_the_dense_and_masked_paths(paths, desk_plan, desk_datas
     maps = [sample_random_fault_map(64, fault_for_error_value(v), 5, 8, 8) for v in (0, 1, -1)]
     _check_batch(desk_plan, desk_dataset.samples[:3], maps)
     assert set(paths) == {("conv1", "dense"), ("conv2", "masked"), ("fc", "masked")}
+
+
+def test_slab_or_dense_is_decided_per_run_block(paths, desk_plan, desk_dataset, monkeypatch):
+    # One run and one sample per block: a k = 64 run faults every channel of
+    # conv1, so its block is dense and conv2 takes the masked GEMM, while a
+    # single-lane run of the same call keeps its block a slab, which conv2
+    # corrects.
+    monkeypatch.setattr(macarray, "BATCH_BYTES", 1)
+    k64 = [sample_random_fault_map(64, fault_for_error_value(v), 5, 8, 8) for v in (0, -1)]
+    single = [single_lane_map(u, lane, fault_for_error_value(v))
+              for u, lane, v in ((0, 0, 1), (3, 5, 131071), (7, 2, 0))]
+    maps = [k64[0], single[0], single[1], k64[1], single[2]]
+    samples = desk_dataset.samples[:2]
+    _check_batch(desk_plan, samples, maps)
+    expected = []
+    for _ in samples:
+        for fmap in maps:
+            dense = any(fmap is m for m in k64)
+            expected += [("conv1", "dense" if dense else "slab"),
+                         ("conv2", "masked" if dense else "corrected"), ("fc", "masked")]
+    assert paths == expected

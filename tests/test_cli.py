@@ -105,6 +105,13 @@ class TestInfer:
         assert main(infer_args(desk_bundle, "--faults", str(spec))) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_repeated_lane_is_bad_input(self, desk_bundle, tmp_path, capsys):
+        spec = tmp_path / "twice.txt"
+        spec.write_text("0,3,zero\n# comment\n1,3,zero\n+0,03,const,5\n")  # the same lane
+        assert main(infer_args(desk_bundle, "--faults", str(spec), "--sample", "0")) == 2
+        assert ("error: fault spec line 4: unit 0 lane 3 already set on line 1"
+                in capsys.readouterr().err)
+
     def test_empty_dataset_is_bad_input(self, desk_bundle, tmp_path, capsys):
         ds = load_dataset(desk_bundle["dataset"])
         empty = tmp_path / "empty.qds"
@@ -581,6 +588,50 @@ def test_non_numeric_manifest_field_is_bad_input(desk_bundle, tmp_path, capsys,
                "--dataset", desk_bundle["dataset"]])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a flag value
+        return exc.code
+
+
+# Python's int() also takes "_" between digits and any Unicode decimal digit
+# (here Arabic-Indic and fullwidth three); an integer in a fault spec or a
+# flag value is an optionally signed run of ASCII digits.
+NON_ASCII_INTS = {
+    "spec_underscore": ("spec", "2,3,const,1_0"),
+    "spec_arabic_indic_lane": ("spec", "+1,\u0663,zero"),
+    "spec_pulse_start": ("spec", "0,0,pulse,5,1_000,\uff13"),
+    "spec_pulse_fullwidth_len": ("spec", "0,0,pulse,5,1000,\uff13"),
+    "values": ("campaign", "--mode", "heatmap", "--values", "1_0,\u0663"),
+    "slice": ("campaign", "--mode", "heatmap", "--values", "1", "--slice", "0,1_0"),
+    "reps": ("campaign", "--mode", "sweep", "--k", "1", "--values", "1", "--reps", "\u0663"),
+    "seed": ("campaign", "--mode", "sweep", "--k", "1", "--values", "1", "--seed", "1_0"),
+    "workers": ("campaign", "--mode", "heatmap", "--values", "1", "--workers", "\uff13"),
+    "sample": ("infer", "--sample", "\u0663"),
+}
+
+
+@pytest.mark.parametrize("case", NON_ASCII_INTS.values(), ids=NON_ASCII_INTS.keys())
+def test_integer_is_ascii_digits_only(desk_bundle, tmp_path, capsys, case):
+    kind, *rest = case
+    out = tmp_path / "x"
+    if kind == "spec":
+        spec = tmp_path / "spec.txt"
+        spec.write_text(rest[0] + "\n", encoding="utf-8")
+        argv = infer_args(desk_bundle, "--faults", str(spec), "--sample", "0")
+    elif kind == "infer":
+        argv = infer_args(desk_bundle, *rest)
+    else:
+        argv = campaign_args(desk_bundle, out, *rest)
+        if "--slice" not in rest:
+            argv += ["--slice", "0,1"]
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "internal" not in err
+    assert not out.exists()
 
 
 def test_module_entrypoint(desk_bundle, cin4_graph, cin4_dataset, tmp_path):

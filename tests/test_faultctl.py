@@ -91,9 +91,16 @@ class TestFaultMap:
     def test_parse_comments_and_errors(self):
         fmap = parse_fault_spec("# comment\n\n0,0,zero  # trailing\n")
         assert fmap.get(0, 0).mode is FaultMode.STUCK_ZERO
-        for bad in ("0,0,bogus", "0,0,const", "0,0,pulse,1", "9,0,zero", "0,0,const,200000"):
+        # Integers are ASCII digits only, and a lane takes one line.
+        for bad in ("0,0,bogus", "0,0,const", "0,0,pulse,1", "9,0,zero", "0,0,const,200000",
+                    "2,3,const,1_0", "+1,\u0663,zero", "0,0,pulse,5,1000,\uff13",
+                    "0,0,const,1.0", "0,0,const,+", "0,3,zero\n+0,03,const,5"):
             with pytest.raises(SchemaError):
                 parse_fault_spec(bad)
+
+    def test_parse_strips_whitespace_and_takes_a_sign(self):
+        fmap = parse_fault_spec(" +1 ,\t03 , const , -5 \n")
+        assert fmap.get(1, 3) == LaneFault.constant(-5)
 
     def test_kernel_arrays_are_read_only_views(self):
         built = FaultMap()
