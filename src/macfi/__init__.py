@@ -9,7 +9,6 @@ from .campaign import (
     CampaignResult,
     RunRecord,
     SweepSpec,
-    accuracy_drop,
     run_fault_sweep,
     run_heatmap,
     summarize_boxplot,
@@ -24,15 +23,12 @@ from .faultctl import (
     derive_seed,
     materialize,
     parse_fault_spec,
-    read_register,
     sample_random_fault_map,
-    write_register,
 )
 from .macarray import (
     Emulator,
     ExecResult,
     classify_argmax,
-    execute_plan,
     mac_dot,
     mult_lane,
 )
@@ -70,11 +66,9 @@ __all__ = [
     "RunRecord",
     "SplitMix64",
     "SweepSpec",
-    "accuracy_drop",
     "classify_argmax",
     "dequantize",
     "derive_seed",
-    "execute_plan",
     "load_dataset",
     "load_model",
     "mac_dot",
@@ -84,7 +78,6 @@ __all__ = [
     "plan_model",
     "plan_stats",
     "quantize",
-    "read_register",
     "reference_forward",
     "requantize",
     "run_fault_sweep",
@@ -93,5 +86,4 @@ __all__ = [
     "save_dataset",
     "save_model",
     "summarize_boxplot",
-    "write_register",
 ]

@@ -1,18 +1,20 @@
 """Seeded fault-injection campaigns and their aggregate statistics.
 
 Reproducibility contract: every run's fault map comes from a seed derived as
-derive_seed(master, k, value, rep), for a sweep's whole job grid in one
-uint64 pass. A campaign builds all of its maps in job order and evaluates them
-in one evaluate_accuracy call (batched in macarray.batch_logits). In a sweep,
-equal maps (the same bytes in all four kernel arrays) form one class: the
-class's first map is evaluated and digested once, in order of first
-appearance, and its accuracy, drop and digest are scattered back to every job
-of the class, so records equal those of evaluating every map alone. A
-campaign's k values and error values must be distinct. Records are sorted
-deterministically before serialization, so results never depend on block
-size, and the accepted workers argument changes neither results nor
-scheduling. Quantiles are linear interpolation between order statistics
-(position (n-1)*q), matching numpy's default method.
+derive_seed(master, k, value, rep), for a sweep's whole job grid in one uint64
+pass. A campaign builds all of its maps in job order and evaluates them in one
+evaluate_accuracy call (batched in macarray.batch_logits). In a sweep, equal
+maps (the same bytes in all four kernel arrays) form one class: the class's
+first map is evaluated and digested once, in order of first appearance, and its
+accuracy, drop and digest are scattered back to every job of the class, so
+records equal those of evaluating every map alone. A drop is baseline minus
+accuracy. A campaign's integers are ints or numpy integers, never bools, and
+its k values and error values are distinct; a sweep whose maps would not fit in
+host memory is refused before any seed is derived. Records are sorted
+deterministically before serialization, so results never depend on block size,
+and the accepted workers argument changes neither results nor scheduling.
+Quantiles are linear interpolation between order statistics (position (n-1)*q),
+matching numpy's default method.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import io
 import math
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from .faultctl import (
 )
 from .macarray import batch_logits
 from .model import Dataset
-from .planner import ExecutionPlan
+from .planner import ExecutionPlan, host_memory
 
 RESULTS_HEADER = ["kind", "k", "value", "unit", "lane", "rep", "seed", "accuracy", "drop"]
 SUMMARY_HEADER = ["k", "value", "min", "q1", "median", "q3", "max"]
@@ -48,11 +50,26 @@ SUMMARY_HEADER = ["k", "value", "min", "q1", "median", "q3", "max"]
 _KIND_ORDER = {"baseline": 0, "heatmap": 1, "sweep": 2}
 
 
-def _check_distinct(name: str, values) -> None:
-    """Bad input if an entry repeats: its runs would be made, and written, twice."""
+def _int(name: str, v, low: float = -math.inf, high: float = math.inf) -> int:
+    """v, an int or numpy integer but no bool, as an int in [low, high]."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise OutOfRange(f"{name} must be an integer, got {v!r}")
+    if not low <= v <= high:
+        raise OutOfRange(f"{name} {v} outside [{low}, {high}]")
+    return int(v)
+
+
+def _ints(name: str, values, low: float, high: float = math.inf) -> tuple[int, ...]:
+    """Distinct _int values: a repeated entry's runs would be made twice."""
+    values = tuple(_int(name, v, low, high) for v in values)
     repeated = [v for v, n in Counter(values).items() if n > 1]
     if repeated:
         raise OutOfRange(f"{name} {repeated[0]} given more than once")
+    return values
+
+
+def _slice(offset, count) -> tuple[int, int | None]:
+    return _int("slice offset", offset, 0), None if count is None else _int("slice count", count, 1)
 
 
 @dataclass(frozen=True)
@@ -68,22 +85,12 @@ class SweepSpec:
     slice_count: int | None = None  # None = through the end of the dataset
 
     def __post_init__(self):
-        object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
-        object.__setattr__(self, "error_values", tuple(int(v) for v in self.error_values))
-        if self.reps < 1:
-            raise OutOfRange(f"reps must be >= 1, got {self.reps}")
-        for k in self.k_values:
-            if k < 0:
-                raise OutOfRange(f"k must be >= 0, got {k}")
-        for v in self.error_values:
-            if not (LANE_VALUE_MIN <= v <= LANE_VALUE_MAX):
-                raise OutOfRange(f"error value {v} outside 18-bit signed range")
-        _check_distinct("k value", self.k_values)
-        _check_distinct("error value", self.error_values)
-        if self.slice_offset < 0:
-            raise OutOfRange(f"slice offset must be >= 0, got {self.slice_offset}")
-        if self.slice_count is not None and self.slice_count < 1:
-            raise OutOfRange(f"slice count must be >= 1, got {self.slice_count}")
+        checked = (_ints("k value", self.k_values, 0),
+                   _ints("error value", self.error_values, LANE_VALUE_MIN, LANE_VALUE_MAX),
+                   _int("reps", self.reps, 1), _int("master seed", self.master_seed),
+                   *_slice(self.slice_offset, self.slice_count))
+        for f, value in zip(fields(self), checked):  # in declaration order
+            object.__setattr__(self, f.name, value)
 
 
 @dataclass(frozen=True)
@@ -117,14 +124,6 @@ class CampaignResult:
     records: list[RunRecord]
     groups: dict[tuple[int, int], dict[str, float]] = field(default_factory=dict)
     heatmap: dict[int, np.ndarray] | None = None  # value -> (units, lanes) drops
-
-
-def accuracy_drop(baseline: float, faulty: float) -> float:
-    """baseline - faulty; negative when a fault accidentally helps."""
-    for name, v in (("baseline", baseline), ("faulty", faulty)):
-        if not 0.0 <= v <= 1.0:
-            raise OutOfRange(f"{name} accuracy {v!r} outside [0, 1]")
-    return baseline - faulty
 
 
 def _quantile(sorted_vals: list[float], q: float) -> float:
@@ -161,6 +160,7 @@ def summarize_boxplot(records) -> dict[tuple[int, int], dict[str, float]]:
 
 
 def _slice_indices(dataset: Dataset, offset: int, count: int | None) -> range:
+    offset, count = _slice(offset, count)
     n = len(dataset)
     stop = n if count is None else min(n, offset + count)
     idx = range(offset, stop)
@@ -207,6 +207,9 @@ def run_fault_sweep(spec: SweepSpec, plan: ExecutionPlan, dataset: Dataset,
     _check_workers(workers)
     cfg = plan.cfg
     idx = _slice_indices(dataset, spec.slice_offset, spec.slice_count)
+    runs = len(spec.k_values) * len(spec.error_values) * spec.reps
+    if runs * 21 * cfg.units * cfg.lanes > host_memory():  # maps' u8+i32+2*i64 cells alone
+        raise OutOfRange(f"a sweep of {runs} runs cannot fit in host memory")
     jobs = [(k, v, r) for k in spec.k_values for v in spec.error_values for r in range(spec.reps)]
     seeds = derive_seed(spec.master_seed, *np.array(jobs, dtype=object).reshape(-1, 3).T).tolist()
     templates = {v: fault_for_error_value(v) for v in spec.error_values}
@@ -238,13 +241,9 @@ def run_heatmap(values, plan: ExecutionPlan, dataset: Dataset,
     """Experiment 2: every (unit, lane) faulted in turn with each value;
     exhaustive and seedless. Value 0 is realized as StuckZero."""
     _check_workers(workers)
-    values = [int(v) for v in values]
+    values = _ints("error value", values, LANE_VALUE_MIN, LANE_VALUE_MAX)
     if not values:
         raise EmptyGroup("heatmap needs at least one error value")
-    for v in values:
-        if not (LANE_VALUE_MIN <= v <= LANE_VALUE_MAX):
-            raise OutOfRange(f"error value {v} outside 18-bit signed range")
-    _check_distinct("error value", values)
     cfg = plan.cfg
     idx = _slice_indices(dataset, slice_offset, slice_count)
     baseline = evaluate_accuracy(plan, dataset, idx)

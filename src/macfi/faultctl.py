@@ -1,4 +1,4 @@
-"""Fault descriptors, the FI register control plane, and seeded fault sampling.
+"""Fault descriptors, the FI register file (FiRegisterFile), and seeded fault sampling.
 
 Randomness is a fixed SplitMix64 stream (documented in the README): draws
 are ``state += 0x9E3779B97F4A7C15; output = mix(state)`` with the standard
@@ -299,15 +299,6 @@ class FiRegisterFile:
         if offset == REG_FI_PULSE_LEN:
             return self.pulse_len[self.index]
         raise UnmappedAddress(f"no register at offset {offset:#x}")
-
-
-def write_register(rf: FiRegisterFile, offset: int, value: int) -> FiRegisterFile:
-    rf.write(offset, value)
-    return rf
-
-
-def read_register(rf: FiRegisterFile, offset: int) -> int:
-    return rf.read(offset)
 
 
 def materialize(rf: FiRegisterFile) -> FaultMap:

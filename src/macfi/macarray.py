@@ -623,9 +623,3 @@ def _requantize(op: _MacOperands, acc: np.ndarray) -> np.ndarray:
     either way, in place for a float64 acc and in a fresh array for float32."""
     return requantize_array(acc, op.prog.layer.m, out=acc if acc.dtype == np.float64 else None)
 
-
-def execute_plan(plan: ExecutionPlan, input: QTensor, faults: FaultMap | None = None,
-                 trace: bool = False) -> ExecResult:
-    """Run one inference; with an empty FaultMap the result is bit-identical
-    to the reference pipeline."""
-    return Emulator(plan, faults, trace=trace).run(input)

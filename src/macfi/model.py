@@ -530,12 +530,8 @@ def reference_forward(g: ModelGraph, x: QTensor) -> tuple[dict[str, QTensor], np
         raise ShapeError(f"input dims {x.dims} do not match model {g.input_shape}")
     if x.scale != g.input_scale:
         raise ShapeError(f"input scale {x.scale!r} does not match model {g.input_scale!r}")
-    outputs: dict[str, QTensor] = {}
-    env = {INPUT_ID: x}
+    outputs = {INPUT_ID: x}
     for layer in topo_order(g):
-        inputs = [env[i] for i in layer.inputs]
-        out = ref_execute_layer(layer, inputs)
-        env[layer.id] = out
-        outputs[layer.id] = out
-    logits = outputs[g.output].data.reshape(-1)
-    return outputs, logits
+        outputs[layer.id] = ref_execute_layer(layer, [outputs[i] for i in layer.inputs])
+    del outputs[INPUT_ID]
+    return outputs, outputs[g.output].data.reshape(-1)

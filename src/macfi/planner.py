@@ -50,10 +50,6 @@ class ArrayConfig:
         if self.units < 1 or self.lanes < 1:
             raise ShapeError(f"units and lanes must be >= 1, got {self.units}, {self.lanes}")
 
-    @property
-    def total_lanes(self) -> int:
-        return self.units * self.lanes
-
 
 @dataclass
 class PackedOps:
@@ -261,6 +257,12 @@ def _format_rows(prog: LayerProgram):
                     yield head + ",".join(act[c][v] + wt[c][t] for c in cs) + tail
 
 
+def host_memory() -> int:
+    """Bytes of physical memory on this host; sys.maxsize where sysconf is missing."""
+    return (os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+            if hasattr(os, "sysconf") else sys.maxsize)
+
+
 def _dump_bytes(prog: LayerProgram) -> int:
     """Most bytes dump_plan holds at once for a MAC program's lines, counted
     from its shapes: each line as a str in a list, then their join. Every
@@ -280,10 +282,8 @@ def dump_plan(plan: ExecutionPlan) -> str:
     naming the layer with the most micro-ops."""
     progs = [p for p in plan.programs if p.is_mac]
     big = max(progs, key=lambda p: p.n_ops, default=None)
-    memory = (os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-              if hasattr(os, "sysconf") else sys.maxsize)
     try:
-        if sum(map(_dump_bytes, progs)) > memory:
+        if sum(map(_dump_bytes, progs)) > host_memory():
             raise MemoryError
         return "".join([line for p in progs for line in _format_rows(p)])
     except MemoryError as exc:

@@ -210,8 +210,8 @@ def ref_conv2d(
 
 # Non-MAC layers on int8 arrays whose trailing axes are (H, W): they act on
 # those axes or elementwise, so any leading axes (channels, samples, runs, in
-# any order) are batch dimensions. The QTensor wrappers below and the
-# emulator's batched path both go through these.
+# any order) are batch dimensions. ref_execute_layer (through array_layer),
+# Emulator.run and batch_logits all go through these.
 
 def relu_array(data: np.ndarray) -> np.ndarray:
     # Symmetric quantization: the zero level is q == 0.
@@ -272,18 +272,6 @@ def array_layer(layer, arrays: list[np.ndarray]) -> np.ndarray:
         a, b = arrays
         return add_array(a, b)
     raise UnsupportedLayer(f"unsupported layer kind {kind!r}", getattr(layer, "id", None))
-
-
-def ref_relu(input: QTensor) -> QTensor:
-    return QTensor(relu_array(input.data), input.scale)
-
-
-def ref_maxpool(input: QTensor, k: int, stride: int) -> QTensor:
-    return QTensor(maxpool_array(input.data, k, stride), input.scale)
-
-
-def ref_gavgpool(input: QTensor) -> QTensor:
-    return QTensor(gavgpool_array(input.data), input.scale)
 
 
 def ref_add(a: QTensor, b: QTensor) -> QTensor:

@@ -34,7 +34,7 @@ from macfi.faultctl import (
     LaneFault,
     materialize,
 )
-from macfi.macarray import Emulator, execute_plan
+from macfi.macarray import Emulator
 from macfi.model import reference_forward, save_dataset, save_model
 from macfi.planner import plan_model, plan_stats
 
@@ -64,7 +64,7 @@ def test_criterion_1_oracle_equivalence():
         plan = plan_model(g)
         x = random_input(rng, g)
         want_outputs, want_logits = reference_forward(g, x)
-        got = execute_plan(plan, x)
+        got = Emulator(plan).run(x)
         assert np.array_equal(got.logits, want_logits)
         for lid, want in want_outputs.items():
             assert got.outputs[lid] == want
@@ -82,7 +82,7 @@ def test_criterion_2_all_lanes_stuck_zero(desk_graph, desk_plan, desk_dataset):
         zg = zero_weight_copy(g)
         for x in samples:
             want_outputs, want_logits = reference_forward(zg, x)
-            got = execute_plan(plan, x, fmap)
+            got = Emulator(plan, fmap).run(x)
             assert np.array_equal(got.logits, want_logits)
             for lid, want in want_outputs.items():
                 assert got.outputs[lid] == want

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,6 @@ from macfi.campaign import (
     CampaignResult,
     RunRecord,
     SweepSpec,
-    accuracy_drop,
     evaluate_accuracy,
     five_number_summary,
     parse_results_csv,
@@ -24,16 +26,19 @@ from macfi.campaign import (
 from macfi.errors import EmptyDataset, EmptyGroup, KTooLarge, OutOfRange, SchemaError
 from macfi.faultctl import (FaultMap, derive_seed, fault_for_error_value,
                             sample_random_fault_map, single_lane_map)
-from macfi.macarray import classify_argmax, execute_plan
+from macfi.macarray import Emulator, classify_argmax
 
 from helpers import bias_only_accuracy
 
 
 class TestSweepSpec:
     def test_coerces_to_ints(self):
-        s = SweepSpec(k_values=(1.0, 4), error_values=[0, -1], reps=2, master_seed=9)
-        assert s.k_values == (1, 4)
-        assert s.error_values == (0, -1)
+        s = SweepSpec(k_values=(np.int64(1), 4), error_values=[0, np.int32(-1)],
+                      reps=np.uint8(2), master_seed=np.int64(9), slice_offset=np.int16(1),
+                      slice_count=np.int64(3))
+        assert s == SweepSpec((1, 4), (0, -1), 2, 9, 1, 3)
+        assert all(type(v) is int for v in (*s.k_values, *s.error_values, s.reps,
+                                             s.master_seed, s.slice_offset, s.slice_count))
 
     @pytest.mark.parametrize("kwargs", [
         dict(k_values=(1,), error_values=(0,), reps=0, master_seed=0),
@@ -49,20 +54,22 @@ class TestSweepSpec:
         with pytest.raises(OutOfRange):
             SweepSpec(**kwargs)
 
-
-class TestAccuracyDrop:
-    def test_example(self):
-        assert accuracy_drop(0.755, 0.600) == pytest.approx(0.155)
-        assert accuracy_drop(0.755, 0.600) == 0.755 - 0.600
-
-    def test_zero_and_negative(self):
-        assert accuracy_drop(0.5, 0.5) == 0.0
-        assert accuracy_drop(0.5, 0.55) == pytest.approx(-0.05)
-
-    @pytest.mark.parametrize("b,f", [(1.5, 0.5), (-0.1, 0.5), (0.5, 1.01), (0.5, -2.0)])
-    def test_out_of_range(self, b, f):
-        with pytest.raises(OutOfRange):
-            accuracy_drop(b, f)
+    @pytest.mark.parametrize("field,kwargs", [
+        ("k value", dict(k_values=(1.7,))),
+        ("k value", dict(k_values=(True,))),
+        ("error value", dict(error_values=(0.9,))),
+        ("error value", dict(error_values=(np.float64(3),))),
+        ("reps", dict(reps=2.5)),
+        ("reps", dict(reps=True)),
+        ("master seed", dict(master_seed=1.5)),
+        ("slice offset", dict(slice_offset=0.0)),
+        ("slice count", dict(slice_count=np.True_)),
+    ])
+    def test_rejects_non_integers(self, field, kwargs):
+        # A float was truncated, so (1.7,), (0.9,) ran a k=1 stuck-at-0 sweep.
+        args = dict(k_values=(1,), error_values=(1,), reps=1, master_seed=0) | kwargs
+        with pytest.raises(OutOfRange, match=f"^{field} must be an integer"):
+            SweepSpec(**args)
 
 
 class TestQuantiles:
@@ -164,7 +171,7 @@ class TestSweep:
             fmap = sample_random_fault_map(r.k, fault_for_error_value(r.value), r.seed)
             correct = 0
             for i in range(6):
-                out = execute_plan(cin4_plan, cin4_dataset.sample(i), fmap)
+                out = Emulator(cin4_plan, fmap).run(cin4_dataset.sample(i))
                 correct += classify_argmax(out.logits) == int(cin4_dataset.labels[i])
             assert r.accuracy == correct / 6
 
@@ -175,6 +182,25 @@ class TestSweep:
         spec = SweepSpec((1, 65), (0,), 2, master_seed=3)
         with pytest.raises(KTooLarge):
             run_fault_sweep(spec, cin4_plan, cin4_dataset, workers=1)
+        assert calls == []
+
+    def test_grid_beyond_host_memory_fails_before_any_run(self, cin4_plan, cin4_dataset,
+                                                          monkeypatch):
+        # 2^62 reps would need 2^62 * 21 * 64 bytes for the maps' kernel
+        # arrays alone: refused from the grid size before any seed or map.
+        calls = []
+        monkeypatch.setattr(macfi.campaign, "evaluate_accuracy",
+                            lambda *args, **kwargs: calls.append(args))
+        spec = SweepSpec((1,), (0,), 2 ** 62, master_seed=0)
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(OutOfRange, match="cannot fit in host memory"):
+                run_fault_sweep(spec, cin4_plan, cin4_dataset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - t0 < 0.5 and peak < 2 ** 26, peak
         assert calls == []
 
     def test_empty_slice(self, cin4_plan, cin4_dataset):
@@ -277,6 +303,30 @@ class TestHeatmap:
             run_heatmap([], cin4_plan, cin4_dataset)
         with pytest.raises(OutOfRange):
             run_heatmap([1 << 17], cin4_plan, cin4_dataset)
+        # A negative offset read range(-1, n): the last sample, then all of them.
+        with pytest.raises(OutOfRange, match="slice offset -1 outside"):
+            run_heatmap([0], cin4_plan, cin4_dataset, slice_offset=-1, slice_count=2)
+
+    @pytest.mark.parametrize("field,values,kwargs", [
+        ("error value", [0.5], {}),
+        ("error value", [1, False], {}),
+        ("slice offset", [1], dict(slice_offset=1.0)),
+        ("slice count", [1], dict(slice_count=2.5)),
+    ])
+    def test_rejects_non_integers(self, cin4_plan, cin4_dataset, monkeypatch,
+                                  field, values, kwargs):
+        # [0.5] was truncated into a stuck-at-0 heatmap recorded as value 0.
+        calls = []
+        monkeypatch.setattr(macfi.campaign, "evaluate_accuracy",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(OutOfRange, match=f"^{field} must be an integer"):
+            run_heatmap(values, cin4_plan, cin4_dataset, **kwargs)
+        assert calls == []
+
+    def test_numpy_integer_values(self, cin4_plan, cin4_dataset):
+        got = run_heatmap(np.array([0, 5]), cin4_plan, cin4_dataset, slice_count=np.int64(2))
+        want = run_heatmap([0, 5], cin4_plan, cin4_dataset, slice_count=2)
+        assert results_to_csv(got) == results_to_csv(want)
 
     def test_repeated_value_fails_before_baseline(self, cin4_plan, cin4_dataset, monkeypatch):
         calls = []
@@ -349,7 +399,7 @@ class TestEvaluateAccuracy:
         idx = range(5)
         acc = evaluate_accuracy(cin4_plan, cin4_dataset, idx)
         correct = sum(
-            classify_argmax(execute_plan(cin4_plan, cin4_dataset.sample(i)).logits)
+            classify_argmax(Emulator(cin4_plan).run(cin4_dataset.sample(i)).logits)
             == int(cin4_dataset.labels[i])
             for i in idx
         )

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -305,6 +306,26 @@ class TestCampaign:
         assert calls == []
         assert "k=65" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_reps_beyond_host_memory_fails_before_any_run(self, desk_bundle, tmp_path, capsys,
+                                                          monkeypatch):
+        # Built its 2^62-entry job grid until MemoryError (exit 3), or grew
+        # without end; now refused from the grid size.
+        calls = []
+        monkeypatch.setattr(macfi.campaign, "evaluate_accuracy",
+                            lambda *args, **kwargs: calls.append(args))
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            rc = main(campaign_args(desk_bundle, tmp_path / "x", "--mode", "sweep", "--k", "1",
+                                    "--values", "0", "--reps", str(2 ** 62)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - t0 < 1.0 and peak < 2 ** 26, peak
+        err = capsys.readouterr().err
+        assert rc == 2 and "cannot fit in host memory" in err, err
+        assert calls == [] and not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("flags,repeated", [
         (("--mode", "heatmap", "--values", "1,1"), "error value 1"),

@@ -25,11 +25,9 @@ from macfi.faultctl import (
     fault_for_error_value,
     materialize,
     parse_fault_spec,
-    read_register,
     sample_random_fault_map,
     sample_random_fault_maps,
     single_lane_map,
-    write_register,
 )
 
 from helpers import scalar_fault_map
@@ -130,59 +128,59 @@ class TestFaultMap:
 class TestRegisterFile:
     def test_value_sign_extension(self):
         rf = FiRegisterFile()
-        write_register(rf, REG_FI_VALUE, 0x0003FFFF)
-        assert read_register(rf, REG_FI_VALUE) == -1
+        rf.write(REG_FI_VALUE, 0x0003FFFF)
+        assert rf.read(REG_FI_VALUE) == -1
 
     def test_value_masked_to_18_bits(self):
         rf = FiRegisterFile()
-        write_register(rf, REG_FI_VALUE, 0xFFFC0000 | 5)
-        assert read_register(rf, REG_FI_VALUE) == 5
+        rf.write(REG_FI_VALUE, 0xFFFC0000 | 5)
+        assert rf.read(REG_FI_VALUE) == 5
 
     def test_unmapped_offset(self):
         rf = FiRegisterFile()
         with pytest.raises(UnmappedAddress):
-            write_register(rf, 0xFF, 1)
+            rf.write(0xFF, 1)
         with pytest.raises(UnmappedAddress):
-            read_register(rf, 0x18)
+            rf.read(0x18)
 
     def test_ctrl_reserved_bits_read_zero(self):
         rf = FiRegisterFile()
-        write_register(rf, REG_FI_CTRL, 0xFFFFFFFF)
-        assert read_register(rf, REG_FI_CTRL) == 0x3F07
+        rf.write(REG_FI_CTRL, 0xFFFFFFFF)
+        assert rf.read(REG_FI_CTRL) == 0x3F07
 
     def test_index_masked(self):
         rf = FiRegisterFile()
-        write_register(rf, REG_FI_INDEX, 64 + 3)
-        assert read_register(rf, REG_FI_INDEX) == 3
+        rf.write(REG_FI_INDEX, 64 + 3)
+        assert rf.read(REG_FI_INDEX) == 3
 
     @given(st.integers(0, 63), st.integers(0, 2**32 - 1))
     @settings(max_examples=100)
     def test_round_trip_all_fields(self, idx, raw):
         rf = FiRegisterFile()
-        write_register(rf, REG_FI_INDEX, idx)
+        rf.write(REG_FI_INDEX, idx)
         for off, mask in ((REG_FI_CTRL, 0x3F07), (REG_FI_PULSE_START, 0xFFFFFFFF),
                           (REG_FI_PULSE_LEN, 0xFFFFFFFF)):
-            write_register(rf, off, raw)
-            assert read_register(rf, off) == raw & mask
-        write_register(rf, REG_FI_VALUE, raw)
-        v = read_register(rf, REG_FI_VALUE)
+            rf.write(off, raw)
+            assert rf.read(off) == raw & mask
+        rf.write(REG_FI_VALUE, raw)
+        v = rf.read(REG_FI_VALUE)
         assert LANE_VALUE_MIN <= v <= LANE_VALUE_MAX
         assert v & 0x3FFFF == raw & 0x3FFFF
 
 
 def program_entry(rf, idx, unit, lane, mode, value=0, start=0, length=0, enable=True):
-    write_register(rf, REG_FI_INDEX, idx)
+    rf.write(REG_FI_INDEX, idx)
     ctrl = (1 if enable else 0) | (mode << 1) | (unit << 8) | (lane << 11)
-    write_register(rf, REG_FI_CTRL, ctrl)
-    write_register(rf, REG_FI_VALUE, value & 0x3FFFF)
-    write_register(rf, REG_FI_PULSE_START, start)
-    write_register(rf, REG_FI_PULSE_LEN, length)
+    rf.write(REG_FI_CTRL, ctrl)
+    rf.write(REG_FI_VALUE, value & 0x3FFFF)
+    rf.write(REG_FI_PULSE_START, start)
+    rf.write(REG_FI_PULSE_LEN, length)
 
 
 class TestMaterialize:
     def test_single_constant_entry(self):
         rf = FiRegisterFile()
-        write_register(rf, REG_FI_GLOBAL_ENABLE, 1)
+        rf.write(REG_FI_GLOBAL_ENABLE, 1)
         program_entry(rf, 0, 1, 7, mode=1, value=-1)
         fmap = materialize(rf)
         cells = list(fmap.cells())
@@ -191,18 +189,18 @@ class TestMaterialize:
     def test_global_enable_gates_everything(self):
         rf = FiRegisterFile()
         program_entry(rf, 0, 1, 7, mode=1, value=-1)
-        write_register(rf, REG_FI_GLOBAL_ENABLE, 0)
+        rf.write(REG_FI_GLOBAL_ENABLE, 0)
         assert materialize(rf).is_empty()
 
     def test_no_entries_enabled(self):
         rf = FiRegisterFile()
-        write_register(rf, REG_FI_GLOBAL_ENABLE, 1)
+        rf.write(REG_FI_GLOBAL_ENABLE, 1)
         program_entry(rf, 0, 1, 1, mode=1, value=3, enable=False)
         assert materialize(rf).is_empty()
 
     def test_last_write_wins_same_target(self):
         rf = FiRegisterFile()
-        write_register(rf, REG_FI_GLOBAL_ENABLE, 1)
+        rf.write(REG_FI_GLOBAL_ENABLE, 1)
         program_entry(rf, 0, 0, 0, mode=1, value=7)
         program_entry(rf, 1, 0, 0, mode=0)  # stuck-zero overwrites
         assert materialize(rf).get(0, 0) == LaneFault.stuck_zero()
@@ -210,14 +208,14 @@ class TestMaterialize:
     def test_order_independent_across_distinct_targets(self):
         rf1, rf2 = FiRegisterFile(), FiRegisterFile()
         for rf, order in ((rf1, [(0, 1, 2), (1, 3, 4)]), (rf2, [(1, 1, 2), (0, 3, 4)])):
-            write_register(rf, REG_FI_GLOBAL_ENABLE, 1)
+            rf.write(REG_FI_GLOBAL_ENABLE, 1)
             for idx, unit, lane in order:
                 program_entry(rf, idx, unit, lane, mode=1, value=9)
         assert materialize(rf1) == materialize(rf2)
 
     def test_pulse_entry_and_zero_len_disabled(self):
         rf = FiRegisterFile()
-        write_register(rf, REG_FI_GLOBAL_ENABLE, 1)
+        rf.write(REG_FI_GLOBAL_ENABLE, 1)
         program_entry(rf, 0, 2, 3, mode=2, value=5, start=10, length=4)
         program_entry(rf, 1, 4, 4, mode=2, value=5, start=0, length=0)
         program_entry(rf, 2, 5, 5, mode=3, value=5)  # reserved mode code

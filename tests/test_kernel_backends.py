@@ -21,7 +21,7 @@ from macfi.faultctl import (
     sample_random_fault_map,
     single_lane_map,
 )
-from macfi.macarray import available_backends, execute_plan, get_kernel
+from macfi.macarray import Emulator, available_backends, get_kernel
 from macfi.model import LayerSpec, ModelGraph
 from macfi.planner import plan_model
 from macfi.qtensor import ACC_MAX, ACC_MIN, QTensor
@@ -37,13 +37,13 @@ def test_python_backend_always_available():
     assert "python" in BACKENDS
 
 
-def execute_on(backend: str, *args, **kwargs):
-    """execute_plan on one backend; "python" pins the state of an install
+def execute_on(backend: str, plan, x: QTensor, fmap: FaultMap | None = None, trace: bool = False):
+    """Emulator.run on one backend; "python" pins the state of an install
     without the extension."""
     with pytest.MonkeyPatch.context() as mp:
         if backend == "python":
             mp.setattr(macarray, "_kernel", None)
-        return execute_plan(*args, **kwargs)
+        return Emulator(plan, fmap, trace=trace).run(x)
 
 
 def run_prog(kernel_name: str, prog, x: QTensor, fmap: FaultMap, cycle0: int = 0):
@@ -179,7 +179,7 @@ def test_pulse_windows_agree_across_layer_boundaries(desk_plan, desk_dataset):
 def _fc_args(desk_plan, desk_dataset) -> list:
     """A valid run_program argument list for the desk model's fc layer."""
     x = desk_dataset.sample(0)
-    res = execute_plan(desk_plan, x)
+    res = Emulator(desk_plan).run(x)
     prog = desk_plan.by_id[desk_plan.output]
     fc_in = res.outputs[prog.layer.inputs[0]]
     p = prog.packed

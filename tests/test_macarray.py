@@ -11,7 +11,6 @@ from macfi.faultctl import FaultMap, LaneFault, single_lane_map
 from macfi.macarray import (
     Emulator,
     classify_argmax,
-    execute_plan,
     mac_dot,
     mult_lane,
 )
@@ -101,7 +100,7 @@ class TestOracleEquivalence:
         for i in range(8):
             x = desk_dataset.sample(i)
             ref_outputs, ref_logits = reference_forward(desk_graph, x)
-            res = execute_plan(desk_plan, x)
+            res = Emulator(desk_plan).run(x)
             assert np.array_equal(res.logits, ref_logits)
             for lid, want in ref_outputs.items():
                 assert res.outputs[lid] == want
@@ -113,22 +112,22 @@ class TestOracleEquivalence:
             plan = plan_model(g)
             x = random_input(rng, g)
             ref_outputs, ref_logits = reference_forward(g, x)
-            res = execute_plan(plan, x)
+            res = Emulator(plan).run(x)
             assert np.array_equal(res.logits, ref_logits)
             for lid, want in ref_outputs.items():
                 assert res.outputs[lid] == want
 
     def test_cycle_count_is_total_micro_ops(self, desk_plan, desk_dataset):
-        res = execute_plan(desk_plan, desk_dataset.sample(0))
+        res = Emulator(desk_plan).run(desk_dataset.sample(0))
         assert res.cycles == desk_plan.total_micro_ops
 
     def test_input_validation(self, desk_plan):
         bad_shape = np.zeros((1, 8, 8), dtype=np.int8)
         with pytest.raises(ShapeError):
-            execute_plan(desk_plan, QTensor(bad_shape, desk_plan.input_scale))
+            Emulator(desk_plan).run(QTensor(bad_shape, desk_plan.input_scale))
         good = np.zeros(desk_plan.input_shape, dtype=np.int8)
         with pytest.raises(ShapeError):
-            execute_plan(desk_plan, QTensor(good, 0.123))
+            Emulator(desk_plan).run(QTensor(good, 0.123))
 
     def test_fault_map_dims_must_match(self, desk_plan):
         with pytest.raises(ShapeError):
@@ -178,7 +177,7 @@ class TestFaultSemantics:
         zg = zero_weight_copy(desk_graph)
         for i in range(4):
             x = desk_dataset.sample(i)
-            res = execute_plan(desk_plan, x, fmap)
+            res = Emulator(desk_plan, fmap).run(x)
             want_outputs, want_logits = reference_forward(zg, x)
             assert np.array_equal(res.logits, want_logits)
             for lid, want in want_outputs.items():
@@ -187,7 +186,7 @@ class TestFaultSemantics:
     def test_single_unit_fault_localized_to_channel_residue(self, desk_plan, desk_dataset):
         # compare per-layer programs on identical clean inputs
         x = desk_dataset.sample(0)
-        clean = execute_plan(desk_plan, x)
+        clean = Emulator(desk_plan).run(x)
         fmap = FaultMap()
         for lane in range(8):
             fmap.set(2, lane, LaneFault.constant(-77))
@@ -212,27 +211,27 @@ class TestFaultSemantics:
                 fmap.set(u, l, LaneFault.constant(131071))
         for i in range(4):
             x = cin4_dataset.sample(i)
-            clean = execute_plan(cin4_plan, x)
-            faulty = execute_plan(cin4_plan, x, fmap)
+            clean = Emulator(cin4_plan).run(x)
+            faulty = Emulator(cin4_plan, fmap).run(x)
             assert np.array_equal(clean.logits, faulty.logits)
             for lid in clean.outputs:
                 assert clean.outputs[lid] == faulty.outputs[lid]
 
     def test_pulse_outside_cycle_range_is_inert(self, desk_plan, desk_dataset):
         x = desk_dataset.sample(1)
-        clean = execute_plan(desk_plan, x)
+        clean = Emulator(desk_plan).run(x)
         fmap = single_lane_map(0, 0, LaneFault.pulse(131071, desk_plan.total_micro_ops, 50))
-        faulty = execute_plan(desk_plan, x, fmap)
+        faulty = Emulator(desk_plan, fmap).run(x)
         assert np.array_equal(clean.logits, faulty.logits)
 
     def test_pulse_window_confined_to_covered_layers(self, desk_plan, desk_dataset):
         # window covering only conv1's cycles must leave later MAC layers
         # unchanged when they are fed identical inputs
         x = desk_dataset.sample(2)
-        clean = execute_plan(desk_plan, x)
+        clean = Emulator(desk_plan).run(x)
         n_conv1 = desk_plan.programs[0].n_ops
         fmap = single_lane_map(1, 3, LaneFault.pulse(-131072, 0, n_conv1))
-        faulty = execute_plan(desk_plan, x, fmap)
+        faulty = Emulator(desk_plan, fmap).run(x)
         assert not np.array_equal(faulty.outputs["conv1"].data, clean.outputs["conv1"].data)
         emu = Emulator(desk_plan, fmap)
         emu.cycle = n_conv1  # conv2's program starts after conv1's window
@@ -243,8 +242,8 @@ class TestFaultSemantics:
     def test_determinism(self, desk_plan, desk_dataset):
         fmap = single_lane_map(3, 4, LaneFault.constant(55))
         x = desk_dataset.sample(3)
-        a = execute_plan(desk_plan, x, fmap)
-        b = execute_plan(desk_plan, x, fmap)
+        a = Emulator(desk_plan, fmap).run(x)
+        b = Emulator(desk_plan, fmap).run(x)
         assert np.array_equal(a.logits, b.logits)
         assert a.cycles == b.cycles
 
@@ -253,8 +252,8 @@ class TestTrace:
     def test_trace_matches_kernel_and_counts_engagements(self, desk_plan, desk_dataset):
         fmap = single_lane_map(1, 2, LaneFault.constant(9))
         x = desk_dataset.sample(0)
-        plain = execute_plan(desk_plan, x, fmap)
-        traced = execute_plan(desk_plan, x, fmap, trace=True)
+        plain = Emulator(desk_plan, fmap).run(x)
+        traced = Emulator(desk_plan, fmap, trace=True).run(x)
         assert np.array_equal(plain.logits, traced.logits)
         for lid in plain.outputs:
             assert plain.outputs[lid] == traced.outputs[lid]
@@ -263,16 +262,16 @@ class TestTrace:
         assert all(ev.unit == 1 and ev.lane == 2 and ev.value == 9 for ev in traced.trace)
 
     def test_fault_free_trace_is_empty(self, desk_plan, desk_dataset):
-        res = execute_plan(desk_plan, desk_dataset.sample(0), trace=True)
+        res = Emulator(desk_plan, trace=True).run(desk_dataset.sample(0))
         assert res.trace == []
 
     def test_no_trace_by_default(self, desk_plan, desk_dataset):
-        res = execute_plan(desk_plan, desk_dataset.sample(0))
+        res = Emulator(desk_plan).run(desk_dataset.sample(0))
         assert res.trace is None
 
     @staticmethod
     def assert_matches_oracle(plan, x, fmap):
-        res = execute_plan(plan, x, fmap, trace=True)
+        res = Emulator(plan, fmap, trace=True).run(x)
         assert_same_run(res, oracle_run(plan, x, fmap))
         return res.trace
 

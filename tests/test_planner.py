@@ -25,7 +25,6 @@ class TestArrayConfig:
     def test_defaults(self):
         cfg = ArrayConfig()
         assert (cfg.units, cfg.lanes) == (8, 8)
-        assert cfg.total_lanes == 64
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ShapeError):

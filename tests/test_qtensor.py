@@ -24,9 +24,6 @@ from macfi.qtensor import (
     ref_add,
     ref_conv2d,
     ref_execute_layer,
-    ref_gavgpool,
-    ref_maxpool,
-    ref_relu,
     requantize,
     requantize_array,
     sat32,
@@ -283,23 +280,29 @@ class TestRefConv2d:
             assert np.array_equal(got.data, np.clip(want, ACC_MIN, ACC_MAX))
 
 
+def run_layer(kind: str, *inputs: QTensor) -> QTensor:
+    """ref_execute_layer on a one-layer spec of ``kind`` (pools use k=2, stride=2)."""
+    layer = LayerSpec(id="x", kind=kind, inputs=["input"] * len(inputs), k=2, stride=2)
+    return ref_execute_layer(layer, list(inputs))
+
+
 class TestLayerOps:
     def test_relu(self):
-        assert ref_relu(q([-3, 0, 5])).data.reshape(-1).tolist() == [0, 0, 5]
+        assert run_layer("relu", q([-3, 0, 5])).data.reshape(-1).tolist() == [0, 0, 5]
 
     def test_maxpool(self):
         x = QTensor(np.array([[[1, 2], [3, 4]]], dtype=np.int8), 1.0)
-        assert ref_maxpool(x, 2, 2).data.tolist() == [[[4]]]
+        assert run_layer("maxpool", x).data.tolist() == [[[4]]]
 
     def test_gavgpool_rounds_half_even(self):
         x = QTensor(np.array([[[1, 2], [3, 5]]], dtype=np.int8), 1.0)
         # mean 11/4 = 2.75 -> 3
-        assert ref_gavgpool(x).data.tolist() == [[[3]]]
+        assert run_layer("gavgpool", x).data.tolist() == [[[3]]]
 
     def test_gavgpool_tie(self):
         x = QTensor(np.array([[[1, 2], [3, 4]]], dtype=np.int8), 1.0)
         # mean 10/4 = 2.5 -> 2 (even)
-        assert ref_gavgpool(x).data.tolist() == [[[2]]]
+        assert run_layer("gavgpool", x).data.tolist() == [[[2]]]
 
     def test_add_clamps(self):
         a = q([100, -100], 0.5)
@@ -324,9 +327,9 @@ class TestLayerOps:
     def test_outputs_are_valid_qtensors(self, c, h, w, seed):
         rng = np.random.default_rng(seed)
         x = QTensor(rng.integers(-128, 128, (c, h, w)).astype(np.int8), 0.5)
-        outs = [ref_relu(x), ref_gavgpool(x), ref_add(x, x)]
+        outs = [run_layer("relu", x), run_layer("gavgpool", x), ref_add(x, x)]
         if h >= 2 and w >= 2:
-            outs.append(ref_maxpool(x, 2, 2))
+            outs.append(run_layer("maxpool", x))
         for t in outs:
             assert t.data.dtype == np.int8
 
