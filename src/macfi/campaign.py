@@ -193,9 +193,27 @@ def evaluate_accuracy(plan: ExecutionPlan, dataset: Dataset, indices,
 
 
 def _check_workers(workers: int | None):
-    """Range-checks workers, which no longer changes how a campaign runs."""
-    if workers is not None and workers < 1:
+    """Checks workers, None or an _int of at least 1, which no longer
+    changes how a campaign runs."""
+    if workers is not None and _int("workers", workers) < 1:
         raise OutOfRange(f"workers must be >= 1, got {workers}")
+
+
+# Bytes a sweep holds per run at its peak for its job grid, seeds, fault
+# maps, class keys and records, whatever the plan: tracemalloc peaks of desk
+# and wide-model sweeps, less _sweep_run_bytes' other terms, read at most 5.9
+# KB a run at 2000 runs and at most 5.4 KB a run between 500 and 2000 runs.
+_SWEEP_RUN_BYTES = 8 << 10
+
+
+def _sweep_run_bytes(plan: ExecutionPlan, samples: int) -> int:
+    """Upper bound on the bytes a sweep over ``samples`` samples holds per
+    run at its peak: _SWEEP_RUN_BYTES, each MAC layer's (Cout, Cin) lane-keep
+    mask and Cout constants with their temporaries, which batch_logits keeps
+    for every run at once, and per sample two int8 logit rows, an int64
+    argmax and a bool match."""
+    layers = sum(p.out_shape[0] * (p.in_shape[0] + 32) for p in plan.programs if p.is_mac)
+    return _SWEEP_RUN_BYTES + layers + samples * (2 * plan.classes + 9)
 
 
 def run_fault_sweep(spec: SweepSpec, plan: ExecutionPlan, dataset: Dataset,
@@ -208,7 +226,7 @@ def run_fault_sweep(spec: SweepSpec, plan: ExecutionPlan, dataset: Dataset,
     cfg = plan.cfg
     idx = _slice_indices(dataset, spec.slice_offset, spec.slice_count)
     runs = len(spec.k_values) * len(spec.error_values) * spec.reps
-    if runs * 21 * cfg.units * cfg.lanes > host_memory():  # maps' u8+i32+2*i64 cells alone
+    if runs * _sweep_run_bytes(plan, len(idx)) > host_memory():
         raise OutOfRange(f"a sweep of {runs} runs cannot fit in host memory")
     jobs = [(k, v, r) for k in spec.k_values for v in spec.error_values for r in range(spec.reps)]
     seeds = derive_seed(spec.master_seed, *np.array(jobs, dtype=object).reshape(-1, 3).T).tolist()

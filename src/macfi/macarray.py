@@ -38,6 +38,9 @@ The matmul runs in float32 when 128 * max_o sum |W[o]| + max |const| <= 2^24
 and in float64 otherwise: every partial sum is an integer subset sum of
 int8 x int8 products (|w * x| <= 128 |w|) plus perhaps const, so it never
 exceeds that bound, and float32 holds every integer up to 2^24 exactly.
+A float32 accumulator is requantized in place when m is a power of two,
+for then acc * m is exact in float32 (qtensor.scales_in_place), and through
+a float64 copy otherwise; a float64 one is always requantized in place.
 Values no fault can reach (the input and the layers fed only by it) carry
 no run axis and are computed once per sample block; a MAC layer reading
 them gets every run's accumulators by one GEMM over their lane partials.
@@ -63,7 +66,7 @@ from .faultctl import MODE_CODE, NO_FAULT, FaultMap, FaultMode, LaneFault
 from .model import INPUT_ID
 from .planner import ExecutionPlan, LayerProgram
 from .qtensor import (ACC_MAX, PRODUCT_MAX, QTensor, array_layer, ref_execute_layer,
-                      requantize_array, sat32, to_int8)
+                      requantize_array, sat32, scales_in_place, to_int8)
 
 try:
     from . import _kernel
@@ -77,9 +80,10 @@ _MODE_NAME = {code: mode.value for mode, code in MODE_CODE.items()}
 # block) in batch_logits, each at its own itemsize: partials of free and
 # golden inputs, masked weights and keep masks, im2col columns (at the d
 # channels a slab holds, all Cin of a dense value), golden, slab and dense
-# accumulators, with the float64 array that requantize scales a float32
-# accumulator into (a float64 one is scaled in place). A campaign evaluates
-# one tile at a time.
+# accumulators, with the float64 copy that requantize scales a float32
+# accumulator into unless qtensor.scales_in_place lets it scale the
+# accumulator itself (any float64 one; a float32 one under m = 2^e). A
+# campaign evaluates one tile at a time.
 BATCH_BYTES = 2 << 20
 
 
@@ -454,7 +458,7 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
         w_abs = np.abs(w.astype(np.int64)).sum(axis=(1, 2)).max()
         dtype = np.float32 if 128 * w_abs + np.abs(const).max() <= 2 ** 24 else np.float64
         isz = np.dtype(dtype).itemsize
-        acc_isz = isz if dtype is np.float64 else isz + 8  # requantize's float64 copy
+        acc_isz = isz if scales_in_place(np.dtype(dtype), layer.m) else isz + 8  # + its copy
         groups = min(cin, cfg.lanes) if src == "free" else cin
         op_keep = layer_keep[..., :groups]  # (R, Cout, G)
         if src == "free":  # d counts its own faulted channels, else its input's
@@ -468,8 +472,8 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
         if src != "dense":
             shared_bytes += isz * cout * groups * hw
             cols_bytes = max(cols_bytes, isz * -(-cin // groups) * groups * kk * hw)
-        if src == "free":  # golden and its float64 copy; all Cout, then d gathered and copy
-            shared_bytes += (isz + 8) * cout * hw
+        if src == "free":  # golden; per pair all Cout, then d gathered (acc_isz: + copy)
+            shared_bytes += acc_isz * cout * hw
             pair_bytes.append((isz * cout + acc_isz * d) * hw)
             run_bytes.append(isz * cout * groups)  # keep
             continue
@@ -498,7 +502,7 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
             elif kind_of[layer.id] == "slab":
                 g = partials[layer.id].sum(axis=1)
                 g += prog.bias[:, None]
-                env[layer.id] = requantize_array(g, layer.m).reshape(
+                env[layer.id] = _requantize(ops[layer.id], g).reshape(
                     (len(g), -1) + prog.out_shape[1:])
         for r0 in range(0, runs, rb):
             run_env = dict(env)
@@ -619,7 +623,9 @@ def _mac_runs(op: _MacOperands, x: np.ndarray | _Slab, r0: int, rb: int,
 
 
 def _requantize(op: _MacOperands, acc: np.ndarray) -> np.ndarray:
-    """int8 of integer-valued accumulators; rint(acc * m) is taken in float64
-    either way, in place for a float64 acc and in a fresh array for float32."""
-    return requantize_array(acc, op.prog.layer.m, out=acc if acc.dtype == np.float64 else None)
+    """int8 of integer-valued accumulators, scaled in place where
+    scales_in_place allows (any float64 acc; a float32 one when m is a power
+    of two), else in a fresh float64 array."""
+    m = op.prog.layer.m
+    return requantize_array(acc, m, out=acc if scales_in_place(acc.dtype, m) else None)
 

@@ -32,6 +32,11 @@ LANES = 8  # multipliers per MAC unit: one micro-op sums this many input channel
 # The int8 rails in the dtypes the kernels clamp in.
 _F64_MIN, _F64_MAX = float(INT8_MIN), float(INT8_MAX)
 _I16_MIN, _I16_MAX = np.int16(INT8_MIN), np.int16(INT8_MAX)
+_F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
+# Exponents e of the m = 2^e that scale a float32 accumulator exactly (see
+# requantize_array): 2^-149 is float32's least subnormal, and 2^24 * 2^103 =
+# 2^127 its largest finite power of two.
+_F32_SHIFT_MIN, _F32_SHIFT_MAX = -149, 103
 
 
 def _check_scale(scale: float) -> float:
@@ -145,13 +150,38 @@ def requantize(acc: int, m: float) -> int:
     return min(INT8_MAX, max(INT8_MIN, round(float(acc) * m)))
 
 
+def scales_in_place(dtype: np.dtype, m: float) -> bool:
+    """Whether requantize_array takes acc * m in an accumulator's own
+    ``dtype`` rather than in float64: always for float64, never for an
+    integer dtype, and for float32 when m = 2^e with -149 <= e <= 103."""
+    if dtype == _F32:
+        frac, exp = math.frexp(m)  # m = frac * 2^exp, 0.5 <= frac < 1
+        return frac == 0.5 and _F32_SHIFT_MIN <= exp - 1 <= _F32_SHIFT_MAX
+    return dtype == _F64
+
+
 def requantize_array(acc: np.ndarray, m: float, out: np.ndarray | None = None) -> np.ndarray:
     """Vectorized requantize of an integer-valued array of any shape;
-    bit-identical to the scalar form per element. acc * m is taken in
-    float64 whatever acc's dtype. A float64 ``out`` holds the scaled values,
-    so no temporary is made; ``out`` may be ``acc`` only when acc is float64."""
+    bit-identical to the scalar form per element.
+
+    acc * m is taken in acc's own dtype when scales_in_place(acc.dtype, m),
+    else in float64. ``out``, of that dtype, holds the scaled values, so no
+    temporary is made; it may be ``acc`` itself.
+
+    The float32 case is exact for |acc| <= 2^24, which every float32
+    accumulator of the closed form satisfies: float32 holds m = 2^e exactly
+    for e >= -149, and acc * 2^e keeps acc's at most 24 significant bits and
+    only moves its exponent. It stays finite (2^24 * 2^103 < 2^128), and its
+    lowest bit is at least 2^-149, float32's subnormal step. So the float32
+    product equals the float64 one, itself exact, and rint, the clip and the
+    int8 cast give the same value. Under another m the float32 product can
+    round: with m = 1.5 / 8467724.5, acc = -2822575 scales to about
+    -0.50000003, which float64 rounds to -1 and float32, reading -0.5, to 0.
+    """
     m = _check_scale(m)
-    out = np.multiply(acc, m, dtype=np.float64, out=out)
+    acc = np.asarray(acc)
+    dtype = acc.dtype if scales_in_place(acc.dtype, m) else np.float64
+    out = np.multiply(acc, m, dtype=dtype, out=out)
     np.rint(out, out=out)
     # The method with float bounds skips np.clip's bound checks.
     return out.clip(_F64_MIN, _F64_MAX, out=out).astype(np.int8)

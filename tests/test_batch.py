@@ -26,7 +26,7 @@ from macfi.faultctl import (FaultMap, LaneFault, fault_for_error_value, sample_r
 from macfi.macarray import Emulator, batch_logits
 from macfi.model import Dataset, LayerSpec, ModelGraph
 from macfi.planner import plan_model
-from macfi.qtensor import ACC_MAX, QTensor
+from macfi.qtensor import ACC_MAX, PRODUCT_MAX, QTensor
 
 from helpers import (assert_same_outputs, mac_layer, make_random_model, oracle_run,
                      per_step_run)
@@ -254,13 +254,14 @@ def _sparse_maps(mi: int) -> list[FaultMap]:
                for v in ERROR_VALUES])
 
 
-@pytest.mark.parametrize("budget", BUDGETS)
-def test_batch_logits_matches_run_on_corpus(monkeypatch, budget):
-    monkeypatch.setattr(macarray, "BATCH_BYTES", budget)
+def _check_corpus(m_factor: float):
     rng = np.random.default_rng(31)
     models = _models() + [make_conv_only_model(rng, cout) for cout in (5, 12, 20)]
     models.append(make_conv_relu_conv_model(np.random.default_rng(32)))
     for mi, g in enumerate(models):
+        for layer in g.layers:
+            if layer.kind in ("conv", "fc"):  # m == weight_scale keeps every add's scales equal
+                layer.m = layer.weight_scale = layer.m * m_factor
         plan = plan_model(g)
         samples = rng.integers(-128, 128, size=(3, *g.input_shape)).astype(np.int8)
         dense_maps = [FaultMap(), _pulse_map()] + [
@@ -271,6 +272,20 @@ def test_batch_logits_matches_run_on_corpus(monkeypatch, budget):
             got = batch_logits(plan, samples, maps)
             assert got.dtype == np.int8 and got.shape == (len(maps), 3, g.classes)
             assert np.array_equal(got, expected), mi
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_batch_logits_matches_run_on_corpus(monkeypatch, budget):
+    monkeypatch.setattr(macarray, "BATCH_BYTES", budget)
+    _check_corpus(1.0)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_batch_logits_matches_run_on_corpus_off_shift(monkeypatch, budget):
+    # The corpus draws m = 2^-6 ... 2^-8, whose float32 accumulators are
+    # requantized in place; 3/4 of each takes every one through a float64 copy.
+    monkeypatch.setattr(macarray, "BATCH_BYTES", budget)
+    _check_corpus(0.75)
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
@@ -295,6 +310,26 @@ def test_bound_edge(run_calls, extra, falls_back):
     g.layers[0].bias[0] += extra
     plan = plan_model(g)
     samples = np.full((2, 24, 1, 1), 127, dtype=np.int8)
+    expected = _per_sample(plan, FaultMap(), samples)
+    run_calls.clear()
+    assert np.array_equal(batch_logits(plan, samples, [FaultMap()])[0], expected)
+    assert len(run_calls) == (len(samples) if falls_back else 0)
+
+
+def _cin9_fc(extra: int) -> ModelGraph:
+    """One fc with Cin = 9, whose channels take ceil(9 / 8) = 2 micro-ops
+    per output: fault-free, the bound is bias + 2 x 8 x 16384, which reaches
+    ACC_MAX exactly at extra = 0 (9 // 8 = 1 group would count half)."""
+    rng = np.random.default_rng(26)
+    fc = mac_layer(rng, "fc", "fc", "input", 9, 2, 1, m=2.0 ** -25)
+    fc.bias = np.array([ACC_MAX - 2 * 8 * PRODUCT_MAX + extra, 3], dtype=np.int32)
+    return ModelGraph([fc], (9, 1, 1), 2.0 ** -6, "fc", 2)
+
+
+@pytest.mark.parametrize("extra, falls_back", [(0, False), (1, True)])
+def test_bound_edge_counts_a_partial_lane_group(run_calls, extra, falls_back):
+    plan = plan_model(_cin9_fc(extra))
+    samples = np.full((2, 9, 1, 1), 127, dtype=np.int8)
     expected = _per_sample(plan, FaultMap(), samples)
     run_calls.clear()
     assert np.array_equal(batch_logits(plan, samples, [FaultMap()])[0], expected)
@@ -368,6 +403,15 @@ def test_run_bound_edge(kernel_calls, extra, falls_back):
     g.layers[0].bias[0] += extra
     plan = plan_model(g)
     x = QTensor(np.full((24, 1, 1), 127, dtype=np.int8), g.input_scale)
+    got = Emulator(plan, FaultMap()).run(x)
+    assert len(kernel_calls) == falls_back
+    assert_same_outputs(got, oracle_run(plan, x, FaultMap()))
+
+
+@pytest.mark.parametrize("extra, falls_back", [(0, False), (1, True)])
+def test_run_bound_edge_counts_a_partial_lane_group(kernel_calls, extra, falls_back):
+    plan = plan_model(_cin9_fc(extra))
+    x = QTensor(np.full((9, 1, 1), 127, dtype=np.int8), plan.input_scale)
     got = Emulator(plan, FaultMap()).run(x)
     assert len(kernel_calls) == falls_back
     assert_same_outputs(got, oracle_run(plan, x, FaultMap()))
@@ -551,6 +595,18 @@ def test_gemm_dtype_probe_rounding(gemm_dtypes, second, acc, m, logit, dtype):
     expected = _check_batch(plan, samples, [FaultMap()])
     assert (expected == [logit, -logit]).all()
     assert gemm_dtypes["probe"] == {dtype}
+
+
+def test_gemm_dtype_float32_off_shift_known_answer(gemm_dtypes):
+    # Zero weights keep the probe in float32 with accumulator -2822575,
+    # which m scales to about -0.50000003: float64 rounds it to -1, a
+    # product taken in float32 would read -0.5 and round to 0.
+    m = 1.5 / 8467724.5
+    plan = plan_model(_probe_model(8, [-2822575, 5], m, False))
+    samples = np.random.default_rng(4).integers(-128, 128, size=(2, 8, 1, 1)).astype(np.int8)
+    expected = _check_batch(plan, samples, [FaultMap()])
+    assert (expected[0, :, 0] == -1).all()
+    assert gemm_dtypes["probe"] == {"float32"}
 
 
 def test_gemm_dtype_all_minus_128_weights(gemm_dtypes):

@@ -186,8 +186,8 @@ class TestSweep:
 
     def test_grid_beyond_host_memory_fails_before_any_run(self, cin4_plan, cin4_dataset,
                                                           monkeypatch):
-        # 2^62 reps would need 2^62 * 21 * 64 bytes for the maps' kernel
-        # arrays alone: refused from the grid size before any seed or map.
+        # 2^62 reps would need over 2^62 * 8 KiB: refused from the grid size
+        # before any seed or map.
         calls = []
         monkeypatch.setattr(macfi.campaign, "evaluate_accuracy",
                             lambda *args, **kwargs: calls.append(args))
@@ -202,6 +202,35 @@ class TestSweep:
             tracemalloc.stop()
         assert time.perf_counter() - t0 < 0.5 and peak < 2 ** 26, peak
         assert calls == []
+
+    def test_run_bytes_bound_the_traced_peak(self, desk_plan, desk_dataset):
+        # k = 8 maps are all distinct, so every run keeps its own class key,
+        # digest and lane masks. The per-run figure must cover the peak per
+        # run at 2000 runs and the growth per run from 500 to 2000 runs.
+        per_run = macfi.campaign._sweep_run_bytes(desk_plan, 1)
+        peaks = {}
+        for reps in (500, 2000):
+            spec = SweepSpec((8,), (131071,), reps, master_seed=1, slice_count=1)
+            tracemalloc.start()
+            try:
+                run_fault_sweep(spec, desk_plan, desk_dataset)
+                peaks[reps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2000] <= 2000 * per_run, (peaks, per_run)
+        assert peaks[2000] - peaks[500] <= 1500 * per_run, (peaks, per_run)
+
+    @pytest.mark.parametrize("spare, refused", [(-1, True), (0, False)])
+    def test_host_memory_edge(self, cin4_plan, cin4_dataset, monkeypatch, spare, refused):
+        # 2 k values x 1 value x 3 reps = 6 runs over 4 samples.
+        spec = SweepSpec((1, 4), (0,), 3, master_seed=5, slice_count=4)
+        need = 6 * macfi.campaign._sweep_run_bytes(cin4_plan, 4)
+        monkeypatch.setattr(macfi.campaign, "host_memory", lambda: need + spare)
+        if refused:
+            with pytest.raises(OutOfRange, match="a sweep of 6 runs cannot fit in host memory"):
+                run_fault_sweep(spec, cin4_plan, cin4_dataset)
+        else:
+            assert len(run_fault_sweep(spec, cin4_plan, cin4_dataset).records) == 7
 
     def test_empty_slice(self, cin4_plan, cin4_dataset):
         spec = SweepSpec(k_values=(1,), error_values=(0,), reps=1,
@@ -476,3 +505,19 @@ def test_map_sequence_gives_one_accuracy_per_map(cin4_plan, cin4_dataset):
     assert evaluate_accuracy(cin4_plan, cin4_dataset, idx, tuple(maps[1:3])) == expected[1:3]
     assert evaluate_accuracy(cin4_plan, cin4_dataset, idx, []) == []
     assert len(set(expected)) > 1  # the maps are told apart
+
+
+@pytest.mark.parametrize("workers", [1.5, True])
+@pytest.mark.parametrize("campaign", ["sweep", "heatmap"])
+def test_workers_must_be_an_integer(cin4_plan, cin4_dataset, monkeypatch, campaign, workers):
+    # Both were accepted: workers was only range-checked.
+    calls = []
+    monkeypatch.setattr(macfi.campaign, "evaluate_accuracy",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(OutOfRange, match="^workers must be an integer"):
+        if campaign == "sweep":
+            run_fault_sweep(SweepSpec((1,), (0,), 1, master_seed=0), cin4_plan, cin4_dataset,
+                            workers=workers)
+        else:
+            run_heatmap([0], cin4_plan, cin4_dataset, workers=workers)
+    assert calls == []

@@ -27,6 +27,7 @@ from macfi.qtensor import (
     requantize,
     requantize_array,
     sat32,
+    scales_in_place,
 )
 from macfi.model import LayerSpec
 
@@ -358,9 +359,10 @@ def test_requantize_array_any_leading_dims():
 
 
 def test_requantize_array_float32_acc_matches_float64():
-    # Integers up to 2^24 are exact in float32, but acc * m must still be
-    # rounded once, in float64: these accumulators sit next to rounding
-    # boundaries, and exactly on .5 ties under m = 2^-1 and 2^-18.
+    # Integers up to 2^24 are exact in float32, but unless m is a power of
+    # two acc * m must still be rounded once, in float64: these accumulators
+    # sit next to rounding boundaries, and exactly on .5 ties under m = 2^-1
+    # and 2^-18.
     near = 2 ** 24 - np.arange(64)
     ties = np.array([1, 3, 5, 2 ** 24 - 2 ** 17, 2 ** 24 - 3 * 2 ** 17])
     acc = np.concatenate([near, -near, ties, -ties])
@@ -373,6 +375,58 @@ def test_requantize_array_float32_acc_matches_float64():
         f32 = np.clip(np.rint(acc.astype(np.float32) * np.float32(m)), -128, 127)
         scaled_in_float32_differs |= f32.tolist() != want
     assert scaled_in_float32_differs  # the cases tell the two roundings apart
+
+
+# The m of tests/test_batch.py's correction-order case: not a power of two.
+_ODD_M = 1.5 / 8467724.5
+
+
+def test_requantize_array_float32_off_shift_known_answer():
+    # -2822575 * m is about -0.50000003: float64 rounds it to -1, while a
+    # product taken in float32 would read -0.5 and round to 0.
+    assert requantize(-2822575, _ODD_M) == -1
+    assert requantize_array(np.array([-2822575.0], dtype=np.float32), _ODD_M).tolist() == [-1]
+
+
+@pytest.mark.parametrize("dtype, m, own", [
+    (np.float64, 2.0 ** -7, True), (np.float64, _ODD_M, True),
+    (np.float32, 2.0 ** -7, True), (np.float32, 1.0, True), (np.float32, 8.0, True),
+    (np.float32, _ODD_M, False), (np.float32, 0.75 * 2.0 ** -6, False),
+    (np.float32, 2.0 ** -149, True), (np.float32, 2.0 ** -150, False),
+    (np.float32, 2.0 ** 103, True), (np.float32, 2.0 ** 104, False),
+    (np.int32, 2.0 ** -7, False), (np.int64, 1.0, False), (np.float16, 2.0 ** -7, False),
+])
+def test_scales_in_place(dtype, m, own):
+    assert scales_in_place(dtype, m) == scales_in_place(np.dtype(dtype), m) == own
+
+
+@pytest.mark.parametrize("e", range(-30, 4))
+def test_requantize_array_float32_shift_matches_float64(e):
+    # Under m = 2^e a float32 accumulator is scaled in float32. It must
+    # agree with the scalar form and with the float64 route on every
+    # |acc| <= 2^24: ties (odd multiples of 2^(-e-1), where any are that
+    # small), +-2^24, both clip edges and random accumulators.
+    m, lim = 2.0 ** e, 2 ** 24
+    rng = np.random.default_rng(2600 + e)
+    ties = np.array([], dtype=np.int64)
+    if e < 0 and 2 ** (-e - 1) <= lim:
+        n = lim >> (-e - 1)  # odd multipliers up to n keep |acc| <= 2^24
+        odd = 2 * rng.integers(0, (n + 1) // 2, size=100) + 1
+        ties = np.concatenate([odd, -odd]) << (-e - 1)
+    # Scaled values just inside, on and beyond the rails.
+    edges = np.array([126.5, 127, 127.5, 128, -127.5, -128, -128.5, -129]) / m
+    edges = edges[(edges == np.rint(edges)) & (np.abs(edges) < lim)].astype(np.int64)
+    acc = np.concatenate([ties, edges - 1, edges, edges + 1, [lim, -lim, lim - 1, 1 - lim, 0],
+                          rng.integers(-lim, lim + 1, size=200)])
+    assert np.abs(acc).max() <= lim and scales_in_place(np.float32, m)
+    got = requantize_array(acc.astype(np.float32), m)
+    assert got.dtype == np.int8
+    assert got.tolist() == requantize_array(acc.astype(np.float64), m).tolist()
+    assert got.tolist() == [requantize(int(v), m) for v in acc]
+    if -25 <= e <= -1:
+        assert len(ties) and (acc * m % 1 == 0.5).sum() >= len(ties)
+    if e >= -16:  # 129 * 2^16 < 2^24: both rails are reached
+        assert {INT8_MIN, INT8_MAX} <= set(got.tolist())
 
 
 def test_acctensor_rejects_wrong_dtype_range():
