@@ -9,10 +9,13 @@ first map is evaluated and digested once, in order of first appearance, and its
 accuracy, drop and digest are scattered back to every job of the class, so
 records equal those of evaluating every map alone. A drop is baseline minus
 accuracy. A campaign's integers are ints or numpy integers, never bools, and
-its k values and error values are distinct; a sweep whose maps would not fit in
-host memory is refused before any seed is derived. Records are sorted
-deterministically before serialization, so results never depend on block size,
-and the accepted workers argument changes neither results nor scheduling.
+its k values and error values are distinct. A sweep or heatmap whose grid is
+empty, or whose runs would not fit in host memory, is refused before any seed
+or map is made. Both kinds share one core: one baseline call, one call over the
+distinct maps, one record per job, and one result built from the records, as
+parse_results_csv builds it. Records are sorted deterministically before
+serialization, so results never depend on block size, and the accepted workers
+argument changes neither results nor scheduling.
 Quantiles are linear interpolation between order statistics (position (n-1)*q),
 matching numpy's default method.
 """
@@ -199,21 +202,61 @@ def _check_workers(workers: int | None):
         raise OutOfRange(f"workers must be >= 1, got {workers}")
 
 
-# Bytes a sweep holds per run at its peak for its job grid, seeds, fault
+# Bytes a campaign holds per run at its peak for its job grid, seeds, fault
 # maps, class keys and records, whatever the plan: tracemalloc peaks of desk
-# and wide-model sweeps, less _sweep_run_bytes' other terms, read at most 5.9
-# KB a run at 2000 runs and at most 5.4 KB a run between 500 and 2000 runs.
-_SWEEP_RUN_BYTES = 8 << 10
+# and wide-model sweeps, less _run_bytes' other terms, read at most 5.9 KB a
+# run at 2000 runs and at most 5.4 KB a run between 500 and 2000 runs.
+_RUN_BYTES = 8 << 10
 
 
-def _sweep_run_bytes(plan: ExecutionPlan, samples: int) -> int:
-    """Upper bound on the bytes a sweep over ``samples`` samples holds per
-    run at its peak: _SWEEP_RUN_BYTES, each MAC layer's (Cout, Cin) lane-keep
-    mask and Cout constants with their temporaries, which batch_logits keeps
-    for every run at once, and per sample two int8 logit rows, an int64
-    argmax and a bool match."""
+def _run_bytes(plan: ExecutionPlan, samples: int) -> int:
+    """Upper bound on the bytes a campaign over ``samples`` samples holds per
+    run at its peak: _RUN_BYTES, each MAC layer's (Cout, Cin) lane-keep mask
+    and Cout constants with their temporaries, which batch_logits keeps for
+    every run at once, and per sample two int8 logit rows, an int64 argmax
+    and a bool match."""
     layers = sum(p.out_shape[0] * (p.in_shape[0] + 32) for p in plan.programs if p.is_mac)
-    return _SWEEP_RUN_BYTES + layers + samples * (2 * plan.classes + 9)
+    return _RUN_BYTES + layers + samples * (2 * plan.classes + 9)
+
+
+def _check_grid(kind: str, runs: int, plan: ExecutionPlan, idx: range):
+    """Refuses a grid of ``runs`` runs before any seed or map is made: an
+    empty one, and one whose runs cannot fit in host memory."""
+    if runs == 0:
+        raise EmptyGroup(f"a {kind} needs at least one run")
+    if runs * _run_bytes(plan, len(idx)) > host_memory():
+        raise OutOfRange(f"a {kind} of {runs} runs cannot fit in host memory")
+
+
+def _campaign(kind: str, jobs, job_class, distinct: list[FaultMap], plan: ExecutionPlan,
+              dataset: Dataset, idx: range) -> list[RunRecord]:
+    """Evaluates the baseline, then all distinct maps in one call; returns the
+    sorted records: the baseline's, and one per job from its (k, value, unit,
+    lane, rep, seed) and its class's index into distinct."""
+    baseline = evaluate_accuracy(plan, dataset, idx)
+    accs = evaluate_accuracy(plan, dataset, idx, distinct)
+    digests = [fmap.digest() for fmap in distinct]
+    records = [RunRecord(kind, k, v, u, l, r, seed, accs[c], baseline - accs[c], digests[c])
+               for (k, v, u, l, r, seed), c in zip(jobs, job_class)]
+    records.append(RunRecord("baseline", 0, 0, -1, -1, 0, 0, baseline, 0.0,
+                             FaultMap(plan.cfg.units, plan.cfg.lanes).digest()))
+    records.sort(key=RunRecord.sort_key)
+    return records
+
+
+def _result(records: list[RunRecord]) -> CampaignResult:
+    """The campaign result of ``records``: the baseline record's accuracy
+    (0.0 without one), the boxplot groups and, when any record is a heatmap
+    run, a (units, lanes) drop grid per value."""
+    baseline = next((r.accuracy for r in records if r.kind == "baseline"), 0.0)
+    heat = [r for r in records if r.kind == "heatmap"]
+    grids = None
+    if heat:
+        shape = (max(r.unit for r in heat) + 1, max(r.lane for r in heat) + 1)
+        grids = {}
+        for r in heat:
+            grids.setdefault(r.value, np.zeros(shape))[r.unit, r.lane] = r.drop
+    return CampaignResult(baseline, records, summarize_boxplot(records), grids)
 
 
 def run_fault_sweep(spec: SweepSpec, plan: ExecutionPlan, dataset: Dataset,
@@ -225,13 +268,11 @@ def run_fault_sweep(spec: SweepSpec, plan: ExecutionPlan, dataset: Dataset,
     _check_workers(workers)
     cfg = plan.cfg
     idx = _slice_indices(dataset, spec.slice_offset, spec.slice_count)
-    runs = len(spec.k_values) * len(spec.error_values) * spec.reps
-    if runs * _sweep_run_bytes(plan, len(idx)) > host_memory():
-        raise OutOfRange(f"a sweep of {runs} runs cannot fit in host memory")
-    jobs = [(k, v, r) for k in spec.k_values for v in spec.error_values for r in range(spec.reps)]
-    seeds = derive_seed(spec.master_seed, *np.array(jobs, dtype=object).reshape(-1, 3).T).tolist()
+    _check_grid("sweep", len(spec.k_values) * len(spec.error_values) * spec.reps, plan, idx)
+    grid = [(k, v, r) for k in spec.k_values for v in spec.error_values for r in range(spec.reps)]
+    seeds = derive_seed(spec.master_seed, *np.array(grid, dtype=object).reshape(-1, 3).T).tolist()
     templates = {v: fault_for_error_value(v) for v in spec.error_values}
-    maps = sample_random_fault_maps([k for k, _, _ in jobs], [templates[v] for _, v, _ in jobs],
+    maps = sample_random_fault_maps([k for k, _, _ in grid], [templates[v] for _, v, _ in grid],
                                     seeds, cfg.units, cfg.lanes)
     # Equal maps form one class: its first map is evaluated and digested once.
     classes: dict[bytes, int] = {}
@@ -242,15 +283,8 @@ def run_fault_sweep(spec: SweepSpec, plan: ExecutionPlan, dataset: Dataset,
             classes[key] = len(distinct)
             distinct.append(fmap)
         job_class.append(classes[key])
-    baseline = evaluate_accuracy(plan, dataset, idx)
-    accs = evaluate_accuracy(plan, dataset, idx, distinct)
-    digests = [fmap.digest() for fmap in distinct]
-    records = [RunRecord("sweep", k, v, -1, -1, r, seed, accs[c], baseline - accs[c], digests[c])
-               for (k, v, r), seed, c in zip(jobs, seeds, job_class)]
-    records.append(RunRecord("baseline", 0, 0, -1, -1, 0, 0, baseline, 0.0,
-                             FaultMap(cfg.units, cfg.lanes).digest()))
-    records.sort(key=RunRecord.sort_key)
-    return CampaignResult(baseline, records, summarize_boxplot(records))
+    jobs = ((k, v, -1, -1, r, seed) for (k, v, r), seed in zip(grid, seeds))
+    return _result(_campaign("sweep", jobs, job_class, distinct, plan, dataset, idx))
 
 
 def run_heatmap(values, plan: ExecutionPlan, dataset: Dataset,
@@ -260,26 +294,17 @@ def run_heatmap(values, plan: ExecutionPlan, dataset: Dataset,
     exhaustive and seedless. Value 0 is realized as StuckZero."""
     _check_workers(workers)
     values = _ints("error value", values, LANE_VALUE_MIN, LANE_VALUE_MAX)
-    if not values:
-        raise EmptyGroup("heatmap needs at least one error value")
     cfg = plan.cfg
     idx = _slice_indices(dataset, slice_offset, slice_count)
-    baseline = evaluate_accuracy(plan, dataset, idx)
+    _check_grid("heatmap", len(values) * cfg.units * cfg.lanes, plan, idx)
     keys = [(v, u, l) for v in values for u in range(cfg.units) for l in range(cfg.lanes)]
     templates = {v: fault_for_error_value(v) for v in values}
     cells = np.tile(np.arange(cfg.units * cfg.lanes), len(values))  # flat index u * lanes + l
     maps = fault_map_rows(np.arange(len(keys)), cells, [templates[v] for v, _, _ in keys],
                           cfg.units, cfg.lanes)
-    accs = evaluate_accuracy(plan, dataset, idx, maps)
-    records = [RunRecord("heatmap", 1, v, u, l, 0, 0, acc, baseline - acc, fmap.digest())
-               for (v, u, l), fmap, acc in zip(keys, maps, accs)]
-    heatmap = {v: np.zeros((cfg.units, cfg.lanes), dtype=np.float64) for v in values}
-    for rec in records:
-        heatmap[rec.value][rec.unit, rec.lane] = rec.drop
-    records.append(RunRecord("baseline", 0, 0, -1, -1, 0, 0, baseline, 0.0,
-                             FaultMap(cfg.units, cfg.lanes).digest()))
-    records.sort(key=RunRecord.sort_key)
-    return CampaignResult(baseline, records, summarize_boxplot(records), heatmap)
+    # Heatmap maps are distinct by construction: each is its own class.
+    jobs = ((1, v, u, l, 0, 0) for v, u, l in keys)
+    return _result(_campaign("heatmap", jobs, range(len(maps)), maps, plan, dataset, idx))
 
 
 # ---------------------------------------------------------------------------
@@ -296,29 +321,27 @@ def results_to_csv(result: CampaignResult) -> str:
 
 
 def parse_results_csv(text: str) -> CampaignResult:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != RESULTS_HEADER:
+    """The campaign result of a results CSV; a malformed row is a
+    SchemaError naming its line."""
+    reader = csv.reader(io.StringIO(text))
+    if next(reader, None) != RESULTS_HEADER:
         raise SchemaError("results CSV missing header row")
     records = []
-    baseline = 0.0
-    for row in rows[1:]:
-        kind, k, value, unit, lane, rep, seed, acc, drop = row
-        rec = RunRecord(kind, int(k), int(value), int(unit), int(lane),
-                        int(rep), int(seed), float(acc), float(drop))
-        if rec.kind == "baseline":
-            baseline = rec.accuracy
+    for row in reader:
+        where = f"results CSV line {reader.line_num}"
+        if len(row) != len(RESULTS_HEADER):
+            raise SchemaError(f"{where}: {len(row)} fields, expected {len(RESULTS_HEADER)}")
+        kind, *ints, acc, drop = row
+        if kind not in _KIND_ORDER:
+            raise SchemaError(f"{where}: unknown kind {kind!r}")
+        try:
+            rec = RunRecord(kind, *map(int, ints), float(acc), float(drop))
+        except ValueError as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
+        if kind == "heatmap" and min(rec.unit, rec.lane) < 0:  # indices into its grid
+            raise SchemaError(f"{where}: heatmap unit {rec.unit} or lane {rec.lane} is negative")
         records.append(rec)
-    result = CampaignResult(baseline, records, summarize_boxplot(records))
-    heat_recs = [r for r in records if r.kind == "heatmap"]
-    if heat_recs:
-        units = max(r.unit for r in heat_recs) + 1
-        lanes = max(r.lane for r in heat_recs) + 1
-        heatmap = {}
-        for r in heat_recs:
-            grid = heatmap.setdefault(r.value, np.zeros((units, lanes)))
-            grid[r.unit, r.lane] = r.drop
-        result.heatmap = heatmap
-    return result
+    return _result(records)
 
 
 def summary_to_csv(groups: dict[tuple[int, int], dict[str, float]]) -> str:

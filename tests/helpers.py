@@ -91,6 +91,18 @@ def make_cin4_model() -> ModelGraph:
     return ModelGraph(layers, (4, 6, 6), 2.0 ** -6, "fc", 4)
 
 
+def make_strided_padded_model() -> ModelGraph:
+    """Stride 2 and pad 1 over a non-square 7x5 input: the last row and
+    column of outputs read the far padding. Cin = 11 spans two lane groups,
+    the second with idle lanes; Cout = 10 wraps the units."""
+    rng = np.random.default_rng(15)
+    layers = [mac_layer(rng, "conv", "conv", "input", 11, 10, 3, 2, 1, m=2.0 ** -7),
+              LayerSpec(id="relu", kind="relu", inputs=["conv"]),
+              LayerSpec(id="gap", kind="gavgpool", inputs=["relu"]),
+              mac_layer(rng, "fc", "fc", "gap", 10, 6, 1, m=2.0 ** -7)]
+    return ModelGraph(layers, (11, 7, 5), 2.0 ** -6, "fc", 6)
+
+
 def make_dataset_for(g: ModelGraph, n: int, seed: int) -> Dataset:
     """Synthetic dataset labeled by the model's own fault-free predictions."""
     rng = np.random.default_rng(seed)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import macfi.campaign
 from macfi.campaign import (
+    RESULTS_HEADER,
     CampaignResult,
     RunRecord,
     SweepSpec,
@@ -24,8 +25,8 @@ from macfi.campaign import (
     summary_to_csv,
 )
 from macfi.errors import EmptyDataset, EmptyGroup, KTooLarge, OutOfRange, SchemaError
-from macfi.faultctl import (FaultMap, derive_seed, fault_for_error_value,
-                            sample_random_fault_map, single_lane_map)
+from macfi.faultctl import (LANE_VALUE_MAX, LANE_VALUE_MIN, FaultMap, derive_seed,
+                            fault_for_error_value, sample_random_fault_map, single_lane_map)
 from macfi.macarray import Emulator, classify_argmax
 
 from helpers import bias_only_accuracy
@@ -205,32 +206,60 @@ class TestSweep:
 
     def test_run_bytes_bound_the_traced_peak(self, desk_plan, desk_dataset):
         # k = 8 maps are all distinct, so every run keeps its own class key,
-        # digest and lane masks. The per-run figure must cover the peak per
-        # run at 2000 runs and the growth per run from 500 to 2000 runs.
-        per_run = macfi.campaign._sweep_run_bytes(desk_plan, 1)
-        peaks = {}
-        for reps in (500, 2000):
-            spec = SweepSpec((8,), (131071,), reps, master_seed=1, slice_count=1)
-            tracemalloc.start()
-            try:
-                run_fault_sweep(spec, desk_plan, desk_dataset)
-                peaks[reps] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peaks[2000] <= 2000 * per_run, (peaks, per_run)
-        assert peaks[2000] - peaks[500] <= 1500 * per_run, (peaks, per_run)
+        # digest and lane masks; heatmap maps are distinct by construction.
+        # The per-run figure must cover the peak per run at the larger grid
+        # and the growth per run between the two grids.
+        per_run = macfi.campaign._run_bytes(desk_plan, 1)
+
+        def sweep(runs):
+            spec = SweepSpec((8,), (131071,), runs, master_seed=1, slice_count=1)
+            run_fault_sweep(spec, desk_plan, desk_dataset)
+
+        def heatmap(runs):  # 64 runs a value
+            run_heatmap(range(runs // 64), desk_plan, desk_dataset, slice_count=1)
+
+        for campaign, small, large in ((sweep, 500, 2000), (heatmap, 8 * 64, 32 * 64)):
+            peaks = {}
+            for runs in (small, large):
+                tracemalloc.start()
+                try:
+                    campaign(runs)
+                    peaks[runs] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peaks[large] <= large * per_run, (campaign.__name__, peaks, per_run)
+            assert peaks[large] - peaks[small] <= (large - small) * per_run, \
+                (campaign.__name__, peaks, per_run)
 
     @pytest.mark.parametrize("spare, refused", [(-1, True), (0, False)])
     def test_host_memory_edge(self, cin4_plan, cin4_dataset, monkeypatch, spare, refused):
-        # 2 k values x 1 value x 3 reps = 6 runs over 4 samples.
+        # 2 k values x 1 value x 3 reps = 6 sweep runs, and 1 value x 8 units
+        # x 8 lanes = 64 heatmap runs, over 4 samples.
         spec = SweepSpec((1, 4), (0,), 3, master_seed=5, slice_count=4)
-        need = 6 * macfi.campaign._sweep_run_bytes(cin4_plan, 4)
-        monkeypatch.setattr(macfi.campaign, "host_memory", lambda: need + spare)
-        if refused:
-            with pytest.raises(OutOfRange, match="a sweep of 6 runs cannot fit in host memory"):
-                run_fault_sweep(spec, cin4_plan, cin4_dataset)
-        else:
-            assert len(run_fault_sweep(spec, cin4_plan, cin4_dataset).records) == 7
+        campaigns = [
+            ("sweep", 6, lambda: run_fault_sweep(spec, cin4_plan, cin4_dataset)),
+            ("heatmap", 64, lambda: run_heatmap([0], cin4_plan, cin4_dataset, slice_count=4)),
+        ]
+        for kind, runs, campaign in campaigns:
+            need = runs * macfi.campaign._run_bytes(cin4_plan, 4)
+            monkeypatch.setattr(macfi.campaign, "host_memory", lambda n=need + spare: n)
+            if refused:
+                with pytest.raises(OutOfRange,
+                                   match=f"^a {kind} of {runs} runs cannot fit in host memory"):
+                    campaign()
+            else:
+                assert len(campaign().records) == runs + 1
+
+    @pytest.mark.parametrize("k_values, error_values", [((), (0,)), ((1,), ())])
+    def test_empty_grid_fails_before_baseline(self, cin4_plan, cin4_dataset, monkeypatch,
+                                              k_values, error_values):
+        # Both ran a baseline call and returned a baseline-only result.
+        calls = []
+        monkeypatch.setattr(macfi.campaign, "evaluate_accuracy",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(EmptyGroup, match="^a sweep needs at least one run"):
+            run_fault_sweep(SweepSpec(k_values, error_values, 1, 0), cin4_plan, cin4_dataset)
+        assert calls == []
 
     def test_empty_slice(self, cin4_plan, cin4_dataset):
         spec = SweepSpec(k_values=(1,), error_values=(0,), reps=1,
@@ -298,6 +327,20 @@ class TestHeatmap:
             assert got.digest() == want.digest()
         digests = {(r.value, r.unit, r.lane): r.digest for r in res.records if r.kind == "heatmap"}
         assert digests == {key: m.digest() for key, m in zip(keys, expected)}
+
+    def test_grid_beyond_host_memory_fails_before_any_map(self, cin4_plan, cin4_dataset,
+                                                          monkeypatch):
+        # All 2^18 lane values on 8 x 8 lanes are 2^24 runs: refused before a
+        # map is built or anything is evaluated. It used to build every map.
+        calls = []
+        monkeypatch.setattr(macfi.campaign, "host_memory", lambda: 1 << 30)
+        for name in ("fault_map_rows", "evaluate_accuracy"):
+            monkeypatch.setattr(macfi.campaign, name,
+                                lambda *args, name=name, **kwargs: calls.append(name))
+        values = range(LANE_VALUE_MIN, LANE_VALUE_MAX + 1)
+        with pytest.raises(OutOfRange, match=f"^a heatmap of {1 << 24} runs cannot fit"):
+            run_heatmap(values, cin4_plan, cin4_dataset)
+        assert calls == []
 
     def test_zero_activity_lanes_have_zero_drop(self, cin4_plan, cin4_dataset):
         # cin=4 model leaves lanes 4..7 without operands on every cycle
@@ -421,6 +464,21 @@ class TestCsvRoundTrip:
             parse_results_csv("nope\n1,2\n")
         with pytest.raises(SchemaError):
             parse_summary_csv("k,value\n")
+
+    @pytest.mark.parametrize("row, reason", [
+        ("sweep,1,0,-1,-1,0,5,0.5", "8 fields, expected 9"),
+        ("sweep,1,0,-1,x,0,5,0.5,0.5", "invalid literal for int"),
+        ("sweep,1,0,-1,-1,0,5,half,0.5", "could not convert string to float"),
+        ("foo,1,0,-1,-1,0,5,0.5,0.5", "unknown kind 'foo'"),
+        ("heatmap,1,0,-1,3,0,0,0.5,0.5", "heatmap unit -1 or lane 3 is negative"),
+    ], ids=["short", "int", "float", "kind", "heatmap-unit"])
+    def test_malformed_row(self, row, reason):
+        # A short row and a non-numeric field raised ValueError; an unknown
+        # kind was accepted, and sorting its record raised KeyError; a
+        # negative heatmap unit raised IndexError, or a lane wrapped round.
+        text = ",".join(RESULTS_HEADER) + "\nbaseline,0,0,-1,-1,0,0,0.5,0.0\n" + row + "\n"
+        with pytest.raises(SchemaError, match=f"^results CSV line 3: {reason}"):
+            parse_results_csv(text)
 
 
 class TestEvaluateAccuracy:

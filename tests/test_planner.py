@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from macfi.model import LayerSpec, ModelGraph
 import macfi.planner as planner
 from macfi.planner import ArrayConfig, dump_plan, plan_model, plan_stats
 
-from helpers import mac_layer, make_random_model
+from helpers import mac_layer, make_random_model, make_strided_padded_model
 
 
 def conv_spec(rng, cin, cout, k, stride=1, pad=0):
@@ -214,20 +215,26 @@ class TestPlanModel:
         assert digest == "8bc7396f1224c5e11cd51b56054b688a34d90cefb519178d52f6af2c56902576"
 
     def test_strided_padded_dump_is_pinned(self):
-        # Stride 2 and pad 1 over a non-square 7x5 input: the last row and
-        # column of outputs read the far padding. Cin = 11 spans two lane
-        # groups, the second with idle lanes; Cout = 10 wraps the units.
-        rng = np.random.default_rng(15)
-        layers = [mac_layer(rng, "conv", "conv", "input", 11, 10, 3, 2, 1, m=2.0 ** -7),
-                  LayerSpec(id="relu", kind="relu", inputs=["conv"]),
-                  LayerSpec(id="gap", kind="gavgpool", inputs=["relu"]),
-                  mac_layer(rng, "fc", "fc", "gap", 10, 6, 1, m=2.0 ** -7)]
-        plan = plan_model(ModelGraph(layers, (11, 7, 5), 2.0 ** -6, "fc", 6))
+        plan = plan_model(make_strided_padded_model())
         assert plan.by_id["conv"].out_shape == (10, 4, 3)
         text = dump_plan(plan)
         assert len(text.splitlines()) == 10 * 4 * 3 * 2 * 9 + 6 * 2
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == "04dc5b643ebbd30814c24ef0de7545e5a3191a5b6c93175fb33b43b4e0f175af"
+
+    @pytest.mark.parametrize("model", ["desk", "strided_padded"])
+    def test_dump_bytes_bound_the_traced_peak(self, desk_plan, model):
+        # _dump_bytes counts each line twice, as a str in the list and in
+        # the join; desk peaks at 96% of the bound, so one copy is too few.
+        plan = desk_plan if model == "desk" else plan_model(make_strided_padded_model())
+        bound = sum(planner._dump_bytes(p) for p in plan.programs if p.is_mac)
+        tracemalloc.start()
+        try:
+            dump_plan(plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
 
 
 # sha256 of dump_plan for make_random_model(default_rng(seed)), seeds 0..9,

@@ -1,0 +1,192 @@
+"""Mutation check of macfi's exactness bounds and refusals.
+
+Each mutant is a one-place source edit: it makes a bound unsound, moves a
+window edge, or removes a refusal, and the tests listed with it must fail on
+it (DeMillo, Lipton & Sayward, "Hints on test data selection", 1978). An
+equivalent mutant changes no output, only how the result is reached; it is
+run and reported, but its survival is not a gap in the tests.
+
+Usage:
+    python tools/mutants.py SCRATCH_DIR [NAME ...]
+
+For each mutant (all, or those named), the repository is copied into
+SCRATCH_DIR/NAME, the edit applied (``old`` must occur in the file exactly
+once), and ``python -m pytest -x -q`` run there on the mutant's tests, one
+mutant at a time, and the copy removed. The compiled kernel is built inside
+each copy, so a C mutant is compiled as mutated. Prints one line per mutant,
+naming the first test that failed, and exits 1 when a non-equivalent mutant
+survives. It is not part of the tier-1 suite, which it runs in parts, once
+per mutant.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+    equivalent: bool = False
+
+
+MUTANTS = [
+    # The no-saturation bound admitting a run whose partial sum reaches ACC_MAX + 1.
+    Mutant("nosat-strict", "src/macfi/macarray.py",
+           "groups * len(prog.taps) * row_bound <= ACC_MAX",
+           "groups * len(prog.taps) * row_bound < ACC_MAX",
+           ("tests/test_batch.py",)),
+    # ... counting floor(Cin / lanes) lane groups per tap instead of the ceiling.
+    Mutant("nosat-floor-groups", "src/macfi/macarray.py",
+           "groups = -(-prog.in_shape[0] // cfg.lanes)",
+           "groups = prog.in_shape[0] // cfg.lanes",
+           ("tests/test_batch.py",)),
+    # ... and with a product bound one short of (-128) * (-128).
+    Mutant("product-max", "src/macfi/qtensor.py",
+           "PRODUCT_MIN, PRODUCT_MAX = -16256, 16384",
+           "PRODUCT_MIN, PRODUCT_MAX = -16256, 16383",
+           ("tests/test_qtensor.py", "tests/test_batch.py")),
+    # The float32 GEMM bound: float32 holds every integer up to 2^24 only.
+    Mutant("gemm-2^25", "src/macfi/macarray.py",
+           "+ np.abs(const).max() <= 2 ** 24 else",
+           "+ np.abs(const).max() <= 2 ** 25 else",
+           ("tests/test_batch.py",)),
+    Mutant("gemm-127", "src/macfi/macarray.py",
+           "128 * w_abs + np.abs(const).max()",
+           "127 * w_abs + np.abs(const).max()",
+           ("tests/test_batch.py",)),
+    # The pulse window [start, start + length) in both kernels, at each end.
+    Mutant("mux-window-python", "src/macfi/_kernel_py.py",
+           "(cyc < start + flen[fidx])",
+           "(cyc <= start + flen[fidx])",
+           ("tests/test_kernel_backends.py", "tests/test_macarray.py")),
+    Mutant("mux-start-python", "src/macfi/_kernel_py.py",
+           "(start <= cyc)",
+           "(start < cyc)",
+           ("tests/test_kernel_backends.py", "tests/test_macarray.py")),
+    Mutant("mux-window-c", "src/macfi/_kernel.c",
+           "cyc < fstart[fi] + flen[fi]",
+           "cyc <= fstart[fi] + flen[fi]",
+           ("tests/test_kernel_backends.py", "tests/test_macarray.py")),
+    Mutant("mux-start-c", "src/macfi/_kernel.c",
+           "fstart[fi] <= cyc",
+           "fstart[fi] < cyc",
+           ("tests/test_kernel_backends.py", "tests/test_macarray.py")),
+    # A tap one row or column past the input reading a value instead of padding.
+    Mutant("tap-edge-x", "src/macfi/planner.py",
+           "(ix >= 0) & (ix < w)",
+           "(ix >= 0) & (ix <= w)",
+           ("tests/test_planner.py", "tests/test_macarray.py")),
+    Mutant("tap-edge-y", "src/macfi/planner.py",
+           "(iy >= 0) & (iy < h)",
+           "(iy >= 0) & (iy <= h)",
+           ("tests/test_planner.py", "tests/test_macarray.py")),
+    # Modulo-rejection sampling accepting one draw of the biased tail.
+    Mutant("rejection-limit", "src/macfi/faultctl.py",
+           "return draws <= ~((~n + 1) % n)",
+           "return draws < ~((~n + 1) % n)",
+           ("tests/test_faultctl.py",)),
+    # The campaign host-memory refusal: loosened 4x, off by one, or skipped
+    # by a heatmap.
+    Mutant("grid-memory-4x", "src/macfi/campaign.py",
+           "_run_bytes(plan, len(idx)) > host_memory()",
+           "_run_bytes(plan, len(idx)) > 4 * host_memory()",
+           ("tests/test_campaign.py",)),
+    Mutant("grid-memory-ge", "src/macfi/campaign.py",
+           "_run_bytes(plan, len(idx)) > host_memory()",
+           "_run_bytes(plan, len(idx)) >= host_memory()",
+           ("tests/test_campaign.py",)),
+    # Its edge test fails first, so -x stops before the 2^24-run heatmap
+    # test would build every map without the refusal.
+    Mutant("heatmap-unrefused", "src/macfi/campaign.py",
+           '    _check_grid("heatmap", len(values) * cfg.units * cfg.lanes, plan, idx)\n',
+           "",
+           ("tests/test_campaign.py::TestSweep::test_host_memory_edge",)),
+    # dump_plan's bound counting each line once, though the list and the join both hold it.
+    Mutant("dump-bytes-once", "src/macfi/planner.py",
+           "prog.n_ops * (2 * (len(head)",
+           "prog.n_ops * ((len(head)",
+           ("tests/test_planner.py",)),
+    # Equivalent: a slab padded with one more clean channel (its accumulator
+    # is golden), or made dense one channel early.
+    Mutant("slab-one-wider", "src/macfi/macarray.py",
+           "d = max(1, int(dirty.sum(axis=1).max()))",
+           "d = min(cout, 1 + int(dirty.sum(axis=1).max()))",
+           ("tests/test_batch.py",), equivalent=True),
+    Mutant("dense-one-early", "src/macfi/macarray.py",
+           "    if d == cout:\n        return _requantize(op, acc)",
+           "    if d >= cout - 1:\n        return _requantize(op, acc)",
+           ("tests/test_batch.py",), equivalent=True),
+]
+
+_COPY_IGNORE = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", "__pycache__")
+
+
+def apply(root: Path, m: Mutant):
+    path = root / m.file
+    text = path.read_text()
+    count = text.count(m.old)
+    if count != 1:
+        raise SystemExit(f"{m.name}: {m.old!r} occurs {count} times in {m.file}, expected once")
+    path.write_text(text.replace(m.old, m.new))
+
+
+def run(m: Mutant, scratch: Path) -> tuple[str | None, float]:
+    """(the first failed test, or None if none failed; seconds) of the
+    mutant's tests on a mutated copy, which is removed afterwards."""
+    copy = scratch / m.name
+    if copy.exists():
+        shutil.rmtree(copy)
+    shutil.copytree(ROOT, copy, ignore=_COPY_IGNORE)
+    try:
+        apply(copy, m)
+        env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                               *m.tests], cwd=copy, env=env, capture_output=True, text=True)
+        secs = time.perf_counter() - t0
+    finally:
+        shutil.rmtree(copy)
+    if proc.returncode not in (0, 1):  # 1: a test failed; anything else broke the run
+        raise SystemExit(f"{m.name}: pytest exited {proc.returncode}\n{proc.stdout}{proc.stderr}")
+    failed = [line.split()[1] for line in proc.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    return (failed[0] if failed else "?") if proc.returncode == 1 else None, secs
+
+
+def main(argv: list[str]) -> int:
+    if not argv:
+        raise SystemExit(__doc__)
+    scratch, names = Path(argv[0]).resolve(), argv[1:]
+    if scratch == ROOT or ROOT in scratch.parents:
+        raise SystemExit("the scratch directory must lie outside the repository")
+    known = {m.name for m in MUTANTS}
+    unknown = sorted(set(names) - known)
+    if unknown:
+        raise SystemExit(f"unknown mutants {unknown}; known: {sorted(known)}")
+    scratch.mkdir(parents=True, exist_ok=True)
+    survivors = 0
+    for m in MUTANTS:
+        if names and m.name not in names:
+            continue
+        failed, secs = run(m, scratch)
+        survivors += failed is None and not m.equivalent
+        print(f"{m.name:20s} {'equivalent, ' if m.equivalent else ''}"
+              f"{'survived' if failed is None else 'killed by ' + failed} ({secs:.1f} s)",
+              flush=True)
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
