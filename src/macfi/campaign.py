@@ -2,12 +2,14 @@
 
 Reproducibility contract: every run's fault map comes from a seed derived as
 derive_seed(master, k, value, rep), for a sweep's whole job grid in one uint64
-pass. A campaign builds all of its maps in job order and evaluates them in one
-evaluate_accuracy call (batched in macarray.batch_logits). In a sweep, equal
-maps (the same bytes in all four kernel arrays) form one class: the class's
-first map is evaluated and digested once, in order of first appearance, and its
-accuracy, drop and digest are scattered back to every job of the class, so
-records equal those of evaluating every map alone. A drop is baseline minus
+pass. A campaign builds all of its maps in job order as one FaultTable, rows
+of four (runs, units * lanes) kernel blocks, and evaluates them in one
+evaluate_accuracy call (batched in macarray.batch_logits, which reads the
+blocks). In a sweep, equal maps (the same bytes in all four blocks) form one
+class: the class's first map is evaluated and digested once, in order of first
+appearance, and its accuracy, drop and digest are scattered back to every job
+of the class, so records equal those of evaluating every map alone. Digests
+are made in one pass over the distinct maps' table. A drop is baseline minus
 accuracy. A campaign's integers are ints or numpy integers, never bools, and
 its k values and error values are distinct. A sweep or heatmap whose grid is
 empty, or whose runs would not fit in host memory, is refused before any seed
@@ -36,6 +38,7 @@ from .faultctl import (
     LANE_VALUE_MAX,
     LANE_VALUE_MIN,
     FaultMap,
+    FaultTable,
     derive_seed,
     fault_for_error_value,
     fault_map_rows,
@@ -178,15 +181,15 @@ def evaluate_accuracy(plan: ExecutionPlan, dataset: Dataset, indices,
     """Fraction of slice samples whose argmax class matches the label.
 
     ``faults`` is None (fault-free) or one FaultMap, giving one float, or a
-    sequence of FaultMaps, giving one float per map in order; a sequence is
-    evaluated together by macarray.batch_logits.
+    sequence of FaultMaps, such as a FaultTable, giving one float per map
+    in order; a sequence is evaluated together by macarray.batch_logits.
     """
     if dataset.scale != plan.input_scale:
         raise ShapeError(f"input scale {dataset.scale!r} does not match plan {plan.input_scale!r}")
     single = faults is None or isinstance(faults, FaultMap)
     if faults is None:
         faults = FaultMap(plan.cfg.units, plan.cfg.lanes)
-    maps = [faults] if single else list(faults)
+    maps = [faults] if single else faults
     idx = np.asarray(indices, dtype=np.intp)
     logits = batch_logits(plan, dataset.samples[idx], maps)
     # argmax picks the smallest index attaining the maximum, as classify_argmax does.
@@ -203,9 +206,10 @@ def _check_workers(workers: int | None):
 
 
 # Bytes a campaign holds per run at its peak for its job grid, seeds, fault
-# maps, class keys and records, whatever the plan: tracemalloc peaks of desk
+# table, class keys and records, whatever the plan: tracemalloc peaks of desk
 # and wide-model sweeps, less _run_bytes' other terms, read at most 5.9 KB a
-# run at 2000 runs and at most 5.4 KB a run between 500 and 2000 runs.
+# run at 2000 runs and at most 5.4 KB a run between 500 and 2000 runs with a
+# FaultMap per run; with one fault table, desk reads 4.9 and 3.5 KB.
 _RUN_BYTES = 8 << 10
 
 
@@ -228,15 +232,15 @@ def _check_grid(kind: str, runs: int, plan: ExecutionPlan, idx: range):
         raise OutOfRange(f"a {kind} of {runs} runs cannot fit in host memory")
 
 
-def _campaign(kind: str, jobs, job_class, distinct: list[FaultMap], plan: ExecutionPlan,
+def _campaign(kind: str, jobs, job_class, distinct: FaultTable, plan: ExecutionPlan,
               dataset: Dataset, idx: range) -> list[RunRecord]:
     """Evaluates the baseline, then all distinct maps in one call; returns the
     sorted records: the baseline's, and one per job from its (k, value, unit,
-    lane, rep, seed) and its class's index into distinct."""
+    lane, rep, seed) and its class's row in distinct."""
     baseline = evaluate_accuracy(plan, dataset, idx)
     accs = evaluate_accuracy(plan, dataset, idx, distinct)
-    digests = [fmap.digest() for fmap in distinct]
-    records = [RunRecord(kind, k, v, u, l, r, seed, accs[c], baseline - accs[c], digests[c])
+    classes = list(zip(accs, [baseline - a for a in accs], distinct.digests()))
+    records = [RunRecord(kind, k, v, u, l, r, seed, *classes[c])
                for (k, v, u, l, r, seed), c in zip(jobs, job_class)]
     records.append(RunRecord("baseline", 0, 0, -1, -1, 0, 0, baseline, 0.0,
                              FaultMap(plan.cfg.units, plan.cfg.lanes).digest()))
@@ -275,16 +279,10 @@ def run_fault_sweep(spec: SweepSpec, plan: ExecutionPlan, dataset: Dataset,
     maps = sample_random_fault_maps([k for k, _, _ in grid], [templates[v] for _, v, _ in grid],
                                     seeds, cfg.units, cfg.lanes)
     # Equal maps form one class: its first map is evaluated and digested once.
-    classes: dict[bytes, int] = {}
-    job_class, distinct = [], []
-    for fmap in maps:
-        key = b"".join(a.tobytes() for a in fmap.to_arrays())
-        if key not in classes:
-            classes[key] = len(distinct)
-            distinct.append(fmap)
-        job_class.append(classes[key])
+    first, job_class = maps.classes()
     jobs = ((k, v, -1, -1, r, seed) for (k, v, r), seed in zip(grid, seeds))
-    return _result(_campaign("sweep", jobs, job_class, distinct, plan, dataset, idx))
+    return _result(_campaign("sweep", jobs, job_class.tolist(), maps.take(first), plan,
+                             dataset, idx))
 
 
 def run_heatmap(values, plan: ExecutionPlan, dataset: Dataset,
@@ -312,21 +310,23 @@ def run_heatmap(values, plan: ExecutionPlan, dataset: Dataset,
 # ---------------------------------------------------------------------------
 
 def results_to_csv(result: CampaignResult) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(RESULTS_HEADER)
-    for rec in result.records:
-        w.writerow(rec.csv_row())
-    return buf.getvalue()
+    """The results CSV, as csv.writer with "\n" line ends writes it: no field
+    of a record needs quoting (kinds are words, the rest ints and float reprs)."""
+    return "".join([",".join(row) + "\n"
+                    for row in (RESULTS_HEADER, *(rec.csv_row() for rec in result.records))])
 
 
 def parse_results_csv(text: str) -> CampaignResult:
     """The campaign result of a results CSV; a malformed row is a
-    SchemaError naming its line."""
+    SchemaError naming its line, and so is a row that contradicts another:
+    a second baseline row, a repeated (kind, k, value, unit, lane, rep)
+    key, or, once every row is read, a drop that is not exactly the
+    baseline's accuracy minus the row's (campaigns write both by repr)."""
     reader = csv.reader(io.StringIO(text))
     if next(reader, None) != RESULTS_HEADER:
         raise SchemaError("results CSV missing header row")
-    records = []
+    records, line_of = [], {}  # sort key -> its line
+    baseline_line = None
     for row in reader:
         where = f"results CSV line {reader.line_num}"
         if len(row) != len(RESULTS_HEADER):
@@ -340,8 +340,22 @@ def parse_results_csv(text: str) -> CampaignResult:
             raise SchemaError(f"{where}: {exc}") from exc
         if kind == "heatmap" and min(rec.unit, rec.lane) < 0:  # indices into its grid
             raise SchemaError(f"{where}: heatmap unit {rec.unit} or lane {rec.lane} is negative")
+        if kind == "baseline":
+            if baseline_line is not None:
+                raise SchemaError(f"{where}: a second baseline row (the first is on line "
+                                  f"{baseline_line})")
+            baseline_line = reader.line_num
+        line = line_of.setdefault(rec.sort_key(), reader.line_num)
+        if line != reader.line_num:
+            raise SchemaError(f"{where}: {kind} (k, value, unit, lane, rep) "
+                              f"{rec.sort_key()[1:]} repeats line {line}")
         records.append(rec)
-    return _result(records)
+    result = _result(records)
+    for rec in records if baseline_line is not None else ():
+        if rec.drop != result.baseline - rec.accuracy:
+            raise SchemaError(f"results CSV line {line_of[rec.sort_key()]}: drop {rec.drop!r} "
+                              f"is not baseline {result.baseline!r} - accuracy {rec.accuracy!r}")
+    return result
 
 
 def summary_to_csv(groups: dict[tuple[int, int], dict[str, float]]) -> str:

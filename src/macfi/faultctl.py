@@ -5,7 +5,8 @@ are ``state += 0x9E3779B97F4A7C15; output = mix(state)`` with the standard
 finalizer, bounded integers use modulo rejection, and lane subsets come
 from a partial Fisher-Yates shuffle; sample_random_fault_maps runs many
 seeds' streams in one uint64 pass, with the same lanes as the per-seed
-definition. FaultMaps store the kernels' arrays and lend read-only views.
+definition, into one FaultTable. FaultMaps store the kernels' arrays and
+lend read-only views; a FaultTable stores R maps as one block per array.
 This must never be changed silently: campaign results are keyed to it.
 """
 
@@ -15,6 +16,7 @@ import functools
 import hashlib
 import operator
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -97,6 +99,25 @@ def _cell_names(units: int, lanes: int) -> tuple[str, ...]:
     return tuple(f"{u},{l}," for u in range(units) for l in range(lanes))
 
 
+def _spec_texts(units: int, lanes: int, mode, value, start, length) -> list[str]:
+    """The spec text of every row of (R, units * lanes) kernel blocks, in one
+    pass over their non-none cells (row-major, so each row's in cell order)."""
+    on = mode != 0
+    names = _cell_names(units, lanes)
+    lines = [names[i] + "zero\n" if m == 1
+             else f"{names[i]}const,{v}\n" if m == 2
+             else f"{names[i]}pulse,{v},{s},{n}\n"
+             for i, m, v, s, n in zip(np.nonzero(on)[1].tolist(), mode[on].tolist(),
+                                      value[on].tolist(), start[on].tolist(),
+                                      length[on].tolist())]
+    ends = np.count_nonzero(on, axis=1).cumsum().tolist()
+    return ["".join(lines[a:b]) for a, b in zip([0, *ends], ends)]
+
+
+def _digest(units: int, lanes: int, spec_text: str) -> str:
+    return hashlib.sha256(f"{units}x{lanes}\n{spec_text}".encode()).hexdigest()[:16]
+
+
 def _read_only(arrays) -> tuple:
     views = tuple(a.view() for a in arrays)
     for view in views:
@@ -112,7 +133,8 @@ class FaultMap:
     (i64); to_arrays() lends read-only views of them, with no copy.
 
     Built once, then treated as immutable: emulators and batch_logits read
-    its arrays without copying them.
+    its arrays without copying them. A map made from a FaultTable row has
+    read-only arrays, so its set raises ValueError.
     """
 
     def __init__(self, units: int = 8, lanes: int = 8):
@@ -162,17 +184,10 @@ class FaultMap:
         return self._views
 
     def to_spec_text(self) -> str:
-        mode, value, start, length = self._arrays
-        idx = np.flatnonzero(mode)
-        names = _cell_names(self.units, self.lanes)
-        return "".join([names[i] + "zero\n" if m == 1
-                        else f"{names[i]}const,{v}\n" if m == 2
-                        else f"{names[i]}pulse,{v},{int(start[i])},{int(length[i])}\n"
-                        for i, m, v in zip(idx.tolist(), mode[idx].tolist(), value[idx].tolist())])
+        return _spec_texts(self.units, self.lanes, *(a[None] for a in self._arrays))[0]
 
     def digest(self) -> str:
-        head = f"{self.units}x{self.lanes}\n"
-        return hashlib.sha256((head + self.to_spec_text()).encode()).hexdigest()[:16]
+        return _digest(self.units, self.lanes, self.to_spec_text())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FaultMap):
@@ -182,6 +197,65 @@ class FaultMap:
             and self.lanes == other.lanes
             and all(map(np.array_equal, self._arrays, other._arrays))
         )
+
+
+_DTYPES = (np.uint8, np.int32, np.int64, np.int64)
+
+
+class FaultTable(Sequence):
+    """R fault maps of one units x lanes grid, stored as the kernels read
+    them: four (R, units * lanes) blocks, mode (u8, MODE_CODE), value (i32),
+    start and length (i64), whose row r holds map r's lane-major arrays.
+
+    Read-only. Indexing or iterating it makes FaultMaps on demand, as
+    read-only views of one row of every block; a slice is a table.
+    """
+
+    def __init__(self, units: int, lanes: int, blocks):
+        self.units = units
+        self.lanes = lanes
+        self.blocks = _read_only(blocks)
+
+    @classmethod
+    def stack(cls, maps, units: int, lanes: int) -> "FaultTable":
+        """The table of a sequence of units x lanes FaultMaps, copied."""
+        arrays = [fmap.to_arrays() for fmap in maps]
+        return cls(units, lanes, tuple(np.array([a[j] for a in arrays], dtype).reshape(
+            len(arrays), units * lanes) for j, dtype in enumerate(_DTYPES)))
+
+    def __len__(self) -> int:
+        return len(self.blocks[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(i)
+        rows = tuple(b[operator.index(i)] for b in self.blocks)
+        return FaultMap.__new__(FaultMap)._adopt(self.units, self.lanes, rows, rows)
+
+    def take(self, rows) -> "FaultTable":
+        """The table of the given rows (an index array or a slice)."""
+        return FaultTable(self.units, self.lanes, tuple(b[rows] for b in self.blocks))
+
+    def classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(first, row_class): rows with the same bytes in all four blocks
+        form one class, and classes are numbered in order of first
+        appearance; first[c] is class c's first row, row_class[r] row r's
+        class. A block that is zero in every row tells no rows apart, so
+        the class keys leave it out (the start and length blocks of a
+        table without pulses, for example)."""
+        mode, *rest = self.blocks
+        rows = np.concatenate([np.ascontiguousarray(b).view(np.uint8)
+                               for b in (mode, *(b for b in rest if b.any()))], axis=1)
+        width, data = rows.shape[1], rows.tobytes()
+        seen: dict[bytes, int] = {}
+        row_class = np.array([seen.setdefault(data[i : i + width], len(seen))
+                              for i in range(0, len(data), width)], dtype=np.intp)
+        return np.unique(row_class, return_index=True)[1], row_class
+
+    def digests(self) -> list[str]:
+        """FaultMap.digest() of every row, in one pass over the table."""
+        return [_digest(self.units, self.lanes, text)
+                for text in _spec_texts(self.units, self.lanes, *self.blocks)]
 
 
 def single_lane_map(unit: int, lane: int, fault: LaneFault, units: int = 8, lanes: int = 8) -> FaultMap:
@@ -387,52 +461,56 @@ def _accepted(draws: np.ndarray, n: np.ndarray) -> np.ndarray:
     return draws <= ~((~n + 1) % n)
 
 
-def sample_random_fault_maps(ks, templates, seeds, units: int = 8, lanes: int = 8) -> list[FaultMap]:
-    """sample_random_fault_map for each (k, template, seed) of the three sequences.
+def sample_random_fault_maps(ks, templates, seeds, units: int = 8, lanes: int = 8) -> FaultTable:
+    """The FaultTable of sample_random_fault_map for each (k, template, seed)
+    of the three sequences.
 
     Draw i = 1, 2, ... of a map is _mix64(seed + i * GOLDEN) modulo the lanes
     left (SplitMix64(seed).bounded's stream), for all maps in one uint64
     pass; the Fisher-Yates swaps then run one step at a time across all maps.
     A map with a rejected draw (odds at most 2^-58 each) redraws through
-    SplitMix64.bounded.
+    SplitMix64.bounded. A full map (k = units * lanes) holds every cell,
+    whatever its draws, so it takes no draw and no swap.
     """
     total = units * lanes
     for k in ks:
         if not 0 <= k <= total:
             raise KTooLarge(f"k={k} outside [0, {total}]")
     ks = np.array(ks, dtype=np.intp).reshape(-1)
-    runs, steps = len(ks), int(ks.max(initial=0))
+    full = ks == total
+    part = np.flatnonzero(~full)  # the maps that draw
+    runs, steps = len(part), int(ks[part].max(initial=0))
     left = np.arange(total, total - steps, -1, dtype=np.uint64)
-    state = (np.fromiter((s & MASK64 for s in seeds), np.uint64, runs)[:, None]
+    state = (np.fromiter((seeds[r] & MASK64 for r in part.tolist()), np.uint64, runs)[:, None]
              + np.arange(1, steps + 1, dtype=np.uint64) * np.uint64(_GOLDEN))
     draws = _mix64(state)
     offset = (draws % left).astype(np.intp)
-    drawn = np.arange(steps) < ks[:, None]
+    drawn = np.arange(steps) < ks[part, None]
     for r in np.flatnonzero((drawn & ~_accepted(draws, left)).any(axis=1)).tolist():
-        rng = SplitMix64(seeds[r])
-        offset[r, :ks[r]] = [rng.bounded(total - i) for i in range(ks[r])]
+        rng = SplitMix64(seeds[part[r]])
+        offset[r, :ks[part[r]]] = [rng.bounded(total - i) for i in range(ks[part[r]])]
     # Flat positions in a (runs, total) permutation block: step i swaps
     # position i of every map with position i + offset of the same map.
     perm = np.tile(np.arange(total), runs)
     pos_i = np.arange(runs) * total + np.arange(steps)[:, None]
     for a, b in zip(pos_i, pos_i + offset.T):
         perm[a], perm[b] = perm[b], perm[a]
-    return fault_map_rows(np.nonzero(drawn)[0], perm.reshape(runs, total)[:, :steps][drawn],
-                          templates, units, lanes)
+    owner = np.concatenate([part[np.nonzero(drawn)[0]], np.repeat(np.flatnonzero(full), total)])
+    cells = np.concatenate([perm.reshape(runs, total)[:, :steps][drawn],
+                            np.tile(np.arange(total), np.count_nonzero(full))])
+    return fault_map_rows(owner, cells, templates, units, lanes)
 
 
-def fault_map_rows(owner, cells, templates, units: int = 8, lanes: int = 8) -> list[FaultMap]:
-    """One FaultMap per template, each a row of one block per kernel array:
-    map owner[i] holds its template on flat cell cells[i] (unit * lanes + lane)."""
+def fault_map_rows(owner, cells, templates, units: int = 8, lanes: int = 8) -> FaultTable:
+    """The FaultTable of one map per template: map owner[i] holds its
+    template on flat cell cells[i] (unit * lanes + lane)."""
     runs, total = len(templates), units * lanes
     fields = np.array([(MODE_CODE[t.mode], t.value, t.start, t.length) for t in templates],
                       dtype=np.int64).reshape(runs, 4)
-    blocks = tuple(np.zeros((runs, total), dt) for dt in (np.uint8, np.int32, np.int64, np.int64))
+    blocks = tuple(np.zeros((runs, total), dt) for dt in _DTYPES)
     for block, field in zip(blocks, fields.T):
         block.reshape(-1)[owner * total + cells] = field[owner]
-    # Each map owns one row of every block; rows of read-only views are read-only.
-    return [FaultMap.__new__(FaultMap)._adopt(units, lanes, rows[:4], rows[4:])
-            for rows in zip(*blocks, *_read_only(blocks))]
+    return FaultTable(units, lanes, blocks)
 
 
 def sample_random_fault_map(k: int, template: LaneFault, seed: int,

@@ -47,11 +47,13 @@ them gets every run's accumulators by one GEMM over their lane partials.
 Its output, and relu, maxpool and gavgpool of it, differ from golden only
 on the faulted units' channels, which each run carries as a slab beside
 the golden tensor, unless a run of its block faults every channel (then
-the block is dense). Every value is channel-major, a dense one laid out as
-a slab holding all channels, so one reader serves a MAC layer reading
-either: it recomputes a slab's channels over per-channel partials of the
-golden input, and all channels of a dense value. Samples and runs are
-tiled so that one tile's floating-point temporaries stay in BATCH_BYTES.
+the block is dense; when every run of the call does, the value is dense
+and has no golden tensor). Every value is channel-major, a dense one laid
+out as a slab holding all channels, so one reader serves a MAC layer
+reading either: it recomputes a slab's channels over per-channel partials
+of the golden input, and all channels of a dense value. Samples and runs
+are tiled so that one tile's floating-point temporaries stay in
+BATCH_BYTES.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ import numpy as np
 
 from . import _kernel_py
 from .errors import EmptyLogits, SchemaError, ShapeError
-from .faultctl import MODE_CODE, NO_FAULT, FaultMap, FaultMode, LaneFault
+from .faultctl import MODE_CODE, NO_FAULT, FaultMap, FaultMode, FaultTable, LaneFault
 from .model import INPUT_ID
 from .planner import ExecutionPlan, LayerProgram
 from .qtensor import (ACC_MAX, PRODUCT_MAX, QTensor, array_layer, ref_execute_layer,
@@ -194,8 +196,8 @@ class Emulator:
         # every padded tap: None when traced, or when the map has a pulse or
         # could saturate a partial sum.
         self._closed: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
-        if not trace:
-            keep, forced, fast = _fast_runs(plan, [self.faults])
+        if not trace:  # the map as a one-row table
+            keep, forced, fast = _fast_runs(plan, self._farr[0][None], self._farr[1][None])
             if fast[0]:
                 self._closed = {
                     prog.layer.id: (*_layer_form(prog, cfg, keep, forced),
@@ -276,9 +278,10 @@ class Emulator:
 
 
 def batch_logits(plan: ExecutionPlan, samples, fault_maps) -> np.ndarray:
-    """int8 logits (R, S, classes) of R fault maps over int8 samples
-    (S, C, H, W) in the plan's input scale; [r, s] equals
-    ``Emulator(plan, fault_maps[r]).run`` on sample s bit for bit.
+    """int8 logits (R, S, classes) of R fault maps, a FaultTable or a
+    sequence of FaultMaps, over int8 samples (S, C, H, W) in the plan's
+    input scale; [r, s] equals ``Emulator(plan, fault_maps[r]).run`` on
+    sample s bit for bit.
 
     Runs with a pulse, or whose closed form could saturate a partial sum,
     take the per-step kernel sample by sample; the others are evaluated
@@ -288,12 +291,17 @@ def batch_logits(plan: ExecutionPlan, samples, fault_maps) -> np.ndarray:
     samples = to_int8(samples, "samples")
     if samples.shape[1:] != plan.input_shape:
         raise ShapeError(f"sample dims {samples.shape[1:]} do not match plan {plan.input_shape}")
+    cfg = plan.cfg
+    if not isinstance(fault_maps, FaultTable):
+        fault_maps = list(fault_maps)
+        for fmap in fault_maps:
+            _check_geometry(fmap, cfg)
+        fault_maps = FaultTable.stack(fault_maps, cfg.units, cfg.lanes)
+    _check_geometry(fault_maps, cfg)
     out = np.empty((len(fault_maps), len(samples), plan.classes), dtype=np.int8)
     if not len(fault_maps):
         return out
-    for fmap in fault_maps:
-        _check_geometry(fmap, plan.cfg)
-    keep, forced, fast = _fast_runs(plan, fault_maps)
+    keep, forced, fast = _fast_runs(plan, *fault_maps.blocks[:2])
     for r in np.flatnonzero(~fast):  # the per-step fallback, one sample at a time
         emu = Emulator(plan, fault_maps[r])
         for s, x in enumerate(samples):
@@ -303,22 +311,23 @@ def batch_logits(plan: ExecutionPlan, samples, fault_maps) -> np.ndarray:
     return out
 
 
-def _check_geometry(fmap: FaultMap, cfg) -> None:
+def _check_geometry(fmap: FaultMap | FaultTable, cfg) -> None:
     if (fmap.units, fmap.lanes) != (cfg.units, cfg.lanes):
         raise ShapeError(f"fault map is {fmap.units}x{fmap.lanes}, "
                          f"array is {cfg.units}x{cfg.lanes}")
 
 
-def _fast_runs(plan: ExecutionPlan, fault_maps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(keep, forced, fast) of R fault maps: bool (R, units, lanes), whether
-    a lane passes its products; int64 (R, units, lanes), the value a faulted
-    lane forces instead (0 for stuck-at-0 and for a clean lane); bool (R,),
-    whether the run has the closed form: no pulse, and no partial sum of
-    any MAC layer can saturate."""
+def _fast_runs(plan: ExecutionPlan, mode: np.ndarray,
+               value: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(keep, forced, fast) of R fault maps, given as the mode and value
+    blocks (R, units * lanes) of their FaultTable: bool (R, units, lanes),
+    whether a lane passes its products; int64 (R, units, lanes), the value a
+    faulted lane forces instead (0 for stuck-at-0 and for a clean lane);
+    bool (R,), whether the run has the closed form: no pulse, and no partial
+    sum of any MAC layer can saturate."""
     cfg = plan.cfg
-    modes, values = zip(*(fmap.to_arrays()[:2] for fmap in fault_maps))
-    mode = np.stack(modes).reshape(-1, cfg.units, cfg.lanes)
-    value = np.stack(values).reshape(mode.shape)
+    mode = mode.reshape(-1, cfg.units, cfg.lanes)
+    value = value.reshape(mode.shape)
     keep = mode == 0
     forced = np.where(mode == 2, value, 0).astype(np.int64)  # stuck-at-0 forces 0
     # Largest |lane sum| of one micro-op on any unit, per run.
@@ -424,7 +433,10 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
     per sample block, grouped by lane for a free value and by channel for a
     slab. Reading a free value, golden is sum_g P + bias, and one GEMM per
     run block gives keep_r @ P + const_r on every channel, of which a slab
-    keeps ch_r; a block whose d is Cout keeps all, dense. Reading a slab or
+    keeps ch_r; a block whose d is Cout keeps all, dense. When every run of
+    the call faults every channel, the layer's output is dense from the
+    start: no golden tensor is built for it or for the values it feeds,
+    and no partials for the MAC layer reading it. Reading a slab or
     a dense value (whichever its block holds), one reader (_mac_runs) takes
     (keep_r with ch_r zeroed) @ P + (W * keep_r)[:, ch_r] @ im2col(x_r) +
     const_r over the channels ch_r the value holds: all Cin, with no P
@@ -462,9 +474,13 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
         groups = min(cin, cfg.lanes) if src == "free" else cin
         op_keep = layer_keep[..., :groups]  # (R, Cout, G)
         if src == "free":  # d counts its own faulted channels, else its input's
-            widths[layer.id] = max(1, int((~op_keep.all(axis=2)).sum(axis=1).max()))
-        d = widths.get(layer.id if src == "free" else layer.inputs[0], cin)
-        kind_of[layer.id] = "slab" if src == "free" else "dense"
+            dirty = (~op_keep.all(axis=2)).sum(axis=1)
+            d = max(1, int(dirty.max()))
+            if dirty.min() < cout:  # else every run faults every channel: dense
+                widths[layer.id] = d
+        else:
+            d = widths.get(layer.inputs[0], cin)
+        kind_of[layer.id] = "slab" if layer.id in widths else "dense"
         ops[layer.id] = _MacOperands(prog, w.astype(dtype), op_keep, const.astype(dtype))
         # Bytes per sample (shared: kept through the block's runs; cols: im2col
         # columns of a partials build, Cin padded to a multiple of G), per
@@ -472,8 +488,8 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
         if src != "dense":
             shared_bytes += isz * cout * groups * hw
             cols_bytes = max(cols_bytes, isz * -(-cin // groups) * groups * kk * hw)
-        if src == "free":  # golden; per pair all Cout, then d gathered (acc_isz: + copy)
-            shared_bytes += acc_isz * cout * hw
+        if src == "free":  # a slab's golden; per pair all Cout, then d gathered (+ copy)
+            shared_bytes += acc_isz * cout * hw if layer.id in widths else 0
             pair_bytes.append((isz * cout + acc_isz * d) * hw)
             run_bytes.append(isz * cout * groups)  # keep
             continue
@@ -519,7 +535,7 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
                         xs = [_dense(run_env[i]) for i in layer.inputs]
                         y = array_layer(layer, _broadcast_runs(xs))
                 elif kind_of[layer.inputs[0]] == "free":
-                    y = _mac_slab(op, partials[layer.id], env[layer.id], r0, rb)
+                    y = _mac_slab(op, partials[layer.id], env.get(layer.id), r0, rb)
                 else:
                     y = _mac_runs(op, x, r0, rb, partials.get(layer.id))
                 run_env[layer.id] = y

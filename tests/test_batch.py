@@ -495,6 +495,33 @@ def test_partials_built_once_per_sample_block(desk_plan, desk_dataset, blocks, m
     assert all(np.array_equal(x, samples[s : s + 1]) for s, x in enumerate(built))
 
 
+def test_layer_faulted_on_every_channel_is_dense_from_the_start(desk_plan, desk_dataset,
+                                                                 monkeypatch):
+    # Every run faults every unit, so conv1's output is dense in every run
+    # block: no golden tensor is built for it and the values it feeds, and
+    # conv2 builds no partials of one. A clean run keeps conv1 a slab.
+    built = []
+    real = macarray._partials
+    monkeypatch.setattr(macarray, "_partials",
+                        lambda op, x: built.append(op.prog.layer.id) or real(op, x))
+    lane0 = FaultMap()
+    for unit in range(8):
+        lane0.set(unit, 0, LaneFault.constant(-9 * unit))
+    maps = [sample_random_fault_map(64, fault_for_error_value(v), 3, 8, 8)
+            for v in (0, 1, -131072)] + [lane0]
+    samples = desk_dataset.samples[:5]
+    got = batch_logits(desk_plan, samples, maps)
+    assert built == ["conv1"]
+    for r, fmap in enumerate(maps):
+        emu = Emulator(desk_plan, fmap)
+        for s, x in enumerate(samples):
+            assert np.array_equal(got[r, s], emu.run(QTensor(x, desk_plan.input_scale)).logits)
+    assert np.array_equal(got, np.stack([_per_sample(desk_plan, m, samples) for m in maps]))
+    built.clear()
+    assert np.array_equal(batch_logits(desk_plan, samples, maps + [FaultMap()])[:-1], got)
+    assert built == ["conv1", "conv2"]
+
+
 @pytest.mark.parametrize("campaign", ["heatmap", "sweep"])
 def test_results_csv_independent_of_workers_and_blocks(desk_plan, desk_dataset, monkeypatch,
                                                        campaign):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import time
 import tracemalloc
 
@@ -230,6 +232,22 @@ class TestSweep:
             assert peaks[large] <= large * per_run, (campaign.__name__, peaks, per_run)
             assert peaks[large] - peaks[small] <= (large - small) * per_run, \
                 (campaign.__name__, peaks, per_run)
+
+    def test_builds_no_fault_map_per_job(self, desk_plan, desk_dataset, monkeypatch):
+        # A sweep's maps stay rows of one fault table from sampling to
+        # digests: the only FaultMaps are the baseline's empty ones, and
+        # only the baseline's map lends its kernel arrays.
+        made, lent = [], []
+        adopt, to_arrays = FaultMap._adopt, FaultMap.to_arrays
+        monkeypatch.setattr(FaultMap, "_adopt", lambda m, *a: made.append(a) or adopt(m, *a))
+        monkeypatch.setattr(FaultMap, "to_arrays", lambda m: lent.append(m) or to_arrays(m))
+        for reps in (1, 10):
+            made.clear(), lent.clear()
+            spec = SweepSpec((1, 4, 16, 64), (0, 1, -1, 131071), reps, master_seed=7,
+                             slice_count=8)
+            res = run_fault_sweep(spec, desk_plan, desk_dataset)
+            assert len(res.records) == 16 * reps + 1
+            assert (len(made), len(lent)) == (2, 1), reps
 
     @pytest.mark.parametrize("spare, refused", [(-1, True), (0, False)])
     def test_host_memory_edge(self, cin4_plan, cin4_dataset, monkeypatch, spare, refused):
@@ -479,6 +497,72 @@ class TestCsvRoundTrip:
         text = ",".join(RESULTS_HEADER) + "\nbaseline,0,0,-1,-1,0,0,0.5,0.0\n" + row + "\n"
         with pytest.raises(SchemaError, match=f"^results CSV line 3: {reason}"):
             parse_results_csv(text)
+
+
+    @staticmethod
+    def _text(*rows) -> str:
+        return ",".join(RESULTS_HEADER) + "\n" + "".join(row + "\n" for row in rows)
+
+    def test_second_baseline_row(self):
+        # It parsed, and the first baseline row's accuracy became the baseline.
+        text = self._text("baseline,0,0,-1,-1,0,0,0.5,0.0", "sweep,1,0,-1,-1,0,5,0.25,0.25",
+                          "baseline,0,0,-1,-1,0,0,0.75,0.0")
+        with pytest.raises(SchemaError, match=r"^results CSV line 4: a second baseline row "
+                                              r"\(the first is on line 2\)"):
+            parse_results_csv(text)
+
+    @pytest.mark.parametrize("first, again", [
+        ("sweep,1,0,-1,-1,0,5,0.25,0.25", "sweep,1,0,-1,-1,0,6,0.5,0.0"),
+        ("heatmap,1,7,2,3,0,0,0.25,0.25", "heatmap,1,7,2,3,0,0,0.25,0.25"),
+    ], ids=["sweep", "heatmap"])
+    def test_repeated_run_key(self, first, again):
+        # Both copies parsed: a sweep group of two drops, a heatmap cell
+        # written twice. The seed is not part of the key.
+        kind, k, value, unit, lane, rep = first.split(",")[:6]
+        text = self._text("baseline,0,0,-1,-1,0,0,0.5,0.0", first, "sweep,4,0,-1,-1,0,1,0.5,0.0",
+                          again)
+        with pytest.raises(SchemaError, match=rf"^results CSV line 5: {kind} \(k, value, unit, "
+                                              rf"lane, rep\) \({k}, {value}, {unit}, {lane}, "
+                                              rf"{rep}\) repeats line 3"):
+            parse_results_csv(text)
+
+    @pytest.mark.parametrize("baseline_first", [True, False])
+    def test_drop_must_be_baseline_minus_accuracy(self, baseline_first):
+        # Exact: 0.3 - 0.1 is 0.19999999999999998, and a drop of 0.2 is
+        # refused wherever the baseline row stands; it parsed silently.
+        base = "baseline,0,0,-1,-1,0,0,0.3,0.0"
+        good, bad = "sweep,1,0,-1,-1,0,5,0.1,0.19999999999999998", "sweep,1,0,-1,-1,1,6,0.1,0.2"
+        rows = [base, good, bad] if baseline_first else [good, bad, base]
+        line = 4 if baseline_first else 3
+        with pytest.raises(SchemaError, match=rf"^results CSV line {line}: drop 0.2 is not "
+                                              r"baseline 0.3 - accuracy 0.1$"):
+            parse_results_csv(self._text(*rows))
+        back = parse_results_csv(self._text(*(r for r in rows if r != bad)))
+        assert sorted(r.drop for r in back.records) == [0.0, 0.3 - 0.1]
+
+    def test_campaign_csvs_round_trip(self, desk_plan, desk_dataset):
+        spec = SweepSpec((1, 8, 64), (0, -1, 131071), 4, master_seed=3, slice_count=7)
+        for res in (run_fault_sweep(spec, desk_plan, desk_dataset),
+                    run_heatmap([0, 131071], desk_plan, desk_dataset, slice_count=7)):
+            text = results_to_csv(res)
+            back = parse_results_csv(text)
+            assert results_to_csv(back) == text
+            assert [r.csv_row() for r in back.records] == [r.csv_row() for r in res.records]
+            assert back.baseline == res.baseline and back.groups == res.groups
+            assert len({r.drop for r in back.records}) > 2  # runs are told apart
+
+    def test_results_csv_is_csv_writer_output(self, cin4_plan, cin4_dataset):
+        spec = SweepSpec((1, 8), (0, -1), 3, master_seed=4, slice_count=3)
+        edge = [RunRecord("sweep", 2, -131072, -1, -1, 7, 2**64 - 1, x, -x)
+                for x in (-0.0, 1e-300, 1 / 3, float("inf"), float("nan"))]
+        for res in (run_fault_sweep(spec, cin4_plan, cin4_dataset),
+                    run_heatmap([0, 3], cin4_plan, cin4_dataset, slice_count=3),
+                    CampaignResult(0.5, edge)):
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(RESULTS_HEADER)
+            writer.writerows(rec.csv_row() for rec in res.records)
+            assert results_to_csv(res) == buf.getvalue()
 
 
 class TestEvaluateAccuracy:

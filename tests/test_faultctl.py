@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import functools
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from macfi.errors import KTooLarge, OutOfRange, SchemaError, UnmappedAddress
 from macfi.faultctl import (
     LANE_VALUE_MAX,
     LANE_VALUE_MIN,
+    MODE_CODE,
     REG_FI_CTRL,
     REG_FI_GLOBAL_ENABLE,
     REG_FI_INDEX,
@@ -18,11 +22,13 @@ from macfi.faultctl import (
     REG_FI_VALUE,
     FaultMap,
     FaultMode,
+    FaultTable,
     FiRegisterFile,
     LaneFault,
     SplitMix64,
     derive_seed,
     fault_for_error_value,
+    fault_map_rows,
     materialize,
     parse_fault_spec,
     sample_random_fault_map,
@@ -30,7 +36,11 @@ from macfi.faultctl import (
     single_lane_map,
 )
 
-from helpers import scalar_fault_map
+from macfi.macarray import batch_logits
+from macfi.model import LayerSpec, ModelGraph
+from macfi.planner import ArrayConfig, plan_model
+
+from helpers import mac_layer, scalar_fault_map
 
 
 class TestLaneFault:
@@ -346,7 +356,7 @@ class TestSampling:
                                        [seed for _, seed, _ in runs], units, lanes)
         want = [scalar_fault_map(k, t, seed, units, lanes)
                 for (k, seed, _), t in zip(runs, templates)]
-        assert got == want
+        assert list(got) == want
         assert [m.digest() for m in got] == [m.digest() for m in want]
 
     def test_acceptance_rule_at_the_limit(self):
@@ -377,14 +387,151 @@ class TestSampling:
         got = sample_random_fault_maps(ks, templates, seeds)
         assert bounded_calls == [64 - i for i in range(7)]  # only the rejected map redraws
         monkeypatch.setattr(SplitMix64, "bounded", real_bounded)
-        assert got == [scalar_fault_map(k, t, s) for k, t, s in zip(ks, templates, seeds)]
+        assert list(got) == [scalar_fault_map(k, t, s) for k, t, s in zip(ks, templates, seeds)]
 
     def test_batched_checks_every_k(self):
         with pytest.raises(KTooLarge):
             sample_random_fault_maps([1, 65], [LaneFault.stuck_zero()] * 2, [1, 2])
         with pytest.raises(KTooLarge):
             sample_random_fault_maps([-1], [LaneFault.stuck_zero()], [1])
-        assert sample_random_fault_maps([], [], []) == []
+        assert list(sample_random_fault_maps([], [], [])) == []
+
+
+    @pytest.mark.parametrize("units, lanes", [(8, 8), (3, 5)])
+    def test_full_maps_take_no_draw(self, monkeypatch, units, lanes):
+        # Every draw is rejected, so each map that draws redraws through
+        # SplitMix64.bounded; a full map holds every cell whatever its
+        # draws, so it takes none and is the scalar reference's map. One
+        # cell short of full is a drawn map like any other.
+        total = units * lanes
+        real_bounded = SplitMix64.bounded
+        bounded_calls = []
+
+        def counting_bounded(rng, n):
+            bounded_calls.append(n)
+            return real_bounded(rng, n)
+
+        monkeypatch.setattr(faultctl, "_accepted", lambda draws, n: np.zeros(draws.shape, bool))
+        monkeypatch.setattr(SplitMix64, "bounded", counting_bounded)
+        ks, seeds = [total, total - 1, 2, total], [11, 2**64 - 3, 12, 5]
+        templates = [LaneFault.stuck_zero(), LaneFault.constant(-4), LaneFault.constant(9),
+                     LaneFault.constant(131071)]
+        got = sample_random_fault_maps(ks, templates, seeds, units, lanes)
+        assert bounded_calls == [total - i for i in range(total - 1)] + [total, total - 1]
+        monkeypatch.setattr(SplitMix64, "bounded", real_bounded)
+        assert list(got) == [scalar_fault_map(k, t, s, units, lanes)
+                             for k, t, s in zip(ks, templates, seeds)]
+        assert [len(list(m.cells())) for m in got] == ks
+        assert list(sample_random_fault_maps([total], templates[:1], [0], units, lanes)) \
+            == [scalar_fault_map(total, templates[0], 0, units, lanes)]
+
+
+_GRIDS = [(8, 8), (3, 5), (8, 2)]
+_FAULTS = st.one_of(
+    st.just(LaneFault()),
+    st.just(LaneFault.stuck_zero()),
+    st.builds(LaneFault.constant, st.integers(LANE_VALUE_MIN, LANE_VALUE_MAX)),
+    st.builds(LaneFault.pulse, st.integers(LANE_VALUE_MIN, LANE_VALUE_MAX),
+              st.integers(0, 40) | st.integers(0, 2**40), st.integers(1, 40)),
+)
+
+
+@st.composite
+def _table_rows(draw):
+    """(units, lanes, rows): each row a {flat cell: LaneFault} dict, drawn
+    from a few distinct ones so that rows repeat."""
+    units, lanes = draw(st.sampled_from(_GRIDS))
+    cells = st.dictionaries(st.integers(0, units * lanes - 1), _FAULTS, max_size=units * lanes)
+    base = draw(st.lists(cells, min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), max_size=7))
+    return units, lanes, [base[i] for i in picks]
+
+
+def _spec_line(cell: int, lanes: int, f: LaneFault) -> str:
+    head = f"{cell // lanes},{cell % lanes},"
+    if f.mode is FaultMode.STUCK_ZERO:
+        return head + "zero\n"
+    if f.mode is FaultMode.CONSTANT:
+        return f"{head}const,{f.value}\n"
+    return f"{head}pulse,{f.value},{f.start},{f.length}\n"
+
+
+@functools.cache
+def _grid_plan(units: int, lanes: int):
+    """A conv/relu/gavgpool/fc model on a 3 x 4 x 4 input, planned on the grid."""
+    rng = np.random.default_rng(units * 10 + lanes)
+    layers = [mac_layer(rng, "conv", "conv", "input", 3, 5, 3, pad=1),
+              LayerSpec(id="relu", kind="relu", inputs=["conv"]),
+              LayerSpec(id="gap", kind="gavgpool", inputs=["relu"]),
+              mac_layer(rng, "fc", "fc", "gap", 5, 4, 1)]
+    g = ModelGraph(layers, (3, 4, 4), 2.0 ** -6, "fc", 4)
+    samples = rng.integers(-128, 128, size=(2, 3, 4, 4)).astype(np.int8)
+    return plan_model(g, ArrayConfig(units, lanes)), samples
+
+
+class TestFaultTable:
+    @given(_table_rows())
+    @settings(max_examples=40, deadline=None)
+    def test_rows_digests_classes_and_logits(self, drawn):
+        units, lanes, rows = drawn
+        blocks = [np.zeros((len(rows), units * lanes), dt)
+                  for dt in (np.uint8, np.int32, np.int64, np.int64)]
+        want = []
+        for r, cells in enumerate(rows):
+            fmap = FaultMap(units, lanes)
+            for cell, f in cells.items():
+                fmap.set(*divmod(cell, lanes), f)
+                for block, x in zip(blocks, (MODE_CODE[f.mode], f.value, f.start, f.length)):
+                    block[r, cell] = x
+            want.append(fmap)
+        table = FaultTable(units, lanes, blocks)
+        # Row views equal the maps built cell by cell, and are read-only.
+        assert len(table) == len(want) and list(table) == want
+        for fmap in table:
+            assert (fmap.units, fmap.lanes) == (units, lanes)
+            arrays = fmap.to_arrays()
+            assert [a.dtype for a in arrays] == [np.uint8, np.int32, np.int64, np.int64]
+            assert not any(a.flags.writeable for a in arrays)
+            with pytest.raises(ValueError):
+                fmap.set(0, 0, LaneFault.stuck_zero())
+        assert list(table[1:]) == want[1:]
+        if want:
+            assert table[-1] == want[-1]
+        with pytest.raises(IndexError):
+            table[len(want)]
+        # Digests are FaultMap.digest(), the hash of the grid and spec text.
+        expected = [hashlib.sha256((f"{units}x{lanes}\n" + "".join(
+                        _spec_line(c, lanes, f) for c, f in sorted(cells.items())
+                        if f.mode is not FaultMode.NONE)).encode()).hexdigest()[:16]
+                    for cells in rows]
+        assert table.digests() == [m.digest() for m in want] == expected
+        # Classes group exactly the equal rows, numbered by first appearance.
+        distinct, row_class = [], []
+        for fmap in want:
+            if fmap not in distinct:
+                distinct.append(fmap)
+            row_class.append(distinct.index(fmap))
+        first, got_class = table.classes()
+        assert got_class.tolist() == row_class
+        assert first.tolist() == [row_class.index(c) for c in range(len(distinct))]
+        assert list(table.take(first)) == distinct
+        # A table and a list of its maps evaluate alike.
+        plan, samples = _grid_plan(units, lanes)
+        assert np.array_equal(batch_logits(plan, samples, table),
+                              batch_logits(plan, samples, list(table)))
+        stacked = FaultTable.stack(want, units, lanes)
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                   for a, b in zip(stacked.blocks, table.blocks))
+
+    def test_classes_tell_pulse_windows_apart(self):
+        # Rows equal but for the start or the length block of one pulse.
+        pulses = [LaneFault.pulse(5, 3, 4), LaneFault.pulse(5, 2, 4), LaneFault.pulse(5, 3, 5),
+                  LaneFault.pulse(5, 3, 4)]
+        table = fault_map_rows(np.arange(4), np.full(4, 9), pulses)
+        first, row_class = table.classes()
+        assert row_class.tolist() == [0, 1, 2, 0] and first.tolist() == [0, 1, 2]
+        assert table.digests() == [single_lane_map(1, 1, p).digest() for p in pulses]
+        assert len(set(table.digests())) == 3
 
 
 class TestPrng:

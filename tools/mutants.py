@@ -92,10 +92,35 @@ MUTANTS = [
            "(iy >= 0) & (iy < h)",
            "(iy >= 0) & (iy <= h)",
            ("tests/test_planner.py", "tests/test_macarray.py")),
+    # ... or a tap just before the input's first row or column padding.
+    Mutant("tap-lower-x", "src/macfi/planner.py",
+           "(ix >= 0) & (ix < w)",
+           "(ix > 0) & (ix < w)",
+           ("tests/test_planner.py", "tests/test_macarray.py")),
+    Mutant("tap-lower-y", "src/macfi/planner.py",
+           "(iy >= 0) & (iy < h)",
+           "(iy > 0) & (iy < h)",
+           ("tests/test_planner.py", "tests/test_macarray.py")),
     # Modulo-rejection sampling accepting one draw of the biased tail.
     Mutant("rejection-limit", "src/macfi/faultctl.py",
            "return draws <= ~((~n + 1) % n)",
            "return draws < ~((~n + 1) % n)",
+           ("tests/test_faultctl.py",)),
+    # The full-map shortcut taken one cell short of full.
+    Mutant("full-map-early", "src/macfi/faultctl.py",
+           "full = ks == total",
+           "full = ks >= total - 1",
+           ("tests/test_faultctl.py",)),
+    # Fault-table class keys without the start and length blocks, which
+    # merge pulses with different windows.
+    Mutant("class-key-no-window", "src/macfi/faultctl.py",
+           "for b in (mode, *(b for b in rest if b.any()))",
+           "for b in (mode, *(b for b in rest[:1] if b.any()))",
+           ("tests/test_faultctl.py",)),
+    # The spec text, and so every digest, without a pulse's start.
+    Mutant("digest-no-pulse-start", "src/macfi/faultctl.py",
+           'else f"{names[i]}pulse,{v},{s},{n}\\n"',
+           'else f"{names[i]}pulse,{v},{n}\\n"',
            ("tests/test_faultctl.py",)),
     # The campaign host-memory refusal: loosened 4x, off by one, or skipped
     # by a heatmap.
