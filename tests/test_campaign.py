@@ -498,7 +498,6 @@ class TestCsvRoundTrip:
         with pytest.raises(SchemaError, match=f"^results CSV line 3: {reason}"):
             parse_results_csv(text)
 
-
     @staticmethod
     def _text(*rows) -> str:
         return ",".join(RESULTS_HEADER) + "\n" + "".join(row + "\n" for row in rows)

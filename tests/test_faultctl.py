@@ -396,7 +396,6 @@ class TestSampling:
             sample_random_fault_maps([-1], [LaneFault.stuck_zero()], [1])
         assert list(sample_random_fault_maps([], [], [])) == []
 
-
     @pytest.mark.parametrize("units, lanes", [(8, 8), (3, 5)])
     def test_full_maps_take_no_draw(self, monkeypatch, units, lanes):
         # Every draw is rejected, so each map that draws redraws through
