@@ -43,12 +43,11 @@ from .model import (
     save_model,
 )
 from .planner import ArrayConfig, ExecutionPlan, plan_model, plan_stats
-from .qtensor import AccTensor, QTensor, dequantize, quantize, requantize
+from .qtensor import QTensor, dequantize, quantize, requantize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccTensor",
     "ArrayConfig",
     "CampaignResult",
     "Dataset",

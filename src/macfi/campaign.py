@@ -321,7 +321,8 @@ def parse_results_csv(text: str) -> CampaignResult:
     SchemaError naming its line, and so is a row that contradicts another:
     a second baseline row, a repeated (kind, k, value, unit, lane, rep)
     key, or, once every row is read, a drop that is not exactly the
-    baseline's accuracy minus the row's (campaigns write both by repr)."""
+    baseline's accuracy minus the row's (campaigns write both by repr).
+    Run rows without a baseline row are refused at the first of them."""
     reader = csv.reader(io.StringIO(text))
     if next(reader, None) != RESULTS_HEADER:
         raise SchemaError("results CSV missing header row")
@@ -350,8 +351,11 @@ def parse_results_csv(text: str) -> CampaignResult:
             raise SchemaError(f"{where}: {kind} (k, value, unit, lane, rep) "
                               f"{rec.sort_key()[1:]} repeats line {line}")
         records.append(rec)
+    if records and baseline_line is None:
+        raise SchemaError(f"results CSV line {line_of[records[0].sort_key()]}: a run row, "
+                          "but no baseline row")
     result = _result(records)
-    for rec in records if baseline_line is not None else ():
+    for rec in records:
         if rec.drop != result.baseline - rec.accuracy:
             raise SchemaError(f"results CSV line {line_of[rec.sort_key()]}: drop {rec.drop!r} "
                               f"is not baseline {result.baseline!r} - accuracy {rec.accuracy!r}")

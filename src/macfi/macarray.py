@@ -9,11 +9,11 @@ Two interchangeable kernels execute the packed layer programs one micro-op
 at a time: a hand-written C extension (macfi._kernel) and a pure-Python twin
 (macfi._kernel_py). The extension is used whenever it is built; an install
 without it falls back to the Python kernel, which gives bit-identical results.
-A layer's packed rows are built and index-checked on its first per-step run
+A layer's packed rows are built and index-checked on first read
 (LayerProgram.packed), before either kernel reads an index.
 ``_kernel_py.engaged`` defines the mux over a whole program at once (the C
-kernel is its twin); traced runs take their events from that mask after the
-kernel has run, so tracing adds no execution path.
+kernel is its twin); it reads no activation, so a traced Emulator reads its
+events from that mask once, when built, and tracing adds no execution path.
 
 Under the planner's mapping (output channel o on unit o mod units, input
 channel c on lane c mod lanes) a permanent fault has a closed form: a
@@ -177,6 +177,8 @@ class Emulator:
     constants and tap indices built here, one pass over the plan's weights;
     otherwise it runs the per-step kernel. Either way the cycle counter
     advances by each layer's micro-ops, and the results are bit-identical.
+    Traced, it builds the trace events here, once, for they depend on the
+    plan and the map alone, and each run returns a fresh list of them.
     plan/faults are treated as immutable and may be shared across instances
     on different threads.
     """
@@ -188,9 +190,10 @@ class Emulator:
         self.faults = faults if faults is not None else FaultMap(cfg.units, cfg.lanes)
         _check_geometry(self.faults, cfg)
         self._kernel = get_kernel()
-        self.trace = trace
         self._farr = self.faults.to_arrays()
         self.cycle = 0
+        # Every run's trace events when traced, else None.
+        self._events = _trace_events(plan, self._farr) if trace else None
         # Per MAC layer, its closed form under this map, (w, const) of
         # _layer_form, beside an int8 (Cin, 1) zero column that stands for
         # every padded tap: None when traced, or when the map has a pulse or
@@ -211,32 +214,28 @@ class Emulator:
         if x.scale != plan.input_scale:
             raise ShapeError(f"input scale {x.scale!r} does not match plan {plan.input_scale!r}")
         self.cycle = 0
-        events: list[TraceEvent] | None = [] if self.trace else None
         env: dict[str, QTensor] = {INPUT_ID: x}
         outputs: dict[str, QTensor] = {}
         for prog in plan.programs:
             if prog.is_mac:
-                out = self.run_layer_program(prog, env[prog.layer.inputs[0]], events)
+                out = self.run_layer_program(prog, env[prog.layer.inputs[0]])
             else:
                 out = ref_execute_layer(prog.layer, [env[i] for i in prog.layer.inputs])
             env[prog.layer.id] = out
             outputs[prog.layer.id] = out
         logits = outputs[plan.output].data.reshape(-1)
-        return ExecResult(outputs, logits, self.cycle, events)
+        trace = None if self._events is None else list(self._events)
+        return ExecResult(outputs, logits, self.cycle, trace)
 
-    def run_layer_program(self, prog: LayerProgram, x: QTensor,
-                          events: list[TraceEvent] | None = None) -> QTensor:
+    def run_layer_program(self, prog: LayerProgram, x: QTensor) -> QTensor:
         """One conv/fc program of the plan: bias-preloaded accumulate, then
         requantize; advances the cycle counter by the program's micro-ops.
-
-        With ``events`` given, runs the per-step kernel and appends one
-        TraceEvent per slot whose fault mux fired, in (cycle, lane) order.
-        Without, an emulator whose map has a closed form evaluates the
-        layer as one exact float64 matmul.
+        An emulator whose map has a closed form evaluates the layer as one
+        exact float64 matmul, any other runs the per-step kernel.
         """
         if x.dims != prog.in_shape:
             raise ShapeError(f"input dims {x.dims} do not match {prog.in_shape}", prog.layer.id)
-        if events is None and self._closed is not None:
+        if self._closed is not None:
             w, const, zero = self._closed[prog.layer.id]
             # Column 0 is every padded tap.
             x_pad = np.concatenate((zero, x.data.reshape(len(zero), -1)), axis=1,
@@ -248,33 +247,45 @@ class Emulator:
             return QTensor(requantize_array(acc, prog.layer.m, out=acc).reshape(prog.out_shape),
                            prog.out_scale)
         p = prog.packed
-        cout, hout, wout = prog.out_shape
-        acc3 = np.empty((cout, hout, wout), dtype=np.int32)
+        acc3 = np.empty(prog.out_shape, dtype=np.int32)
         acc3[:] = prog.bias[:, None, None]
-        acc = acc3.reshape(-1)
         x_flat = np.ascontiguousarray(x.data).reshape(-1)
-        mode, value, start, length = self._farr
-        lanes, cycle0 = self.plan.cfg.lanes, self.cycle
         self.cycle = self._kernel.run_program(
             p.unit, p.dest, p.act_idx, p.w_idx, x_flat, prog.weights_flat,
-            acc, mode, value, start, length, lanes, cycle0,
+            acc3.reshape(-1), *self._farr, self.plan.cfg.lanes, self.cycle,
         )
-        if events is not None and mode.any():
-            on, forced = _kernel_py.engaged(p.unit, p.act_idx, mode, value, start, length,
-                                            lanes, cycle0)
-            rows, slots = np.nonzero(on)  # row-major: cycle, then lane
-            units = p.unit[rows]
-            o, rem = np.divmod(p.dest[rows], hout * wout)
-            y, xo = np.divmod(rem, wout)
-            lid = prog.layer.id
-            events.extend(
-                TraceEvent(cycle0 + r, lid, u, lane, dest, _MODE_NAME[m], v)
-                for r, u, lane, dest, m, v in zip(
-                    rows.tolist(), units.tolist(), slots.tolist(),
-                    zip(o.tolist(), y.tolist(), xo.tolist()),
-                    mode[units * lanes + slots].tolist(), forced[rows, slots].tolist())
-            )
         return QTensor(requantize_array(acc3, prog.layer.m), prog.out_scale)
+
+
+def _trace_events(plan: ExecutionPlan, farr) -> list[TraceEvent]:
+    """One TraceEvent per slot whose fault mux fires in a run of the plan
+    under the kernel fault arrays farr, in (cycle, lane) order: the mask of
+    _kernel_py.engaged over each MAC program's rows, whose first row runs at
+    the micro-ops of the programs before it."""
+    mode, value, start, length = farr
+    events: list[TraceEvent] = []
+    lanes, cycle0 = plan.cfg.lanes, 0
+    for prog in plan.programs:
+        if not prog.is_mac:
+            continue
+        p = prog.packed
+        on, forced = _kernel_py.engaged(p.unit, p.act_idx, mode, value, start, length,
+                                        lanes, cycle0)
+        rows, slots = np.nonzero(on)  # row-major: cycle, then lane
+        units = p.unit[rows]
+        _, hout, wout = prog.out_shape
+        o, rem = np.divmod(p.dest[rows], hout * wout)
+        y, xo = np.divmod(rem, wout)
+        lid = prog.layer.id
+        events.extend(
+            TraceEvent(cycle0 + r, lid, u, lane, dest, _MODE_NAME[m], v)
+            for r, u, lane, dest, m, v in zip(
+                rows.tolist(), units.tolist(), slots.tolist(),
+                zip(o.tolist(), y.tolist(), xo.tolist()),
+                mode[units * lanes + slots].tolist(), forced[rows, slots].tolist())
+        )
+        cycle0 += prog.n_ops
+    return events
 
 
 def batch_logits(plan: ExecutionPlan, samples, fault_maps) -> np.ndarray:

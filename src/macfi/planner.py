@@ -15,8 +15,8 @@ packed rows, both closed forms in macarray and dump_plan are built from it.
 
 plan_model builds no packed rows: a program counts its micro-ops from its
 shapes, and packs and index-checks its rows the first time they are read
-(LayerProgram.packed), at most once. Only per-step runs (traced, pulse or
-over the saturation bound) read them.
+(LayerProgram.packed), at most once. Only a traced Emulator's events and
+per-step runs (traced, pulse or over the saturation bound) read them.
 
 relu/maxpool/gavgpool/add do not use MAC lanes and are marked as
 reference-delegated programs.
@@ -64,10 +64,6 @@ class PackedOps:
     dest: np.ndarray  # int32 (n,)
     act_idx: np.ndarray  # int32 (n, lanes)
     w_idx: np.ndarray  # int32 (n, lanes)
-
-    @property
-    def n_ops(self) -> int:
-        return int(self.unit.shape[0])
 
 
 def _tap_index(layer: LayerSpec, in_shape: tuple[int, int, int],

@@ -96,28 +96,6 @@ class QTensor:
         return self.scale == other.scale and np.array_equal(self.data, other.data)
 
 
-@dataclass(frozen=True)
-class AccTensor:
-    """Signed 32-bit accumulator tensor in (C, H, W) layout."""
-
-    data: np.ndarray  # int32, shape (C, H, W)
-
-    def __post_init__(self):
-        data = np.ascontiguousarray(self.data, dtype=np.int32)
-        if data.ndim != 3:
-            raise ShapeError(f"AccTensor data must be (C, H, W), got shape {data.shape}")
-        object.__setattr__(self, "data", data)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return tuple(self.data.shape)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AccTensor):
-            return NotImplemented
-        return np.array_equal(self.data, other.data)
-
-
 def sat32(v: int) -> int:
     """Clamp an integer to the signed 32-bit range."""
     return ACC_MIN if v < ACC_MIN else ACC_MAX if v > ACC_MAX else v
@@ -197,8 +175,9 @@ def ref_conv2d(
     bias: np.ndarray,
     stride: int,
     pad: int,
-) -> AccTensor:
-    """Direct zero-padded convolution, accumulated as the MAC array does.
+) -> np.ndarray:
+    """Direct zero-padded convolution, accumulated as the MAC array does:
+    the int32 accumulators (Cout, Hout, Wout).
 
     ``weights`` is int8 with shape (Cout, Cin, K, K); ``bias`` is one int32
     per output channel. Each accumulator starts at its bias, then adds one
@@ -235,7 +214,7 @@ def ref_conv2d(
             # (Cout, LANES) x (LANES, Hout, Wout) -> (Cout, Hout, Wout)
             acc += np.tensordot(w64[:, c0 : c0 + LANES, i, j], window, axes=([1], [0]))
             np.clip(acc, ACC_MIN, ACC_MAX, out=acc)
-    return AccTensor(acc.astype(np.int32))
+    return acc.astype(np.int32)
 
 
 # Non-MAC layers on int8 arrays whose trailing axes are (H, W): they act on
@@ -326,7 +305,7 @@ def ref_execute_layer(layer, inputs: list[QTensor]) -> QTensor:
         pad = layer.pad if kind == "conv" else 0
         acc = ref_conv2d(x, layer.weights, layer.bias, stride, pad)
         out_scale = x.scale * layer.weight_scale / layer.m
-        return QTensor(requantize_array(acc.data, layer.m), out_scale)
+        return QTensor(requantize_array(acc, layer.m), out_scale)
     if kind == "add":
         return ref_add(*inputs)
     return QTensor(array_layer(layer, [t.data for t in inputs]), inputs[0].scale)

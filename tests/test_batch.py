@@ -25,11 +25,11 @@ from macfi.faultctl import (FaultMap, LaneFault, fault_for_error_value, sample_r
                             single_lane_map)
 from macfi.macarray import Emulator, batch_logits
 from macfi.model import Dataset, LayerSpec, ModelGraph
-from macfi.planner import plan_model
+from macfi.planner import ArrayConfig, plan_model
 from macfi.qtensor import ACC_MAX, PRODUCT_MAX, QTensor
 
-from helpers import (assert_same_outputs, mac_layer, make_random_model, oracle_run,
-                     per_step_run)
+from helpers import (assert_same_outputs, assert_same_run, mac_layer, make_random_model,
+                     oracle_run, per_step_run)
 
 K_VALUES = (0, 1, 8, 64)
 ERROR_VALUES = (0, 1, -1, 131071, -131072)
@@ -370,6 +370,58 @@ def test_run_matches_per_step_run(backend, kernel_calls):
                 assert kernel_calls == [], mi
                 assert got.trace is None
                 assert_same_outputs(got, per_step_run(plan, x, fmap))
+
+
+def _non_square_maps(rng: np.random.Generator, cfg: ArrayConfig) -> list[FaultMap]:
+    """A single-lane, a multi-lane and two full maps on a cfg array, each
+    with its closed form (permanent faults, far from the no-saturation bound
+    on models of make_random_model's size). Forced values stay within a
+    few products, so that the outputs show which products a lane drops
+    rather than saturating at an int8 rail."""
+    cells = cfg.units * cfg.lanes
+    value = lambda: int(rng.integers(-512, 513))
+    single = single_lane_map(int(rng.integers(cfg.units)), int(rng.integers(cfg.lanes)),
+                             LaneFault.constant(value()), cfg.units, cfg.lanes)
+    multi = sample_random_fault_map(int(rng.integers(2, cells - 1)), LaneFault.stuck_zero(),
+                                    int(rng.integers(1 << 30)), cfg.units, cfg.lanes)
+    full = sample_random_fault_map(cells, LaneFault.stuck_zero(), 0, cfg.units, cfg.lanes)
+    mixed = FaultMap(cfg.units, cfg.lanes)
+    for u in range(cfg.units):
+        for lane in range(cfg.lanes):
+            mixed.set(u, lane, LaneFault.stuck_zero() if rng.integers(2) else
+                      LaneFault.constant(value()))
+    return [single, multi, full, mixed]
+
+
+@pytest.mark.parametrize("cfg", [ArrayConfig(3, 5), ArrayConfig(8, 2), ArrayConfig(5, 3)],
+                         ids=lambda cfg: f"{cfg.units}x{cfg.lanes}")
+def test_non_square_arrays_match_the_oracle(cfg, run_calls):
+    # On a square array units == lanes, so a closed form that took one for
+    # the other would still agree with the per-step kernel. The scalar
+    # oracle maps channel o to unit o mod units and c to lane c mod lanes
+    # on its own; batch_logits, untraced and traced Emulator.run must equal
+    # it. Models over 20000 micro-ops are skipped to bound the oracle's time.
+    rng = np.random.default_rng(cfg.units * 10 + cfg.lanes)
+    checked = 0
+    while checked < 5:
+        g = make_random_model(rng)
+        plan = plan_model(g, cfg)
+        if plan.total_micro_ops > 20000:
+            continue
+        samples = rng.integers(-128, 128, size=(2, *g.input_shape)).astype(np.int8)
+        maps = _non_square_maps(rng, cfg)
+        want = [[oracle_run(plan, QTensor(x, g.input_scale), fmap) for x in samples]
+                for fmap in maps]
+        run_calls.clear()
+        got = batch_logits(plan, samples, maps)
+        assert run_calls == [], "took the per-step fallback"
+        assert np.array_equal(got, [[w.logits for w in row] for row in want]), checked
+        for fmap, row in zip(maps, want):
+            fast, traced = Emulator(plan, fmap), Emulator(plan, fmap, trace=True)
+            for x, w in zip(samples, row):
+                assert_same_outputs(fast.run(QTensor(x, g.input_scale)), w)
+                assert_same_run(traced.run(QTensor(x, g.input_scale)), w)
+        checked += 1
 
 
 def test_only_traced_pulse_and_over_bound_runs_call_the_kernel(desk_plan, desk_dataset,

@@ -463,11 +463,13 @@ class TestCsvRoundTrip:
         assert back.groups == res.groups
 
     def test_float_fields_round_trip_exactly(self):
-        rec = RunRecord("sweep", 3, -7, -1, -1, 2, 12345, 1 / 3, 2 / 7)
-        text = results_to_csv(CampaignResult(1 / 3, [rec]))
-        back = parse_results_csv(text).records[0]
+        base = RunRecord("baseline", 0, 0, -1, -1, 0, 0, 0.9, 0.0)
+        rec = RunRecord("sweep", 3, -7, -1, -1, 2, 12345, 1 / 3, 0.9 - 1 / 3)
+        back = parse_results_csv(results_to_csv(CampaignResult(0.9, [base, rec])))
+        assert back.baseline == 0.9
+        (back,) = (r for r in back.records if r.kind == "sweep")
         assert back.accuracy == 1 / 3
-        assert back.drop == 2 / 7
+        assert back.drop == 0.9 - 1 / 3
 
     def test_summary(self):
         groups = summarize_boxplot([
@@ -538,6 +540,16 @@ class TestCsvRoundTrip:
             parse_results_csv(self._text(*rows))
         back = parse_results_csv(self._text(*(r for r in rows if r != bad)))
         assert sorted(r.drop for r in back.records) == [0.0, 0.3 - 0.1]
+
+    def test_run_rows_need_a_baseline_row(self):
+        # Without one every drop parsed unchecked, contradictory ones too.
+        # A header alone, or a baseline row alone, still parses.
+        rows = ("sweep,1,0,-1,-1,0,5,0.1,0.7", "sweep,1,0,-1,-1,1,6,0.1,-3.0")
+        with pytest.raises(SchemaError, match=r"^results CSV line 2: a run row, but no "
+                                              r"baseline row$"):
+            parse_results_csv(self._text(*rows))
+        assert parse_results_csv(self._text()).records == []
+        assert parse_results_csv(self._text("baseline,0,0,-1,-1,0,0,0.5,0.0")).baseline == 0.5
 
     def test_campaign_csvs_round_trip(self, desk_plan, desk_dataset):
         spec = SweepSpec((1, 8, 64), (0, -1, 131071), 4, master_seed=3, slice_count=7)

@@ -46,7 +46,7 @@ def test_reference_saturates_each_micro_op():
     g, x = _fc_repro()
     fc = g.layers[0]
     acc = ref_conv2d(x, fc.weights, fc.bias, 1, 0)
-    assert acc.data.reshape(-1).tolist() == [ACC_MAX - 8 * 127 * 127]
+    assert acc.reshape(-1).tolist() == [ACC_MAX - 8 * 127 * 127]
 
 
 def test_fc_repro_gives_100_on_every_path(backend):
@@ -111,7 +111,7 @@ def test_every_path_agrees_at_the_rails(case, faulty):
     want = [oracle_run(plan, x, fmap).logits for fmap in maps]
     assert np.array_equal(reference_forward(g, x)[1], want[0])
     conv = g.layers[0]
-    ref_acc = ref_conv2d(x, conv.weights, conv.bias, 1, conv.pad).data
+    ref_acc = ref_conv2d(x, conv.weights, conv.bias, 1, conv.pad)
     for backend in BACKENDS:
         with pytest.MonkeyPatch.context() as mp:
             if backend == "python":  # as an install without the extension

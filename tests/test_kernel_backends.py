@@ -214,7 +214,7 @@ BAD_ARGS = {
 def test_compiled_rejects_bad_arguments(breaker, desk_plan, desk_dataset):
     kern = get_kernel("compiled")
     good = _fc_args(desk_plan, desk_dataset)
-    assert desk_plan.by_id[desk_plan.output].packed.n_ops == kern.run_program(*good)
+    assert desk_plan.by_id[desk_plan.output].n_ops == kern.run_program(*good)
     args = _fc_args(desk_plan, desk_dataset)
     acc = args[6]
     before = acc.copy()
@@ -240,7 +240,7 @@ def test_kernels_accept_read_only_fault_views(backend, desk_plan, desk_dataset):
         acc = np.repeat(prog.bias, prog.out_shape[1] * prog.out_shape[2])
         assert get_kernel(backend).run_program(p.unit, p.dest, p.act_idx, p.w_idx, x,
                                                prog.weights_flat, acc, *farr,
-                                               fmap.lanes, 0) == p.n_ops
+                                               fmap.lanes, 0) == prog.n_ops
         accs.append(acc)
     assert np.array_equal(accs[0], accs[1])
     assert not np.array_equal(accs[0], accs[2])  # the faults fired

@@ -10,6 +10,7 @@ from macfi.errors import EmptyLogits, ShapeError
 from macfi.faultctl import FaultMap, LaneFault, single_lane_map
 from macfi.macarray import (
     Emulator,
+    TraceEvent,
     classify_argmax,
     mac_dot,
     mult_lane,
@@ -158,13 +159,11 @@ def test_im2col_matches_padded_slices(h, w, k, stride, pad, dtype, seed):
 def test_layer_program_rejects_wrong_input_dims(backend, desk_plan):
     emu = Emulator(desk_plan, single_lane_map(0, 0, LaneFault.constant(5)))
     emu.cycle = 17
-    events = []
     x = QTensor(np.ones((1, 1, 1), dtype=np.int8), desk_plan.input_scale)
     with pytest.raises(ShapeError) as err:
-        emu.run_layer_program(desk_plan.by_id["conv2"], x, events)
+        emu.run_layer_program(desk_plan.by_id["conv2"], x)
     assert err.value.layer == "conv2"
     assert emu.cycle == 17  # the kernel never ran
-    assert events == []
 
 
 class TestFaultSemantics:
@@ -274,6 +273,30 @@ class TestTrace:
         res = Emulator(plan, fmap, trace=True).run(x)
         assert_same_run(res, oracle_run(plan, x, fmap))
         return res.trace
+
+    def test_events_are_built_once_per_emulator(self, desk_plan, desk_dataset, monkeypatch):
+        # The mux reads row indices and fault arrays, never an activation:
+        # the events are built when the emulator is, and every run returns
+        # its own list of them, equal to the oracle's on the run's sample.
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return TraceEvent(*args)
+
+        monkeypatch.setattr(macarray, "TraceEvent", counted)
+        fmap = single_lane_map(1, 2, LaneFault.constant(9))
+        fmap.set(4, 6, LaneFault.pulse(-300, 4000, 1500))  # conv1 into conv2
+        fmap.set(6, 0, LaneFault.stuck_zero())
+        emu = Emulator(desk_plan, fmap, trace=True)
+        built = len(made)
+        assert built > 0
+        for s in range(3):
+            x = desk_dataset.sample(s)
+            res = emu.run(x)
+            assert len(made) == built
+            assert_same_run(res, oracle_run(desk_plan, x, fmap))
+            res.trace.clear()  # the caller's list; the next run's is whole
 
     def test_pulse_straddling_layer_boundary(self):
         # lane 0 carries channel 0 on every row, so a pulse on lane 0 of

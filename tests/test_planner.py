@@ -63,7 +63,7 @@ class TestPlanLayer:
         rng = np.random.default_rng(0)
         prog = program_of(conv_spec(rng, 8, 8, 3, 1, 1), (8, 4, 4))
         p = prog.packed
-        assert p.n_ops == 1152  # Cout*Hout*Wout*K^2*ceil(Cin/8) = 8*4*4*9*1
+        assert len(p.unit) == 1152  # Cout*Hout*Wout*K^2*ceil(Cin/8) = 8*4*4*9*1
         o, _, _ = dest_coords(prog)
         assert int((o == 0).sum()) == 144  # 4*4*9
         assert int((p.act_idx != -2).sum()) == 9216  # Cout*Hout*Wout*K^2*Cin
@@ -71,7 +71,7 @@ class TestPlanLayer:
     def test_counts_cin4_idle_lanes(self):
         rng = np.random.default_rng(0)
         p = program_of(conv_spec(rng, 4, 8, 3, 1, 1), (4, 4, 4)).packed
-        assert p.n_ops == 1152
+        assert len(p.unit) == 1152
         assert np.all(p.act_idx[:, 4:] == -2)
         assert np.all(p.w_idx[:, 4:] == -1)
         assert int((p.act_idx != -2).sum()) == 4608
@@ -80,7 +80,7 @@ class TestPlanLayer:
         rng = np.random.default_rng(0)
         layer = mac_layer(rng, "f", "fc", "input", 8, 1, 1, m=2.0 ** -7)
         prog = program_of(layer, (8, 1, 1))
-        assert prog.packed.n_ops == 1
+        assert len(prog.packed.unit) == 1
         assert int(prog.packed.unit[0]) == 0
         assert [int(a[0]) for a in dest_coords(prog)] == [0, 0, 0]
 

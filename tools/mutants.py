@@ -1,10 +1,11 @@
 """Mutation check of macfi's exactness bounds and refusals.
 
 Each mutant is a one-place source edit: it makes a bound unsound, moves a
-window edge, or removes a refusal, and the tests listed with it must fail on
-it (DeMillo, Lipton & Sayward, "Hints on test data selection", 1978). An
-equivalent mutant changes no output, only how the result is reached; it is
-run and reported, but its survival is not a gap in the tests.
+window edge, mixes up units and lanes, or removes a refusal, and the tests
+listed with it, the ones that kill it, must fail on it (DeMillo, Lipton &
+Sayward, "Hints on test data selection", 1978). An equivalent mutant
+changes no output, only how the result is reached; it is run on its whole
+test file and reported, but its survival is not a gap in the tests.
 
 Usage:
     python tools/mutants.py SCRATCH_DIR [NAME ...]
@@ -46,92 +47,108 @@ MUTANTS = [
     Mutant("nosat-strict", "src/macfi/macarray.py",
            "groups * len(prog.taps) * row_bound <= ACC_MAX",
            "groups * len(prog.taps) * row_bound < ACC_MAX",
-           ("tests/test_batch.py",)),
+           ("tests/test_batch.py::test_bound_edge[1000-False]",)),
     # ... counting floor(Cin / lanes) lane groups per tap instead of the ceiling.
     Mutant("nosat-floor-groups", "src/macfi/macarray.py",
            "groups = -(-prog.in_shape[0] // cfg.lanes)",
            "groups = prog.in_shape[0] // cfg.lanes",
-           ("tests/test_batch.py",)),
+           ("tests/test_batch.py::test_bound_edge_counts_a_partial_lane_group[1-True]",)),
     # ... and with a product bound one short of (-128) * (-128).
     Mutant("product-max", "src/macfi/qtensor.py",
            "PRODUCT_MIN, PRODUCT_MAX = -16256, 16384",
            "PRODUCT_MIN, PRODUCT_MAX = -16256, 16383",
-           ("tests/test_qtensor.py", "tests/test_batch.py")),
+           ("tests/test_batch.py::test_bound_edge[1001-True]",)),
     # The float32 GEMM bound: float32 holds every integer up to 2^24 only.
     Mutant("gemm-2^25", "src/macfi/macarray.py",
            "+ np.abs(const).max() <= 2 ** 24 else",
            "+ np.abs(const).max() <= 2 ** 25 else",
-           ("tests/test_batch.py",)),
+           ("tests/test_batch.py::test_gemm_dtype_boundary[1-float64-False]",)),
     Mutant("gemm-127", "src/macfi/macarray.py",
            "128 * w_abs + np.abs(const).max()",
            "127 * w_abs + np.abs(const).max()",
-           ("tests/test_batch.py",)),
+           ("tests/test_batch.py::test_gemm_dtype_boundary[1-float64-False]",)),
+    # The closed forms taking units for lanes, which a square array hides:
+    # the lane groups of a layer reading a fault-free value, and the lane
+    # an input channel rides on.
+    Mutant("groups-by-units", "src/macfi/macarray.py",
+           "groups = min(cin, cfg.lanes) if src",
+           "groups = min(cin, cfg.units) if src",
+           ("tests/test_batch.py::test_non_square_arrays_match_the_oracle",)),
+    Mutant("lane-of-by-units", "src/macfi/macarray.py",
+           "lane_of = np.arange(prog.in_shape[0]) % cfg.lanes",
+           "lane_of = np.arange(prog.in_shape[0]) % cfg.units",
+           ("tests/test_batch.py::test_non_square_arrays_match_the_oracle",)),
     # The pulse window [start, start + length) in both kernels, at each end.
     Mutant("mux-window-python", "src/macfi/_kernel_py.py",
            "(cyc < start + flen[fidx])",
            "(cyc <= start + flen[fidx])",
-           ("tests/test_kernel_backends.py", "tests/test_macarray.py")),
+           ("tests/test_kernel_backends.py::test_pulse_windows_agree_across_layer_boundaries",)),
     Mutant("mux-start-python", "src/macfi/_kernel_py.py",
            "(start <= cyc)",
            "(start < cyc)",
-           ("tests/test_kernel_backends.py", "tests/test_macarray.py")),
+           ("tests/test_kernel_backends.py::test_pulse_windows_agree_across_layer_boundaries",)),
     Mutant("mux-window-c", "src/macfi/_kernel.c",
            "cyc < fstart[fi] + flen[fi]",
            "cyc <= fstart[fi] + flen[fi]",
-           ("tests/test_kernel_backends.py", "tests/test_macarray.py")),
+           ("tests/test_macarray.py::TestTrace::test_pulse_straddling_layer_boundary",)),
     Mutant("mux-start-c", "src/macfi/_kernel.c",
            "fstart[fi] <= cyc",
            "fstart[fi] < cyc",
-           ("tests/test_kernel_backends.py", "tests/test_macarray.py")),
+           ("tests/test_macarray.py::TestTrace::test_pulse_straddling_layer_boundary",)),
+    # Trace events of every MAC layer after the first stamped from cycle 0.
+    Mutant("trace-cycle0-kept", "src/macfi/macarray.py",
+           "        cycle0 += prog.n_ops\n",
+           "",
+           ("tests/test_macarray.py::TestTrace::test_pulse_straddling_layer_boundary",)),
     # A tap one row or column past the input reading a value instead of padding.
     Mutant("tap-edge-x", "src/macfi/planner.py",
            "(ix >= 0) & (ix < w)",
            "(ix >= 0) & (ix <= w)",
-           ("tests/test_planner.py", "tests/test_macarray.py")),
+           ("tests/test_planner.py::TestPlanLayer::test_counts_cin8",)),
     Mutant("tap-edge-y", "src/macfi/planner.py",
            "(iy >= 0) & (iy < h)",
            "(iy >= 0) & (iy <= h)",
-           ("tests/test_planner.py", "tests/test_macarray.py")),
+           ("tests/test_planner.py::TestPlanLayer::test_counts_cin8",)),
     # ... or a tap just before the input's first row or column padding.
     Mutant("tap-lower-x", "src/macfi/planner.py",
            "(ix >= 0) & (ix < w)",
            "(ix > 0) & (ix < w)",
-           ("tests/test_planner.py", "tests/test_macarray.py")),
+           ("tests/test_planner.py::TestPlanLayer::test_padding_taps_are_marked_not_idle",)),
     Mutant("tap-lower-y", "src/macfi/planner.py",
            "(iy >= 0) & (iy < h)",
            "(iy > 0) & (iy < h)",
-           ("tests/test_planner.py", "tests/test_macarray.py")),
+           ("tests/test_planner.py::TestPlanLayer::test_padding_taps_are_marked_not_idle",)),
     # Modulo-rejection sampling accepting one draw of the biased tail.
     Mutant("rejection-limit", "src/macfi/faultctl.py",
            "return draws <= ~((~n + 1) % n)",
            "return draws < ~((~n + 1) % n)",
-           ("tests/test_faultctl.py",)),
+           ("tests/test_faultctl.py::TestSampling::test_acceptance_rule_at_the_limit",)),
     # The full-map shortcut taken one cell short of full.
     Mutant("full-map-early", "src/macfi/faultctl.py",
            "full = ks == total",
            "full = ks >= total - 1",
-           ("tests/test_faultctl.py",)),
+           ("tests/test_faultctl.py::TestSampling::test_full_maps_take_no_draw",)),
     # Fault-table class keys without the start and length blocks, which
     # merge pulses with different windows.
     Mutant("class-key-no-window", "src/macfi/faultctl.py",
            "for b in (mode, *(b for b in rest if b.any()))",
            "for b in (mode, *(b for b in rest[:1] if b.any()))",
-           ("tests/test_faultctl.py",)),
+           ("tests/test_faultctl.py::TestFaultTable::test_classes_tell_pulse_windows_apart",)),
     # The spec text, and so every digest, without a pulse's start.
     Mutant("digest-no-pulse-start", "src/macfi/faultctl.py",
            'else f"{names[i]}pulse,{v},{s},{n}\\n"',
            'else f"{names[i]}pulse,{v},{n}\\n"',
-           ("tests/test_faultctl.py",)),
+           ("tests/test_faultctl.py::TestFaultMap::test_spec_text_round_trip",)),
     # The campaign host-memory refusal: loosened 4x, off by one, or skipped
     # by a heatmap.
     Mutant("grid-memory-4x", "src/macfi/campaign.py",
            "_run_bytes(plan, len(idx)) > host_memory()",
            "_run_bytes(plan, len(idx)) > 4 * host_memory()",
-           ("tests/test_campaign.py",)),
+           ("tests/test_campaign.py::TestSweep::test_host_memory_edge",)),
     Mutant("grid-memory-ge", "src/macfi/campaign.py",
            "_run_bytes(plan, len(idx)) > host_memory()",
            "_run_bytes(plan, len(idx)) >= host_memory()",
-           ("tests/test_campaign.py",)),
+           ("tests/test_campaign.py::TestSweep::test_host_memory_edge",)),
     # Its edge test fails first, so -x stops before the 2^24-run heatmap
     # test would build every map without the refusal.
     Mutant("heatmap-unrefused", "src/macfi/campaign.py",
@@ -142,7 +159,7 @@ MUTANTS = [
     Mutant("dump-bytes-once", "src/macfi/planner.py",
            "prog.n_ops * (2 * (len(head)",
            "prog.n_ops * ((len(head)",
-           ("tests/test_planner.py",)),
+           ("tests/test_planner.py::TestPlanModel::test_dump_bytes_bound_the_traced_peak",)),
     # Equivalent: a slab padded with one more clean channel (its accumulator
     # is golden), or made dense one channel early.
     Mutant("slab-one-wider", "src/macfi/macarray.py",
