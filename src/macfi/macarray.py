@@ -43,21 +43,32 @@ for then acc * m is exact in float32 (qtensor.scales_in_place), and through
 a float64 copy otherwise; a float64 one is always requantized in place.
 Values no fault can reach (the input and the layers fed only by it) carry
 no run axis and are computed once per sample block; a MAC layer reading
-them gets every run's accumulators by one GEMM over their lane partials.
-Its output, and relu, maxpool and gavgpool of it, differ from golden only
-on the faulted units' channels, which each run carries as a slab beside
-the golden tensor, unless a run of its block faults every channel (then
-the block is dense; when every run of the call does, the value is dense
-and has no golden tensor). Every value is channel-major, a dense one laid
-out as a slab holding all channels, so one reader serves a MAC layer
-reading either: it recomputes a slab's channels over per-channel partials
-of the golden input, and all channels of a dense value. Samples and runs
-are tiled so that one tile's floating-point temporaries stay in
-BATCH_BYTES.
+them keeps its golden accumulators, the sum of its lane partials, and
+gets a run's faulted channels from them: a channel drops the partials of
+the lane groups its unit faults, so its accumulator is golden minus those
+partials plus the run's constants, each running difference a subset sum
+of the channel's own products (exact, as above). One GEMM over every
+channel's lane partials serves a run block only where its drops outnumber
+the channels. That output, and relu, maxpool and gavgpool of it, differ
+from golden only on the faulted units' channels, which each run carries
+as a slab beside the golden tensor, unless a run of its block faults
+every channel (then the block is dense; when every run of the call does,
+the value is dense and has no golden tensor). Every value is
+channel-major, a dense one laid out as a slab holding all channels, so
+one reader serves a MAC layer reading either: it recomputes a slab's
+channels over per-channel partials of the golden input, and all channels
+of a dense value. Samples and runs are tiled so that one tile's
+floating-point temporaries stay in BATCH_BYTES; the large ones (im2col's
+padded input and columns, GEMM and slab accumulators, requantize's
+float64 copy) live in per-thread buffers that every tile of the thread
+reuses, grown on demand and never returned, so a tile allocates none of
+them after the first.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,12 +91,15 @@ _MODE_NAME = {code: mode.value for mode, code in MODE_CODE.items()}
 
 # Byte budget for the floating-point temporaries of one (sample block, run
 # block) in batch_logits, each at its own itemsize: partials of free and
-# golden inputs, masked weights and keep masks, im2col columns (at the d
-# channels a slab holds, all Cin of a dense value), golden, slab and dense
-# accumulators, with the float64 copy that requantize scales a float32
-# accumulator into unless qtensor.scales_in_place lets it scale the
-# accumulator itself (any float64 one; a float32 one under m = 2^e). A
-# campaign evaluates one tile at a time.
+# golden inputs, a free input's golden accumulators, masked weights and keep
+# masks, im2col columns (at the d channels a slab holds, all Cin of a dense
+# value), golden, slab and dense accumulators, the dropped partials a slab
+# gathers from golden (d * m per run, for m dropped lane groups, unless the
+# all-channel GEMM's Cout is fewer), with the float64 copy that requantize
+# scales a float32 accumulator into unless qtensor.scales_in_place lets it
+# scale the accumulator itself (any float64 one; a float32 one under
+# m = 2^e). A campaign evaluates one tile at a time; the tile temporaries
+# are per-thread buffers (_scratch_array), each at most one tile's share.
 BATCH_BYTES = 2 << 20
 
 
@@ -442,9 +456,13 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
     A MAC layer reading a free value or a slab builds the partials
     P[o, g] = W[o, c in g] @ im2col(x)[c in g] of its (golden) input once
     per sample block, grouped by lane for a free value and by channel for a
-    slab. Reading a free value, golden is sum_g P + bias, and one GEMM per
-    run block gives keep_r @ P + const_r on every channel, of which a slab
-    keeps ch_r; a block whose d is Cout keeps all, dense. When every run of
+    slab. Reading a free value, its golden accumulators A = sum_g P are
+    kept too (golden is A + bias), and a slab's channel o = ch_r of run r
+    is A[o] - sum_{g dropped} P[o, g] + const_r[o], over the lane groups
+    that o's unit drops: a gather from P, padded to the block's largest
+    drop count m by one zero row. A block whose d * m exceeds Cout takes
+    one GEMM instead, keep_r @ P + const_r on every channel, of which the
+    slab keeps ch_r; a block whose d is Cout keeps all, dense. When every run of
     the call faults every channel, the layer's output is dense from the
     start: no golden tensor is built for it or for the values it feeds,
     and no partials for the MAC layer reading it. Reading a slab or
@@ -485,8 +503,9 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
         groups = min(cin, cfg.lanes) if src == "free" else cin
         op_keep = layer_keep[..., :groups]  # (R, Cout, G)
         if src == "free":  # d counts its own faulted channels, else its input's
-            dirty = (~op_keep.all(axis=2)).sum(axis=1)
-            d = max(1, int(dirty.max()))
+            drops = (~op_keep).sum(axis=2)  # lane groups each (run, channel) drops
+            dirty = (drops > 0).sum(axis=1)
+            d, m = max(1, int(dirty.max())), int(drops.max())
             if dirty.min() < cout:  # else every run faults every channel: dense
                 widths[layer.id] = d
         else:
@@ -496,12 +515,13 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
         # Bytes per sample (shared: kept through the block's runs; cols: im2col
         # columns of a partials build, Cin padded to a multiple of G), per
         # (run, sample) pair and per run.
-        if src != "dense":
-            shared_bytes += isz * cout * groups * hw
+        if src != "dense":  # the partials, with their zero row
+            shared_bytes += isz * (cout * groups + 1) * hw
             cols_bytes = max(cols_bytes, isz * -(-cin // groups) * groups * kk * hw)
-        if src == "free":  # a slab's golden; per pair all Cout, then d gathered (+ copy)
-            shared_bytes += acc_isz * cout * hw if layer.id in widths else 0
-            pair_bytes.append((isz * cout + acc_isz * d) * hw)
+        if src == "free":  # a slab's golden accumulators and golden; per pair the
+            # dropped partials, or all Cout of the GEMM, then d (+ copy)
+            shared_bytes += (isz + acc_isz) * cout * hw if layer.id in widths else 0
+            pair_bytes.append((isz * min(cout, d * m) + acc_isz * d) * hw)
             run_bytes.append(isz * cout * groups)  # keep
             continue
         # Columns at d channels (d = Cin for a dense input), keep @ P and
@@ -519,18 +539,18 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
     for s0 in range(0, n, sb):
         # Free values, and the golden tensors of slabs, as (C, S, H, W).
         env = {INPUT_ID: samples[s0 : s0 + sb].transpose(1, 0, 2, 3)}
-        partials = {}
+        partials, golden_acc = {}, {}
         for prog in plan.programs:
             layer, op = prog.layer, ops.get(prog.layer.id)
             if op is not None and kind_of[layer.inputs[0]] != "dense":
                 partials[layer.id] = _partials(op, env[layer.inputs[0]])
             if op is None and kind_of[layer.id] != "dense":
                 env[layer.id] = array_layer(layer, [env[i] for i in layer.inputs])
-            elif kind_of[layer.id] == "slab":
-                g = partials[layer.id].sum(axis=1)
-                g += prog.bias[:, None]
-                env[layer.id] = _requantize(ops[layer.id], g).reshape(
-                    (len(g), -1) + prog.out_shape[1:])
+            elif kind_of[layer.id] == "slab":  # golden accumulators, before bias
+                acc = _grouped(op, partials[layer.id]).sum(axis=1)
+                golden_acc[layer.id] = acc
+                g = acc + prog.bias[:, None].astype(acc.dtype)
+                env[layer.id] = _requantize(op, g).reshape((len(g), -1) + prog.out_shape[1:])
         for r0 in range(0, runs, rb):
             run_env = dict(env)
             for prog in plan.programs:
@@ -546,7 +566,8 @@ def _closed_form(plan: ExecutionPlan, samples: np.ndarray, keep: np.ndarray,
                         xs = [_dense(run_env[i]) for i in layer.inputs]
                         y = array_layer(layer, _broadcast_runs(xs))
                 elif kind_of[layer.inputs[0]] == "free":
-                    y = _mac_slab(op, partials[layer.id], env.get(layer.id), r0, rb)
+                    y = _mac_slab(op, partials[layer.id], golden_acc.get(layer.id),
+                                  env.get(layer.id), r0, rb)
                 else:
                     y = _mac_runs(op, x, r0, rb, partials.get(layer.id))
                 run_env[layer.id] = y
@@ -566,18 +587,27 @@ def _broadcast_runs(arrays: list[np.ndarray]) -> list[np.ndarray]:
 def _im2col(prog: LayerProgram, x: np.ndarray, dtype) -> np.ndarray:
     """im2col columns (..., C, K*K, S, Hout*Wout) in dtype of int8 x (...,
     C, S, H, W), gathered through the plan's tap index: each sample's H*W
-    values follow one zero column, which every padded tap reads."""
+    values follow one zero column, which every padded tap reads. The
+    columns are this thread's "cols" buffer, and a tap outside [0, H*W] is
+    an IndexError."""
     *lead, n, h, w = x.shape
-    x_pad = np.zeros((*lead, n, h * w + 1), dtype=dtype)
+    taps = prog.taps
+    if int(taps.min()) < 0 or int(taps.max()) > h * w:
+        raise IndexError(f"layer {prog.layer.id!r}: tap index outside [0, {h * w}]")
+    x_pad = _scratch_array("pad", (*lead, n, h * w + 1), dtype)
+    x_pad[..., 0] = 0
     x_pad[..., 1:] = x.reshape(*lead, n, h * w)
-    idx = prog.taps[:, None] + (h * w + 1) * np.arange(n)[:, None]  # (K*K, S, Hout*Wout)
-    return np.take(x_pad.reshape(*lead, -1), idx, axis=-1)
+    idx = taps[:, None] + (h * w + 1) * np.arange(n)[:, None]  # (K*K, S, Hout*Wout)
+    cols = _scratch_array("cols", (*lead, *idx.shape), dtype)
+    # In range as checked; raise mode would write through a temporary (see _take).
+    return np.take(x_pad.reshape(*lead, -1), idx, axis=-1, out=cols, mode="clip")
 
 
 def _partials(op: _MacOperands, x: np.ndarray) -> np.ndarray:
-    """(Cout, G, S*Hout*Wout) in op.w's dtype: the share of each channel
-    group g (channels c = g, g + G, ...) in the accumulators of samples x
-    (Cin, S, H, W), before bias and faults.
+    """Rows (Cout * G + 1, S*Hout*Wout) in op.w's dtype: row o * G + g is
+    the share of channel group g (channels c = g, g + G, ...) in output
+    channel o's accumulators of samples x (Cin, S, H, W), before bias and
+    faults; the last row is zero (_grouped views the others).
 
     One GEMM batched over the groups, with Cin zero-padded to a multiple of
     G, writes each group's share in place."""
@@ -590,42 +620,79 @@ def _partials(op: _MacOperands, x: np.ndarray) -> np.ndarray:
     x = x.reshape((per_group, groups) + x.shape[1:]).swapaxes(0, 1)  # (G, channel in group, ...)
     cols = _im2col(op.prog, x, op.w.dtype).reshape(groups, per_group * kk, -1)
     w = w.reshape(cout, per_group, groups, kk).transpose(2, 0, 1, 3).reshape(groups, cout, -1)
-    p = np.empty((cout, groups, cols.shape[2]), dtype=op.w.dtype)
-    np.matmul(w, cols, out=p.transpose(1, 0, 2))
-    return p
+    rows = np.empty((cout * groups + 1, cols.shape[2]), dtype=op.w.dtype)
+    rows[-1] = 0
+    np.matmul(w, cols, out=_grouped(op, rows).transpose(1, 0, 2))
+    return rows
 
 
-def _from_partials(op: _MacOperands, keep: np.ndarray, p: np.ndarray, r0: int) -> np.ndarray:
-    """keep_r @ p + const_r, (runs, Cout, S*Hout*Wout), for runs [r0, r0 +
-    len(keep)) with 0/1 keep (runs, Cout, G) over partials p (Cout, G, ...)."""
-    acc = np.empty((len(keep), len(p), p.shape[2]), dtype=p.dtype)
+def _grouped(op: _MacOperands, rows: np.ndarray) -> np.ndarray:
+    """The partials P (Cout, G, S*Hout*Wout) of _partials' rows, a view."""
+    return rows[:-1].reshape(*op.keep.shape[1:], -1)
+
+
+def _from_partials(op: _MacOperands, keep: np.ndarray, rows: np.ndarray, r0: int) -> np.ndarray:
+    """keep_r @ P + const_r, (runs, Cout, S*Hout*Wout) in this thread's
+    "keep @ P" buffer, for runs [r0, r0 + len(keep)) with 0/1 keep (runs,
+    Cout, G) over the partials of _partials' rows."""
+    p = _grouped(op, rows)
+    acc = _scratch_array("keep @ P", (len(keep), len(p), p.shape[2]), p.dtype)
     np.matmul(keep.transpose(1, 0, 2), p, out=acc.transpose(1, 0, 2))
     acc += op.const[r0 : r0 + len(keep), :, None]
     return acc
 
 
-def _mac_slab(op: _MacOperands, p: np.ndarray, golden: np.ndarray, r0: int, rb: int):
+def _mac_slab(op: _MacOperands, rows: np.ndarray, golden_acc: np.ndarray | None,
+              golden: np.ndarray | None, r0: int, rb: int):
     """Runs [r0, r0 + rb) of a MAC layer reading a free value, from its lane
-    partials p and golden output: every channel's accumulators by one GEMM,
-    dense int8 when a run faults every channel, else a _Slab over each run's
-    faulted channels, padded with clean ones (exact integer sums, so golden)."""
+    partials' rows, golden accumulators golden_acc (Cout, S*Hout*Wout) and
+    golden output: dense int8 when a run of the block faults every
+    channel, else a _Slab over each run's faulted channels, padded with
+    clean ones to the block's largest count d.
+
+    A slab channel o of run r is golden_acc[o] - sum P[o, g] + const_r[o]
+    over the m_o lane groups g that o's unit drops, gathered from the rows
+    with the zero row standing for the slots past m_o, up to the block's
+    largest m. Each running difference is a subset sum of o's products and
+    const_r[o] is added last, so every partial sum keeps the dtype bound;
+    a clean channel reads golden_acc[o] + bias[o]. A block whose d * m
+    exceeds Cout takes one GEMM, keep_r @ P + const_r, over every channel
+    instead, and the slab gathers its channels from it."""
     keep = op.keep[r0 : r0 + rb]
-    dirty = ~keep.all(axis=2)
-    acc = _from_partials(op, keep.astype(op.w.dtype), p, r0)
-    (runs, cout), (hout, wout) = dirty.shape, op.prog.out_shape[1:]
+    (runs, cout, groups), (hout, wout) = keep.shape, op.prog.out_shape[1:]
+    drops = ~keep
+    n_drops = drops.sum(axis=2)  # (runs, Cout)
+    dirty = n_drops > 0
     d = max(1, int(dirty.sum(axis=1).max()))
+    m = int(n_drops.max())
     if d == cout:
+        acc = _from_partials(op, keep.astype(op.w.dtype), rows, r0)
         return _requantize(op, acc).reshape(runs, cout, -1, hout, wout)
     ch = np.argsort(~dirty, axis=1, kind="stable")[:, :d]  # faulted channels first
-    acc = acc[np.arange(runs)[:, None], ch]
+    acc = _scratch_array("slab", (runs, d, rows.shape[1]), rows.dtype)
+    if d * m > cout:
+        every = _from_partials(op, keep.astype(op.w.dtype), rows, r0)
+        _take(every.reshape(runs * cout, -1), ch + cout * np.arange(runs)[:, None], acc)
+    else:
+        _take(golden_acc, ch, acc)
+        if m:
+            dropped = np.take_along_axis(drops, ch[..., None], axis=1)  # (runs, d, G)
+            g = np.argsort(~dropped, axis=2, kind="stable")[..., :m]  # dropped groups first
+            idx = np.where(np.take_along_axis(dropped, g, axis=2), ch[..., None] * groups + g,
+                           cout * groups)  # past a channel's drops, the zero row
+            part = _take(rows, idx, _scratch_array("dropped", (*idx.shape, rows.shape[1]),
+                                                   rows.dtype))
+            for j in range(m):
+                acc -= part[:, :, j]
+        acc += np.take_along_axis(op.const[r0 : r0 + runs], ch, axis=1)[..., None]
     return _Slab(golden, _requantize(op, acc).reshape(runs, d, -1, hout, wout), ch)
 
 
 def _mac_runs(op: _MacOperands, x: np.ndarray | _Slab, r0: int, rb: int,
-              p: np.ndarray | None) -> np.ndarray:
+              rows: np.ndarray | None) -> np.ndarray:
     """int8 (runs, Cout, S, Hout, Wout) of runs [r0, r0 + rb) reading x: a
-    slab, whose golden tensor has the per-channel partials p (Cout, Cin,
-    ...), or a dense value (runs, Cin, S, H, W).
+    slab, whose golden tensor has the per-channel partials' rows (Cout *
+    Cin + 1, ...), or a dense value (runs, Cin, S, H, W).
 
     acc = (keep_r with channels ch_r zeroed) @ p + (W * keep_r)[:, ch_r] @
     im2col(x_r[ch_r]) + const_r, where a dense value holds every channel
@@ -644,15 +711,45 @@ def _mac_runs(op: _MacOperands, x: np.ndarray | _Slab, r0: int, rb: int,
     runs, d = x.shape[:2]
     cout, hout, wout = op.prog.out_shape
     cols = _im2col(op.prog, x, op.w.dtype)  # (runs, d, K*K, S, Hout*Wout)
-    acc = np.matmul(w.reshape(runs, cout, -1), cols.reshape(runs, d * w.shape[3], -1))
-    acc += op.const[r0 : r0 + rb, :, None] if keep is None else _from_partials(op, keep, p, r0)
+    cols = cols.reshape(runs, d * w.shape[3], -1)
+    acc = np.matmul(w.reshape(runs, cout, -1), cols,
+                    out=_scratch_array("gemm", (runs, cout, cols.shape[2]), cols.dtype))
+    acc += op.const[r0 : r0 + rb, :, None] if keep is None else _from_partials(op, keep, rows, r0)
     return _requantize(op, acc).reshape(runs, cout, -1, hout, wout)
 
 
 def _requantize(op: _MacOperands, acc: np.ndarray) -> np.ndarray:
     """int8 of integer-valued accumulators, scaled in place where
     scales_in_place allows (any float64 acc; a float32 one when m is a power
-    of two), else in a fresh float64 array."""
+    of two), else in this thread's float64 "requantize" buffer."""
     m = op.prog.layer.m
-    return requantize_array(acc, m, out=acc if scales_in_place(acc.dtype, m) else None)
+    out = (acc if scales_in_place(acc.dtype, m)
+           else _scratch_array("requantize", acc.shape, np.float64))
+    return requantize_array(acc, m, out=out)
 
+
+def _take(a: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.take(a, idx, axis=0) into out, with a bound check of its own: in
+    its default raise mode np.take writes the whole result through a
+    temporary when given out, so it takes clip mode once every index is in
+    range."""
+    if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= len(a)):
+        raise IndexError(f"gather index outside [0, {len(a)})")
+    return np.take(a, idx, axis=0, out=out, mode="clip")
+
+
+# This thread's tile buffers, by slot name: uint8 blocks, grown on demand.
+_scratch = threading.local()
+
+
+def _scratch_array(slot: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A view of this thread's buffer for slot, shaped and typed as asked,
+    growing the buffer when it is too small. Its contents are left as they
+    are; it is overwritten by the slot's next use on the thread, so it is
+    a temporary within one tile step and is never returned from
+    batch_logits."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    buf = _scratch.__dict__.get(slot)
+    if buf is None or buf.nbytes < nbytes:
+        buf = _scratch.__dict__[slot] = np.empty(nbytes, dtype=np.uint8)
+    return buf[:nbytes].view(dtype).reshape(shape)

@@ -11,6 +11,9 @@ fall back to them, and check how runs and samples are split into blocks.
 
 from __future__ import annotations
 
+import dataclasses
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -21,8 +24,8 @@ from macfi import _kernel_py
 from macfi.campaign import (SweepSpec, evaluate_accuracy, results_to_csv, run_fault_sweep,
                             run_heatmap)
 from macfi.errors import OutOfRange, ShapeError
-from macfi.faultctl import (FaultMap, LaneFault, fault_for_error_value, sample_random_fault_map,
-                            single_lane_map)
+from macfi.faultctl import (FaultMap, FaultMode, LaneFault, fault_for_error_value,
+                            sample_random_fault_map, single_lane_map)
 from macfi.macarray import Emulator, batch_logits
 from macfi.model import Dataset, LayerSpec, ModelGraph
 from macfi.planner import ArrayConfig, plan_model
@@ -868,3 +871,233 @@ def test_slab_or_dense_is_decided_per_run_block(paths, desk_plan, desk_dataset, 
             expected += [("conv1", "dense" if dense else "slab"),
                          ("conv2", "masked" if dense else "corrected"), ("fc", "masked")]
     assert paths == expected
+
+
+def _slab_model(cfg: ArrayConfig, dtype: str) -> ModelGraph:
+    """One 3x3 conv with Cin = 12 on a 3x3 input, which is also the output,
+    so every channel of its slab is a logit. Cout = 12 gives units of one
+    and of several channels on every array below. Under "float64", channel
+    0's bias of 2^24 lifts the layer's dtype bound past float32 (that
+    channel saturates; the others stay informative)."""
+    rng = np.random.default_rng(cfg.units * 10 + cfg.lanes)
+    conv = mac_layer(rng, "conv", "conv", "input", 12, 12, 3, 1, 1, m=2.0 ** -8)
+    if dtype == "float64":
+        conv.bias[0] = F32_EXACT
+    return ModelGraph([conv], (12, 3, 3), 2.0 ** -6, "conv", 12 * 9)
+
+
+def _slab_maps(rng: np.random.Generator, cfg: ArrayConfig) -> list[FaultMap]:
+    """Maps of the slab model's lane groups G = min(12, lanes): one unit
+    dropping m = 1 .. G lanes, three that fault several units with
+    different drop counts (padded with the zero row), one that leaves a
+    single unit clean with another dropping all G lanes (d * m > Cout,
+    d < Cout), a full map (d = Cout) and a clean one (m = 0)."""
+    groups = min(12, cfg.lanes)
+
+    def fault(fmap, unit, lanes):
+        for lane in lanes:
+            fmap.set(unit, int(lane), LaneFault.constant(int(rng.integers(-512, 513)))
+                     if rng.integers(2) else LaneFault.stuck_zero())
+
+    maps = []
+    for m in range(1, groups + 1):
+        maps.append(FaultMap(cfg.units, cfg.lanes))
+        fault(maps[-1], int(rng.integers(cfg.units)), rng.choice(groups, m, replace=False))
+    for _ in range(3):
+        maps.append(FaultMap(cfg.units, cfg.lanes))
+        for unit in rng.choice(cfg.units, int(rng.integers(2, cfg.units)), replace=False):
+            fault(maps[-1], int(unit), rng.choice(groups, int(rng.integers(1, groups + 1)),
+                                                  replace=False))
+    clean = int(rng.integers(cfg.units))
+    maps.append(FaultMap(cfg.units, cfg.lanes))
+    for unit in range(cfg.units):
+        if unit != clean:
+            fault(maps[-1], unit, range(groups) if unit == (clean + 1) % cfg.units else [0])
+    maps.append(FaultMap(cfg.units, cfg.lanes))
+    for unit in range(cfg.units):
+        fault(maps[-1], unit, [int(rng.integers(groups))])
+    return maps + [FaultMap(cfg.units, cfg.lanes)]
+
+
+@pytest.fixture
+def free_gemms(monkeypatch):
+    """Layer ids of every _from_partials call, the all-channel GEMM."""
+    seen = []
+    real = macarray._from_partials
+
+    def spy(op, *args):
+        seen.append(op.prog.layer.id)
+        return real(op, *args)
+
+    monkeypatch.setattr(macarray, "_from_partials", spy)
+    return seen
+
+
+def _slab_path(fmap: FaultMap, cout: int, groups: int) -> str:
+    """The path _mac_slab takes for a block of fmap alone, from the lanes
+    each unit faults: "dense" when d = Cout, "gemm" when d * m > Cout, else
+    "gather"."""
+    lanes = [{lane for lane in range(groups) if fmap.get(u, lane).mode is not FaultMode.NONE}
+             for u in range(fmap.units)]
+    d = sum(1 for o in range(cout) if lanes[o % fmap.units])
+    m = max(map(len, lanes))
+    return "dense" if d == cout else "gemm" if d * m > cout else "gather"
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("cfg", [ArrayConfig(8, 8), ArrayConfig(3, 5), ArrayConfig(8, 2)],
+                         ids=lambda cfg: f"{cfg.units}x{cfg.lanes}")
+def test_slab_from_golden_matches_run_and_oracle(cfg, dtype, gemm_dtypes, monkeypatch):
+    # A slab channel is its golden accumulator minus the partials of the
+    # lane groups its unit drops, plus the run's constants. At one run per
+    # block every map takes its own path: the gather for d * m <= Cout, the
+    # all-channel GEMM for d * m > Cout, dense at d = Cout. At the default
+    # budget the maps share blocks. Both must equal Emulator.run and the
+    # scalar oracle.
+    g = _slab_model(cfg, dtype)
+    plan = plan_model(g, cfg)
+    rng = np.random.default_rng(cfg.units * 100 + cfg.lanes + len(dtype))
+    maps = _slab_maps(rng, cfg)
+    samples = rng.integers(-128, 128, size=(2, *g.input_shape)).astype(np.int8)
+    want = np.array([[oracle_run(plan, QTensor(x, g.input_scale), fmap).logits for x in samples]
+                     for fmap in maps])
+    for fmap, row in zip(maps, want):
+        emu = Emulator(plan, fmap)
+        assert np.array_equal([emu.run(QTensor(x, g.input_scale)).logits for x in samples], row)
+    taken = []
+    real_slab, real_gemm = macarray._mac_slab, macarray._from_partials
+
+    def slab(*args):
+        taken.append("gather")
+        y = real_slab(*args)
+        if not isinstance(y, macarray._Slab):
+            taken[-1] = "dense"
+        return y
+
+    def gemm(*args):
+        taken[-1] = "gemm"
+        return real_gemm(*args)
+
+    monkeypatch.setattr(macarray, "_mac_slab", slab)
+    monkeypatch.setattr(macarray, "_from_partials", gemm)
+    for budget in (1, DEFAULT_BUDGET):
+        monkeypatch.setattr(macarray, "BATCH_BYTES", budget)
+        taken.clear()
+        assert np.array_equal(batch_logits(plan, samples, maps), want), budget
+    monkeypatch.setattr(macarray, "BATCH_BYTES", 1)
+    taken.clear()
+    batch_logits(plan, samples, maps)
+    expected = [_slab_path(fmap, 12, min(12, cfg.lanes)) for fmap in maps]
+    assert taken == expected * len(samples)  # one block per (sample, run), runs inner
+    assert {"gather", "gemm", "dense"} <= set(expected)
+    # One block of the one-unit maps with m = 1 and m = min(3, G): its d * m
+    # stays within Cout, so it gathers, and the m = 1 run's channels read
+    # the zero row past their one drop.
+    few = [0, min(3, cfg.lanes) - 1]
+    monkeypatch.setattr(macarray, "BATCH_BYTES", DEFAULT_BUDGET)
+    taken.clear()
+    assert np.array_equal(batch_logits(plan, samples, [maps[i] for i in few]), want[few])
+    assert taken == ["gather"]
+    assert gemm_dtypes["conv"] == {dtype}
+
+
+def test_wide_heatmap_slab_skips_the_all_channel_gemm(free_gemms):
+    # A single-lane map drops one lane group on 3 of conv1's 24 channels, so
+    # d * m = 3: conv1's slab comes from golden, with no GEMM over all its
+    # channels; conv2's correction is the only _from_partials call.
+    plan = plan_model(_wide_like_model())
+    samples = np.random.default_rng(5).integers(-128, 128, size=(2, 16, 8, 8)).astype(np.int8)
+    maps = [single_lane_map(u, lane, fault_for_error_value(v))
+            for v in (0, 131071, -131072) for u in range(8) for lane in range(8)]
+    _check_batch(plan, samples, maps)
+    assert free_gemms and set(free_gemms) == {"conv2"}
+
+
+def _buffer_calls(desk_plan, desk_dataset):
+    """Two different batch_logits calls: a desk sweep-like one and a wide
+    heatmap-like one, as (plan, samples, maps)."""
+    wide = plan_model(_wide_like_model())
+    heat = [single_lane_map(u, lane, fault_for_error_value(v))
+            for v in (0, 131071) for u in range(8) for lane in range(8)]
+    sweep = [sample_random_fault_map(k, fault_for_error_value(v), 40 + k, 8, 8)
+             for k in (1, 4, 16, 64) for v in (0, 1, -1, 131071)]
+    wide_samples = np.random.default_rng(8).integers(-128, 128, size=(2, 16, 8, 8))
+    return [(desk_plan, desk_dataset.samples[:6], sweep),
+            (wide, wide_samples.astype(np.int8), heat)]
+
+
+def test_threads_running_at_once_match_serial_logits(desk_plan, desk_dataset):
+    # Each thread has its own tile buffers, so calls that overlap in time,
+    # from more threads than cores and switching often, give the logits
+    # each gives alone.
+    calls = _buffer_calls(desk_plan, desk_dataset) * 2
+    serial = [batch_logits(*call) for call in calls]
+    start, got = threading.Barrier(len(calls)), [[] for _ in calls]
+
+    def work(i):
+        start.wait()
+        for _ in range(50):
+            got[i].append(batch_logits(*calls[i]))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(calls))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for want, outs in zip(serial, got):
+        assert len(outs) == 50 and all(np.array_equal(out, want) for out in outs)
+
+
+def test_a_repeated_call_grows_no_buffer(desk_plan, desk_dataset):
+    # In a fresh thread, the first calls grow its buffers; the same calls
+    # again reuse every buffer as it is, and nothing returned is one.
+    calls = _buffer_calls(desk_plan, desk_dataset)
+    seen = {}
+
+    def work():
+        outs = [batch_logits(*call) for call in calls]
+        seen["first"] = dict(vars(macarray._scratch))
+        outs += [batch_logits(*call) for call in calls]
+        seen["second"] = dict(vars(macarray._scratch))
+        seen["outs"] = outs
+
+    t = threading.Thread(target=work)
+    t.start()
+    t.join(timeout=120)
+    assert not t.is_alive()
+    first, second = seen["first"], seen["second"]
+    assert {"pad", "cols", "gemm", "keep @ P", "slab", "dropped"} <= set(first)
+    assert second.keys() == first.keys()
+    assert all(second[slot] is buf for slot, buf in first.items())
+    for out in seen["outs"]:
+        assert not any(np.shares_memory(out, buf) for buf in second.values())
+    mine = vars(macarray._scratch)  # this thread's, another's than the worker's
+    assert not any(mine.get(slot) is buf for slot, buf in second.items())
+
+
+@pytest.mark.parametrize("tap", [-1, 17])
+def test_im2col_refuses_a_tap_outside_the_input(desk_plan, tap):
+    # conv2 reads a 4x4 input: its taps lie in [0, 16], 0 the padding.
+    prog = desk_plan.by_id["conv2"]
+    taps = prog.taps.copy()
+    taps[3, 5] = tap
+    bad = dataclasses.replace(prog, taps=taps)
+    x = np.zeros((8, 2, 4, 4), dtype=np.int8)
+    with pytest.raises(IndexError, match="tap index"):
+        macarray._im2col(bad, x, np.float32)
+    assert macarray._im2col(prog, x, np.float32).shape == (8, 9, 2, 16)
+
+
+def test_take_refuses_an_index_outside_the_rows():
+    rows = np.arange(12, dtype=np.float32).reshape(4, 3)
+    out = np.empty((2, 3), dtype=np.float32)
+    assert np.array_equal(macarray._take(rows, np.array([3, 0]), out), rows[[3, 0]])
+    for idx in ([4, 0], [0, -1]):
+        with pytest.raises(IndexError):
+            macarray._take(rows, np.array(idx), out)

@@ -4,8 +4,9 @@ Each mutant is a one-place source edit: it makes a bound unsound, moves a
 window edge, mixes up units and lanes, or removes a refusal, and the tests
 listed with it, the ones that kill it, must fail on it (DeMillo, Lipton &
 Sayward, "Hints on test data selection", 1978). An equivalent mutant
-changes no output, only how the result is reached; it is run on its whole
-test file and reported, but its survival is not a gap in the tests.
+changes no output, only how the result is reached; it is run on the tests
+of the paths it changes and reported, but its survival is not a gap in the
+tests.
 
 Usage:
     python tools/mutants.py SCRATCH_DIR [NAME ...]
@@ -41,6 +42,15 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
     equivalent: bool = False
 
+
+_SLAB_PATH_TESTS = tuple(f"tests/test_batch.py::{name}" for name in (
+    "test_slab_from_golden_matches_run_and_oracle",
+    "test_wide_heatmap_slab_skips_the_all_channel_gemm",
+    "test_heatmap_blocks_take_the_slab_and_correction_paths",
+    "test_half_width_slabs_take_the_correction_path",
+    "test_dense_maps_take_the_dense_and_masked_paths",
+    "test_slab_or_dense_is_decided_per_run_block",
+))
 
 MUTANTS = [
     # The no-saturation bound admitting a run whose partial sum reaches ACC_MAX + 1.
@@ -160,16 +170,32 @@ MUTANTS = [
            "prog.n_ops * (2 * (len(head)",
            "prog.n_ops * ((len(head)",
            ("tests/test_planner.py::TestPlanModel::test_dump_bytes_bound_the_traced_peak",)),
-    # Equivalent: a slab padded with one more clean channel (its accumulator
-    # is golden), or made dense one channel early.
+    # A slab channel from golden: the zero row's index one row early (group
+    # G - 1 of the last channel), one dropped group short, or golden
+    # accumulators that already hold the bias the run's constants add.
+    Mutant("slab-zero-row-early", "src/macfi/macarray.py",
+           "cout * groups)  # past a channel's drops, the zero row",
+           "cout * groups - 1)  # past a channel's drops, the zero row",
+           ("tests/test_batch.py::test_slab_from_golden_matches_run_and_oracle[8x8-float32]",)),
+    Mutant("slab-m-short", "src/macfi/macarray.py",
+           "    m = int(n_drops.max())\n",
+           "    m = int(n_drops.max()) - 1\n",
+           ("tests/test_batch.py::test_slab_from_golden_matches_run_and_oracle[8x8-float32]",)),
+    Mutant("golden-after-bias", "src/macfi/macarray.py",
+           "golden_acc[layer.id] = acc\n",
+           "golden_acc[layer.id] = acc + prog.bias[:, None].astype(acc.dtype)\n",
+           ("tests/test_batch.py::test_slab_from_golden_matches_run_and_oracle[8x8-float32]",)),
+    # Equivalent: a slab padded with one more clean channel (it reads golden
+    # accumulators), or made dense one channel early. They run on the slab
+    # and dense path tests, which show how a block is evaluated.
     Mutant("slab-one-wider", "src/macfi/macarray.py",
            "d = max(1, int(dirty.sum(axis=1).max()))",
            "d = min(cout, 1 + int(dirty.sum(axis=1).max()))",
-           ("tests/test_batch.py",), equivalent=True),
+           _SLAB_PATH_TESTS, equivalent=True),
     Mutant("dense-one-early", "src/macfi/macarray.py",
-           "    if d == cout:\n        return _requantize(op, acc)",
-           "    if d >= cout - 1:\n        return _requantize(op, acc)",
-           ("tests/test_batch.py",), equivalent=True),
+           "    if d == cout:\n        acc = _from_partials",
+           "    if d >= cout - 1:\n        acc = _from_partials",
+           _SLAB_PATH_TESTS, equivalent=True),
 ]
 
 _COPY_IGNORE = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", "__pycache__")
