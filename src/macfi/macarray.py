@@ -49,7 +49,7 @@ the lane groups its unit faults, so its accumulator is golden minus those
 partials plus the run's constants, each running difference a subset sum
 of the channel's own products (exact, as above). One GEMM over every
 channel's lane partials serves a run block only where its drops outnumber
-the channels. That output, and relu, maxpool and gavgpool of it, differ
+the channels, so a run's share of a tile is at most Cout rows. That output, and relu, maxpool and gavgpool of it, differ
 from golden only on the faulted units' channels, which each run carries
 as a slab beside the golden tensor, unless a run of its block faults
 every channel (then the block is dense; when every run of the call does,
@@ -61,8 +61,8 @@ of a dense value. Samples and runs are tiled so that one tile's
 floating-point temporaries stay in BATCH_BYTES; the large ones (im2col's
 padded input and columns, GEMM and slab accumulators, requantize's
 float64 copy) live in per-thread buffers that every tile of the thread
-reuses, grown on demand and never returned, so a tile allocates none of
-them after the first.
+reuses, grown on demand up to BATCH_BYTES and never returned, so a tile
+allocates none of them after the first.
 """
 
 from __future__ import annotations
@@ -99,7 +99,8 @@ _MODE_NAME = {code: mode.value for mode, code in MODE_CODE.items()}
 # scales a float32 accumulator into unless qtensor.scales_in_place lets it
 # scale the accumulator itself (any float64 one; a float32 one under
 # m = 2^e). A campaign evaluates one tile at a time; the tile temporaries
-# are per-thread buffers (_scratch_array), each at most one tile's share.
+# are per-thread buffers (_scratch_array), kept up to BATCH_BYTES each, so
+# a layer too large for a one-sample, one-run tile allocates its own.
 BATCH_BYTES = 2 << 20
 
 
@@ -738,7 +739,8 @@ def _take(a: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.take(a, idx, axis=0, out=out, mode="clip")
 
 
-# This thread's tile buffers, by slot name: uint8 blocks, grown on demand.
+# This thread's tile buffers, by slot name: uint8 blocks of at most
+# BATCH_BYTES each, grown on demand and kept while the thread lives.
 _scratch = threading.local()
 
 
@@ -747,8 +749,11 @@ def _scratch_array(slot: str, shape: tuple[int, ...], dtype) -> np.ndarray:
     growing the buffer when it is too small. Its contents are left as they
     are; it is overwritten by the slot's next use on the thread, so it is
     a temporary within one tile step and is never returned from
-    batch_logits."""
+    batch_logits. An array larger than BATCH_BYTES (a one-sample, one-run
+    tile of an over-budget layer) is a fresh one, and is not kept."""
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if nbytes > BATCH_BYTES:
+        return np.empty(shape, dtype=dtype)
     buf = _scratch.__dict__.get(slot)
     if buf is None or buf.nbytes < nbytes:
         buf = _scratch.__dict__[slot] = np.empty(nbytes, dtype=np.uint8)

@@ -1081,6 +1081,36 @@ def test_a_repeated_call_grows_no_buffer(desk_plan, desk_dataset):
     assert not any(mine.get(slot) is buf for slot, buf in second.items())
 
 
+def test_a_buffer_over_the_budget_is_not_kept(desk_plan, desk_dataset, monkeypatch):
+    # Under a 4 KiB budget a one-sample, one-run tile of desk's layers asks
+    # for larger temporaries: they are fresh arrays, and the thread keeps
+    # no buffer over the budget once the call has returned.
+    budget, calls = 4096, _buffer_calls(desk_plan, desk_dataset)
+    want = [batch_logits(*call) for call in calls]
+    monkeypatch.setattr(macarray, "BATCH_BYTES", budget)
+    real, over, seen = macarray._scratch_array, [], {}
+
+    def spy(slot, shape, dtype):
+        out = real(slot, shape, dtype)
+        if out.nbytes > budget:
+            over.append(slot)
+        return out
+
+    monkeypatch.setattr(macarray, "_scratch_array", spy)
+
+    def work():
+        seen["outs"] = [batch_logits(*call) for call in calls]
+        seen["kept"] = dict(vars(macarray._scratch))
+
+    t = threading.Thread(target=work)
+    t.start()
+    t.join(timeout=120)
+    assert not t.is_alive()
+    assert {"pad", "cols"} <= set(over)
+    assert all(buf.nbytes <= budget for buf in seen["kept"].values())
+    assert all(np.array_equal(got, w) for got, w in zip(seen["outs"], want))
+
+
 @pytest.mark.parametrize("tap", [-1, 17])
 def test_im2col_refuses_a_tap_outside_the_input(desk_plan, tap):
     # conv2 reads a 4x4 input: its taps lie in [0, 16], 0 the padding.
